@@ -5,6 +5,7 @@ and are converted exactly on parse.
 """
 from __future__ import annotations
 
+import functools
 import re as _re
 from dataclasses import dataclass, field
 
@@ -114,6 +115,11 @@ class ProcessModel:
     def step_services(self) -> list[str]:
         return [n.service for n in self.step_nodes]
 
+    @functools.cached_property
+    def paths(self) -> "PathDecomposition":
+        """``enumerate_paths(self)``, computed once per model."""
+        return enumerate_paths(self)
+
 
 @dataclass
 class StepState:
@@ -126,7 +132,6 @@ class StepState:
     assigned_vm: str | None = None
     remaining_ms: int | None = None
     scheduled_at: int | None = None
-    step_deadline: int | None = None
     runs: int = 0  # completed invocations (loops re-run steps)
 
 
@@ -481,7 +486,6 @@ class SolverSpec:
     time_limit_ms: int
     fresh_candidates: int
     btu_max: int
-    mn: float
 
 
 @dataclass
@@ -711,13 +715,14 @@ def parse_scenario(text: str) -> Scenario:
         z=float(w.get("z", 1.0)),
     )
 
+    # A solver section's `mn` (a big-M constant) is accepted and ignored: no
+    # row of the model is big-M.
     s = _get(raw, "solver", {}) or {}
     solver = SolverSpec(
         gap=float(s.get("gap", 1e-6)),
         time_limit_ms=int(s.get("time_limit_ms", 20000)),
         fresh_candidates=int(s.get("fresh_candidates", 3)),
         btu_max=int(s.get("btu_max", 1000)),
-        mn=float(s.get("mn", 1_000_000)),
     )
     if solver.fresh_candidates < 1:
         raise ScenarioError("fresh_candidates must be >= 1")

@@ -1,15 +1,16 @@
 """Generic mixed-integer linear programs: model, solver, oracle, LP export.
 
-``solve`` wraps scipy's HiGHS-backed MILP solver. ``enumerate_oracle`` is an
-independent exhaustive checker (grid over the integer variables, hand-rolled
-two-phase simplex for any continuous remainder) used by the test suite to
-cross-validate the production path.
+A ``MilpProblem`` addresses columns and rows by integer index, in creation
+order. ``solve`` hands its arrays to scipy's HiGHS-backed MILP solver.
+``enumerate_oracle`` is an independent exhaustive checker (grid over the
+integer variables, hand-rolled two-phase simplex for any continuous
+remainder) used by the test suite to cross-validate the production path.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize, sparse
@@ -23,149 +24,171 @@ CONTINUOUS = "continuous"
 INTEGER = "integer"
 BOOLEAN = "boolean"
 
+_DOMAINS = frozenset((CONTINUOUS, INTEGER, BOOLEAN))
+_INF = math.inf
+_NEG_INF = -math.inf
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 TIME_LIMIT = "time_limit"
 GAP_LIMIT = "gap_limit"
 
 
-@dataclass(frozen=True)
-class VarDef:
-    name: str
-    domain: str = CONTINUOUS
-    lower: float = 0.0
-    upper: float = math.inf
-
-    def __post_init__(self):
-        if self.domain not in (CONTINUOUS, INTEGER, BOOLEAN):
-            raise ValueError(f"unknown domain {self.domain!r}")
-        if self.domain == BOOLEAN and self.upper == math.inf:
-            object.__setattr__(self, "upper", 1.0)
-        if self.lower > self.upper:
-            raise ValueError(f"{self.name}: lower {self.lower} > upper {self.upper}")
-        if self.domain == BOOLEAN and not (0 <= self.lower and self.upper <= 1):
-            raise ValueError(f"{self.name}: boolean bounds outside [0,1]")
-
-
-@dataclass
-class LinearExpr:
-    """Sum of coefficient*variable terms plus a constant."""
-
-    terms: dict[str, float] = field(default_factory=dict)
-    constant: float = 0.0
-
-    def add(self, coef: float, var: str) -> "LinearExpr":
-        if coef:
-            self.terms[var] = self.terms.get(var, 0.0) + coef
-            if self.terms[var] == 0.0:
-                del self.terms[var]
-        return self
-
-    def value(self, values: dict[str, float]) -> float:
-        return self.constant + sum(c * values[v] for v, c in self.terms.items())
-
-    def copy(self) -> "LinearExpr":
-        return LinearExpr(dict(self.terms), self.constant)
-
-
-@dataclass(frozen=True)
-class Constraint:
-    expr: LinearExpr
-    relation: str  # "<=" | "=" | ">="
-    rhs: float
-    label: str = ""
-
-    def __post_init__(self):
-        if self.relation not in ("<=", "=", ">="):
-            raise ValueError(f"bad relation {self.relation!r}")
-
-
-@dataclass
 class MilpProblem:
-    variables: list[VarDef]
-    objective: LinearExpr
-    constraints: list[Constraint]
+    """Minimise ``cost @ x + constant`` subject to bounds on each row of
+    ``A @ x`` and bounds and integrality on each column of ``x``.
 
-    def __post_init__(self):
-        self._index = {v.name: i for i, v in enumerate(self.variables)}
-        if len(self._index) != len(self.variables):
-            raise ValueError("duplicate variable names")
-        for v in self.objective.terms:
-            if v not in self._index:
-                raise ValueError(f"objective references undeclared variable {v!r}")
-        for con in self.constraints:
-            for v in con.expr.terms:
-                if v not in self._index:
-                    raise ValueError(
-                        f"constraint {con.label!r} references undeclared variable {v!r}"
-                    )
+    Columns carry parallel lists of name, domain, bounds and cost; rows are
+    appended straight into CSR arrays (``indptr``, ``indices``, ``data``)
+    with their bounds. Column names are metadata, read only by the LP text
+    format and error messages; rows are known by index (``c<i>`` in LP text).
+    """
 
-    def var_index(self, name: str) -> int:
-        return self._index[name]
+    def __init__(self):
+        self.names: list[str] = []
+        self.domains: list[str] = []
+        self.lower: list[float] = []
+        self.upper: list[float] = []
+        self.cost: list[float] = []
+        self.constant = 0.0
+        self.row_lower: list[float] = []
+        self.row_upper: list[float] = []
+        self.indptr: list[int] = [0]
+        self.indices: list[int] = []
+        self.data: list[float] = []
+        self._cache = None
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.names)
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.row_lower)
+
+    def add_var(
+        self,
+        name: str,
+        domain: str = CONTINUOUS,
+        lower: float = 0.0,
+        upper: float = math.inf,
+        cost: float = 0.0,
+    ) -> int:
+        """Append a column and return its index."""
+        if domain not in _DOMAINS:
+            raise ValueError(f"unknown domain {domain!r}")
+        if domain == BOOLEAN and upper == _INF:
+            upper = 1.0
+        if lower > upper:
+            raise ValueError(f"{name}: lower {lower} > upper {upper}")
+        if domain == BOOLEAN and not (0 <= lower and upper <= 1):
+            raise ValueError(f"{name}: boolean bounds outside [0,1]")
+        self.names.append(name)
+        self.domains.append(domain)
+        self.lower.append(lower)
+        self.upper.append(upper)
+        self.cost.append(cost)
+        return len(self.names) - 1
+
+    def add_row(self, cols, coefs, relation: str, rhs: float):
+        """Append the row ``sum(coefs[k] * x[cols[k]]) relation rhs``. A
+        column appears at most once per row. Terms are kept as given, zero
+        coefficients too, for the LP text; ``matrix`` drops the zeros."""
+        if relation == "<=":
+            self.row_lower.append(_NEG_INF)
+            self.row_upper.append(rhs)
+        elif relation == ">=":
+            self.row_lower.append(rhs)
+            self.row_upper.append(_INF)
+        elif relation == "=":
+            self.row_lower.append(rhs)
+            self.row_upper.append(rhs)
+        else:
+            raise ValueError(f"bad relation {relation!r}")
+        self.indices.extend(cols)
+        self.data.extend(coefs)
+        self.indptr.append(len(self.indices))
+
+    def integral(self) -> np.ndarray:
+        """Mask of the columns with an integer domain (shared: do not modify)."""
+        return self._assembled()[0]
+
+    def matrix(self) -> sparse.csr_array:
+        """The constraint matrix, rows by columns, without explicit zeros
+        (shared: do not modify)."""
+        return self._assembled()[1]
+
+    def _assembled(self) -> tuple[np.ndarray, sparse.csr_array]:
+        # Columns and rows are append-only, so their counts identify them.
+        key = (len(self.names), len(self.row_lower), len(self.data))
+        if self._cache is None or self._cache[0] != key:
+            integral = np.array([d != CONTINUOUS for d in self.domains], dtype=bool)
+            a = sparse.csr_array(
+                (
+                    np.array(self.data, dtype=np.float64),
+                    np.array(self.indices, dtype=np.int64),
+                    np.array(self.indptr, dtype=np.int64),
+                ),
+                shape=(self.num_rows, self.num_vars),
+            )
+            a.eliminate_zeros()
+            self._cache = (key, integral, a)
+        return self._cache[1], self._cache[2]
+
+    def row_relation(self, row: int) -> tuple[str, float]:
+        """The row as ``relation, rhs``, the way ``add_row`` took it."""
+        lo, hi = self.row_lower[row], self.row_upper[row]
+        if lo == -math.inf:
+            return "<=", hi
+        if hi == math.inf:
+            return ">=", lo
+        return "=", lo
+
+    def row_terms(self, row: int) -> tuple[list[int], list[float]]:
+        """The row's columns and coefficients, in the order they were added."""
+        start, stop = self.indptr[row], self.indptr[row + 1]
+        return self.indices[start:stop], self.data[start:stop]
 
 
 @dataclass
 class MilpSolution:
     status: str
-    values: dict[str, float] | None
+    values: np.ndarray | None  # column values by index
     objective_value: float | None
     bound: float | None
 
 
 @dataclass
 class Violation:
-    constraint: int | None  # index into problem.constraints, None for var checks
+    constraint: int | None  # row index, None for var checks
     variable: str | None
     amount: float
     kind: str  # "constraint" | "bound" | "integrality"
 
 
-def _dense_rows(problem: MilpProblem):
-    n = len(problem.variables)
-    rows, lbs, ubs = [], [], []
-    for con in problem.constraints:
-        row = np.zeros(n)
-        for v, c in con.expr.terms.items():
-            row[problem.var_index(v)] = c
-        rhs = con.rhs - con.expr.constant
-        rows.append(row)
-        if con.relation == "<=":
-            lbs.append(-np.inf), ubs.append(rhs)
-        elif con.relation == ">=":
-            lbs.append(rhs), ubs.append(np.inf)
-        else:
-            lbs.append(rhs), ubs.append(rhs)
-    return np.array(rows), np.array(lbs), np.array(ubs)
-
-
 def solve(
-    problem: MilpProblem,
-    gap_tol: float = 1e-9,
-    time_limit_ms: int | None = None,
-    seed: int | None = None,
+    problem: MilpProblem, gap_tol: float = 1e-9, time_limit_ms: int | None = None
 ) -> MilpSolution:
     """Solve to within ``gap_tol`` of optimality. Deterministic for fixed
-    inputs; ``seed`` is accepted for interface symmetry but the backend is
-    already deterministic.
+    inputs.
 
     The status is OPTIMAL only when the incumbent meets its dual bound (see
     ``OPTIMAL_GAP``); an incumbent accepted by the relative gap alone is
     GAP_LIMIT, and one left by the time limit is TIME_LIMIT."""
-    n = len(problem.variables)
-    c = np.zeros(n)
-    for v, coef in problem.objective.terms.items():
-        c[problem.var_index(v)] = coef
-    integrality = np.array(
-        [0 if v.domain == CONTINUOUS else 1 for v in problem.variables]
-    )
+    c = np.array(problem.cost, dtype=np.float64)
+    integrality = problem.integral().astype(np.uint8)
     bounds = optimize.Bounds(
-        np.array([v.lower for v in problem.variables]),
-        np.array([v.upper for v in problem.variables]),
+        np.array(problem.lower, dtype=np.float64), np.array(problem.upper, dtype=np.float64)
     )
     constraints = []
-    if problem.constraints:
-        rows, lbs, ubs = _dense_rows(problem)
-        constraints = [optimize.LinearConstraint(sparse.csr_matrix(rows), lbs, ubs)]
+    if problem.num_rows:
+        constraints = [
+            optimize.LinearConstraint(
+                problem.matrix(),
+                np.array(problem.row_lower, dtype=np.float64),
+                np.array(problem.row_upper, dtype=np.float64),
+            )
+        ]
     options = {"mip_rel_gap": gap_tol, "presolve": True}
     if time_limit_ms is not None:
         options["time_limit"] = time_limit_ms / 1000.0
@@ -178,8 +201,7 @@ def solve(
         raise ValueError("unbounded model")
     if res.x is None:  # stopped at a limit without an incumbent
         return MilpSolution(TIME_LIMIT, None, None, None)
-    offset = problem.objective.constant
-    values = {v.name: float(res.x[i]) for i, v in enumerate(problem.variables)}
+    offset = problem.constant
     objective = float(res.fun) + offset
     bound = float(res.mip_dual_bound) + offset if res.mip_dual_bound is not None else None
     if res.status != 0:  # stopped at a limit with an incumbent
@@ -188,33 +210,37 @@ def solve(
         status = GAP_LIMIT  # HiGHS stopped at mip_rel_gap, not at a proven optimum
     else:
         status = OPTIMAL
-    return MilpSolution(status, values, objective, bound)
+    return MilpSolution(status, res.x, objective, bound)
 
 
-def verify(problem: MilpProblem, values: dict[str, float]) -> list[Violation]:
-    """All constraint/bound/integrality violations beyond the 1e-6 tolerance."""
-    for v in problem.variables:
-        if v.name not in values:
-            raise ValueError(f"missing value for variable {v.name!r}")
+def verify(problem: MilpProblem, values) -> list[Violation]:
+    """All bound/integrality violations, column by column, then all row
+    violations, beyond the 1e-6 tolerance. ``values`` holds one value per
+    column, by index."""
+    x = np.asarray(values, dtype=np.float64)
+    if x.shape != (problem.num_vars,):
+        raise ValueError(f"expected {problem.num_vars} values, got shape {x.shape}")
+    lower = np.array(problem.lower, dtype=np.float64)
+    upper = np.array(problem.upper, dtype=np.float64)
+    bad_bound = (x < lower - FEAS_TOL) | (x > upper + FEAS_TOL)
+    residue = np.abs(x - np.round(x))
+    bad_int = problem.integral() & (residue > FEAS_TOL)
     out: list[Violation] = []
-    for v in problem.variables:
-        x = values[v.name]
-        if x < v.lower - FEAS_TOL or x > v.upper + FEAS_TOL:
-            amount = max(v.lower - x, x - v.upper)
-            out.append(Violation(None, v.name, amount, "bound"))
-        if v.domain != CONTINUOUS and abs(x - round(x)) > FEAS_TOL:
-            out.append(Violation(None, v.name, abs(x - round(x)), "integrality"))
-    for idx, con in enumerate(problem.constraints):
-        lhs = con.expr.value(values)
-        slack = 0.0
-        if con.relation == "<=":
-            slack = lhs - con.rhs
-        elif con.relation == ">=":
-            slack = con.rhs - lhs
-        else:
-            slack = abs(lhs - con.rhs)
-        if slack > FEAS_TOL:
-            out.append(Violation(idx, None, slack, "constraint"))
+    for i in np.flatnonzero(bad_bound | bad_int):
+        name = problem.names[i]
+        if bad_bound[i]:
+            amount = float(max(lower[i] - x[i], x[i] - upper[i]))
+            out.append(Violation(None, name, amount, "bound"))
+        if bad_int[i]:
+            out.append(Violation(None, name, float(residue[i]), "integrality"))
+    if problem.num_rows:
+        lhs = problem.matrix() @ x
+        slack = np.maximum(
+            lhs - np.array(problem.row_upper, dtype=np.float64),
+            np.array(problem.row_lower, dtype=np.float64) - lhs,
+        )
+        for row in np.flatnonzero(slack > FEAS_TOL):
+            out.append(Violation(int(row), None, float(slack[row]), "constraint"))
     return out
 
 
@@ -227,14 +253,16 @@ ORACLE_GRID_LIMIT = 10_000_000
 def enumerate_oracle(problem: MilpProblem) -> MilpSolution:
     """Exact optimum by enumerating the integer grid; continuous remainders
     are resolved per grid point with a two-phase simplex."""
-    int_vars = [v for v in problem.variables if v.domain != CONTINUOUS]
-    cont_vars = [v for v in problem.variables if v.domain == CONTINUOUS]
+    n = problem.num_vars
+    int_cols = [i for i in range(n) if problem.domains[i] != CONTINUOUS]
+    cont_cols = [i for i in range(n) if problem.domains[i] == CONTINUOUS]
     grid = 1
     ranges = []
-    for v in int_vars:
-        if not (math.isfinite(v.lower) and math.isfinite(v.upper)):
-            raise ValueError(f"oracle needs finite bounds on {v.name}")
-        lo, hi = math.ceil(v.lower - FEAS_TOL), math.floor(v.upper + FEAS_TOL)
+    for i in int_cols:
+        lower, upper = problem.lower[i], problem.upper[i]
+        if not (math.isfinite(lower) and math.isfinite(upper)):
+            raise ValueError(f"oracle needs finite bounds on {problem.names[i]}")
+        lo, hi = math.ceil(lower - FEAS_TOL), math.floor(upper + FEAS_TOL)
         ranges.append(range(lo, hi + 1))
         grid *= len(ranges[-1])
         if grid > ORACLE_GRID_LIMIT:
@@ -243,18 +271,17 @@ def enumerate_oracle(problem: MilpProblem) -> MilpSolution:
     best_obj = math.inf
     best_values = None
     for point in itertools.product(*ranges) if ranges else [()]:
-        fixed = {v.name: float(x) for v, x in zip(int_vars, point)}
-        if cont_vars:
-            status, xs, obj = _fixed_lp(problem, cont_vars, fixed)
+        candidate = np.zeros(n)
+        candidate[int_cols] = point
+        if cont_cols:
+            status, xs, obj = _fixed_lp(problem, cont_cols, candidate)
             if status != OPTIMAL:
                 continue
-            candidate = dict(fixed)
-            candidate.update(xs)
+            candidate[cont_cols] = xs
         else:
-            candidate = fixed
             if any(v.kind != "integrality" for v in verify(problem, candidate)):
                 continue
-            obj = problem.objective.value(candidate)
+            obj = problem.constant + sum(problem.cost[i] * candidate[i] for i in range(n))
         if obj < best_obj - 1e-12:
             best_obj = obj
             best_values = candidate
@@ -263,36 +290,33 @@ def enumerate_oracle(problem: MilpProblem) -> MilpSolution:
     return MilpSolution(OPTIMAL, best_values, best_obj, best_obj)
 
 
-def _fixed_lp(problem, cont_vars, fixed):
-    """LP over the continuous variables with the integers substituted."""
-    idx = {v.name: i for i, v in enumerate(cont_vars)}
+def _fixed_lp(problem, cont_cols, fixed):
+    """LP over the continuous columns with the integers substituted."""
+    idx = {col: k for k, col in enumerate(cont_cols)}
     rows = []
-    for con in problem.constraints:
-        coefs = np.zeros(len(cont_vars))
-        rhs = con.rhs - con.expr.constant
-        for name, c in con.expr.terms.items():
-            if name in idx:
-                coefs[idx[name]] = c
+    for row in range(problem.num_rows):
+        relation, rhs = problem.row_relation(row)
+        coefs = np.zeros(len(cont_cols))
+        for col, c in zip(*problem.row_terms(row)):
+            if col in idx:
+                coefs[idx[col]] += c
             else:
-                rhs -= c * fixed[name]
-        rows.append((coefs, con.relation, rhs))
-    c = np.zeros(len(cont_vars))
-    obj_fixed = problem.objective.constant
-    for name, coef in problem.objective.terms.items():
-        if name in idx:
-            c[idx[name]] = coef
-        else:
-            obj_fixed += coef * fixed[name]
-    lowers = np.array([v.lower for v in cont_vars])
-    uppers = np.array([v.upper for v in cont_vars])
+                rhs -= c * fixed[col]
+        rows.append((coefs, relation, rhs))
+    c = np.array([problem.cost[col] for col in cont_cols], dtype=np.float64)
+    obj_fixed = problem.constant + sum(
+        problem.cost[col] * fixed[col] for col in range(problem.num_vars) if col not in idx
+    )
+    lowers = np.array([problem.lower[col] for col in cont_cols], dtype=np.float64)
+    uppers = np.array([problem.upper[col] for col in cont_cols], dtype=np.float64)
     if not np.all(np.isfinite(lowers)):
         raise ValueError("oracle needs finite lower bounds on continuous variables")
     status, x = _simplex(c, rows, lowers, uppers)
     if status != OPTIMAL:
         return status, None, None
-    values = {v.name: float(x[i]) for i, v in enumerate(cont_vars)}
-    obj = obj_fixed + float(c @ x)
-    return OPTIMAL, values, obj
+    return OPTIMAL, x, obj_fixed + float(c @ x)
+
+
 
 
 def _simplex(c, rows, lowers, uppers):
@@ -410,6 +434,8 @@ def _pivot(tableau, basis, row, col):
     basis[row] = col
 
 
+
+
 # ---------------------------------------------------------------------------
 # LP text format
 
@@ -420,44 +446,42 @@ def _num(x: float) -> str:
     return repr(float(x))
 
 
-def _format_expr(expr: LinearExpr, order: list[str]) -> str:
+def _format_terms(terms, names: list[str]) -> str:
+    """``terms`` as (column, coefficient) pairs, written in column order."""
     parts = []
-    for name in order:
-        if name not in expr.terms:
-            continue
-        coef = expr.terms[name]
+    for col, coef in sorted(terms):
         sign = "-" if coef < 0 else "+"
         mag = _num(abs(coef))
         if parts:
-            parts.append(f"{sign} {mag} {name}")
+            parts.append(f"{sign} {mag} {names[col]}")
         else:
-            parts.append(f"{mag} {name}" if coef >= 0 else f"- {mag} {name}")
-    return " ".join(parts) if parts else "0 " + order[0] if order else "0"
+            parts.append(f"{mag} {names[col]}" if coef >= 0 else f"- {mag} {names[col]}")
+    return " ".join(parts) if parts else "0 " + names[0] if names else "0"
 
 
 def export_lp(problem: MilpProblem) -> str:
     """Serialize to the conventional LP text format (readable by external
-    solvers; the objective constant travels in a comment)."""
-    order = [v.name for v in problem.variables]
+    solvers; the objective constant travels in a comment). Bounds lists
+    every column, binaries included, in index order."""
+    names = problem.names
     lines = []
-    if problem.objective.constant:
-        lines.append(f"\\ constant {_num(problem.objective.constant)}")
+    if problem.constant:
+        lines.append(f"\\ constant {_num(problem.constant)}")
     lines.append("Minimize")
-    lines.append(f" obj: {_format_expr(problem.objective, order)}")
+    objective = [(col, c) for col, c in enumerate(problem.cost) if c]
+    lines.append(f" obj: {_format_terms(objective, names)}")
     lines.append("Subject To")
-    for i, con in enumerate(problem.constraints):
-        rel = con.relation if con.relation != "=" else "="
-        rhs = con.rhs - con.expr.constant
-        lines.append(f" c{i}: {_format_expr(con.expr, order)} {rel} {_num(rhs)}")
+    for row in range(problem.num_rows):
+        relation, rhs = problem.row_relation(row)
+        terms = zip(*problem.row_terms(row))
+        lines.append(f" c{row}: {_format_terms(terms, names)} {relation} {_num(rhs)}")
     lines.append("Bounds")
-    for v in problem.variables:
-        if v.domain == BOOLEAN:
-            continue
-        lo = "-inf" if v.lower == -math.inf else _num(v.lower)
-        hi = "+inf" if v.upper == math.inf else _num(v.upper)
-        lines.append(f" {lo} <= {v.name} <= {hi}")
-    generals = [v.name for v in problem.variables if v.domain == INTEGER]
-    binaries = [v.name for v in problem.variables if v.domain == BOOLEAN]
+    for name, lower, upper in zip(names, problem.lower, problem.upper):
+        lo = "-inf" if lower == -math.inf else _num(lower)
+        hi = "+inf" if upper == math.inf else _num(upper)
+        lines.append(f" {lo} <= {name} <= {hi}")
+    generals = [n for n, d in zip(names, problem.domains) if d == INTEGER]
+    binaries = [n for n, d in zip(names, problem.domains) if d == BOOLEAN]
     if generals:
         lines.append("Generals")
         lines.extend(f" {name}" for name in generals)
@@ -468,12 +492,11 @@ def export_lp(problem: MilpProblem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_terms(text: str) -> LinearExpr:
-    tokens = text.split()
-    expr = LinearExpr()
+def _parse_terms(text: str) -> dict[str, float]:
+    terms: dict[str, float] = {}
     sign = 1.0
     pending: float | None = None
-    for tok in tokens:
+    for tok in text.split():
         if tok == "+":
             sign = 1.0
         elif tok == "-":
@@ -483,19 +506,27 @@ def _parse_terms(text: str) -> LinearExpr:
                 value = float(tok)
             except ValueError:
                 coef = sign * (1.0 if pending is None else pending)
-                expr.add(coef, tok)
+                if coef:
+                    terms[tok] = terms.get(tok, 0.0) + coef
+                    if terms[tok] == 0.0:
+                        del terms[tok]
                 sign, pending = 1.0, None
                 continue
             pending = value
-    return expr
+    return terms
 
 
 def parse_lp(text: str) -> MilpProblem:
-    """Round-trip reader for export_lp output."""
+    """Round-trip reader for export_lp output.
+
+    Columns take the order of the Bounds section, which export_lp writes in
+    index order, so a parsed dump hands HiGHS the columns it was built with.
+    Columns missing from Bounds (binaries, in dumps that left them out)
+    follow in order of first appearance."""
     constant = 0.0
     section = None
-    objective = LinearExpr()
-    raw_cons: list[tuple[LinearExpr, str, float]] = []
+    objective: dict[str, float] = {}
+    raw_rows: list[tuple[dict[str, float], str, float]] = []
     bounds: dict[str, tuple[float, float]] = {}
     generals: set[str] = set()
     binaries: set[str] = set()
@@ -520,7 +551,7 @@ def parse_lp(text: str) -> MilpProblem:
             for rel in ("<=", ">=", "="):
                 if f" {rel} " in body:
                     lhs, rhs = body.rsplit(f" {rel} ", 1)
-                    raw_cons.append((_parse_terms(lhs), rel, float(rhs)))
+                    raw_rows.append((_parse_terms(lhs), rel, float(rhs)))
                     break
         elif section == "bounds":
             parts = line.split("<=")
@@ -533,26 +564,22 @@ def parse_lp(text: str) -> MilpProblem:
         elif section == "binaries":
             binaries.add(line)
 
-    names: list[str] = []
-    seen = set()
-    for expr in [objective] + [c[0] for c in raw_cons]:
-        for name in expr.terms:
-            if name not in seen:
-                seen.add(name)
-                names.append(name)
-    for name in list(bounds) + sorted(generals) + sorted(binaries):
-        if name not in seen:
-            seen.add(name)
-            names.append(name)
+    names = dict.fromkeys(bounds)
+    for terms in [objective] + [row[0] for row in raw_rows]:
+        names.update(dict.fromkeys(terms))
+    names.update(dict.fromkeys(sorted(generals)))
+    names.update(dict.fromkeys(sorted(binaries)))
 
-    variables = []
+    problem = MilpProblem()
+    problem.constant = constant
+    index = {}
     for name in names:
         if name in binaries:
-            variables.append(VarDef(name, BOOLEAN, 0, 1))
+            domain, default = BOOLEAN, (0.0, 1.0)
         else:
-            lo, hi = bounds.get(name, (0.0, math.inf))
-            domain = INTEGER if name in generals else CONTINUOUS
-            variables.append(VarDef(name, domain, lo, hi))
-    objective.constant = constant
-    constraints = [Constraint(expr, rel, rhs) for expr, rel, rhs in raw_cons]
-    return MilpProblem(variables, objective, constraints)
+            domain, default = (INTEGER if name in generals else CONTINUOUS), (0.0, math.inf)
+        lo, hi = bounds.get(name, default)
+        index[name] = problem.add_var(name, domain, lo, hi, objective.get(name, 0.0))
+    for terms, rel, rhs in raw_rows:
+        problem.add_row([index[name] for name in terms], terms.values(), rel, rhs)
+    return problem

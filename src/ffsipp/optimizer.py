@@ -8,9 +8,11 @@ flag, adding per-VM type-exclusivity variables.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
+from operator import mul
+
+import numpy as np
 
 from . import milp, worstcase
 from .landscape import (
@@ -62,7 +64,6 @@ class OptimizerConfig:
     weights: Weights
     epsilon_ms: int = 2000
     btu_max: int = 1000
-    mn: float = 1_000_000
     fresh_candidates: int = 3
     gap_tol: float = 1e-6
     time_limit_ms: int = 20000
@@ -73,7 +74,6 @@ class OptimizerConfig:
             weights=sc.weights,
             epsilon_ms=sc.epsilon_ms,
             btu_max=sc.solver.btu_max,
-            mn=sc.solver.mn,
             fresh_candidates=sc.solver.fresh_candidates,
             gap_tol=sc.solver.gap,
             time_limit_ms=sc.solver.time_limit_ms,
@@ -103,7 +103,7 @@ class SchedulingPlan:
     free_capacity: dict[str, tuple[float, float]]
     objective_terms: dict[str, float]
     objective_value: float  # repaired objective, bracketed by bound and incumbent
-    milp_values: dict[str, float]  # repaired solution, passes verify
+    milp_values: list[float]  # repaired column values, pass verify
 
     def assignment_for(self, instance_id: int, step_index: int) -> Assignment | None:
         for a in self.assignments:
@@ -116,7 +116,12 @@ TERM_NAMES = ("leasing", "penalty", "deployment", "remaining_lease", "free_capac
 
 
 class FfsippModel:
-    """The round MILP plus enough metadata to decode its solutions."""
+    """The round MILP plus enough metadata to decode its solutions.
+
+    Every variable gets its column in ``problem`` when it is created; the
+    builder keeps those indices per VM, per instance and per objective term,
+    so no step scans all variables.
+    """
 
     def __init__(self, state: SchedulingState, config: OptimizerConfig, baseline: bool = False):
         self.state = state
@@ -124,19 +129,29 @@ class FfsippModel:
         self.baseline = baseline
         self.delta_ms = worstcase.max_startup_ms(state.vm_types)
         self.candidates = self._candidate_vms()
-        self._vars: list[milp.VarDef] = []
-        self._cons: list[milp.Constraint] = []
-        self._terms: dict[str, milp.LinearExpr] = {n: milp.LinearExpr() for n in TERM_NAMES}
-        self._x: dict[tuple[int, int, str], str] = {}
-        self._x_meta: dict[str, Assignment] = {}
-        self._y: dict[str, str] = {}
-        self._g: dict[str, str] = {}
-        self._u: dict[tuple[str, str], str] = {}
-        self._ep: dict[int, str] = {}
-        self._ep_rows: dict[int, list[tuple[milp.LinearExpr, float]]] = {}
-        self._floor_rows: dict[str, list[tuple[milp.LinearExpr, float]]] = {}
+        self.problem = milp.MilpProblem()
+        self._instances = {inst.id: inst for inst in state.instances}
+        # objective term -> its columns and coefficients, in the order added
+        self._terms: dict[str, tuple[list[int], list[float]]] = {
+            n: ([], []) for n in TERM_NAMES
+        }
+        self._x: list[tuple[int, Assignment]] = []  # placement columns
+        self._vm_x: dict[str, list[tuple[int, Assignment]]] = {vm.id: [] for vm in self.candidates}
+        self._y: dict[str, int] = {}
+        self._g: dict[str, int] = {}
+        self._free: dict[str, tuple[int, int]] = {}
+        self._gamma: dict[str, int] = {}
+        self._ep: dict[int, int] = {}
+        # Continuous helpers decode re-derives at their floor, the largest of
+        # ``0`` and ``sum(coefs * x[cols]) + offset`` over their rows: block
+        # remainders and free capacity first, then e^p, which reads them.
+        self._floors: list[tuple[int, list[tuple[list[int], list[float], float]]]] = []
+        self._ep_rows: list[tuple[int, list[tuple[list[int], list[float], float]]]] = []
         self._build()
-        self.problem = milp.MilpProblem(self._vars, self._objective(), self._cons)
+        cost = self.problem.cost
+        for cols, coefs in self._terms.values():
+            for col, coef in zip(cols, coefs):
+                cost[col] += coef
 
     # -- construction -----------------------------------------------------
 
@@ -164,10 +179,6 @@ class FfsippModel:
     def _vm_type(self, vm: VmSnapshot) -> VmType:
         return self.state.vm_types[vm.type_id]
 
-    def _fits(self, cpu: float, ram: float, vm: VmSnapshot) -> bool:
-        vt = self._vm_type(vm)
-        return cpu <= vt.cpu_supply + 1e-9 and ram <= vt.ram_supply + 1e-9
-
     def _baseline_allows(self, service: str, vm: VmSnapshot) -> bool:
         if not self.baseline:
             return True
@@ -188,34 +199,26 @@ class FfsippModel:
             total += svc.container_start_ms + svc.image_pull_ms
         return total
 
-    def _add_var(self, name, domain, lower, upper) -> str:
-        self._vars.append(milp.VarDef(name, domain, lower, upper))
-        return name
-
-    def _add_con(self, expr, rel, rhs, label=""):
-        self._cons.append(milp.Constraint(expr, rel, rhs, label))
-
-    def _set_upper(self, name: str, upper: float):
-        for i, var in enumerate(self._vars):
-            if var.name == name:
-                self._vars[i] = dataclasses.replace(var, upper=upper)
-                return
-        raise KeyError(name)
+    def _term(self, name: str, col: int, coef: float):
+        if coef:
+            cols, coefs = self._terms[name]
+            cols.append(col)
+            coefs.append(coef)
 
     def _build(self):
         state, cfg, w = self.state, self.config, self.config.weights
+        p = self.problem
         tau = state.now_ms
 
         # Per-VM lease / usage variables.
+        y_by_type: dict[str, list[int]] = {vt: [] for vt in state.vm_types}
         for vm in self.candidates:
-            vt = self._vm_type(vm)
-            y = self._add_var(f"y__{vm.id}", milp.INTEGER, 0, cfg.btu_max)
-            g = self._add_var(f"g__{vm.id}", milp.BOOLEAN, 0, 1)
+            y = p.add_var(f"y__{vm.id}", milp.INTEGER, 0, cfg.btu_max)
+            g = p.add_var(f"g__{vm.id}", milp.BOOLEAN, 0, 1)
             self._y[vm.id], self._g[vm.id] = y, g
+            y_by_type[vm.type_id].append(y)
             beta = 0 if vm.fresh else 1
-            self._add_con(
-                milp.LinearExpr({g: 1, y: -1}, -beta), "<=", 0, f"g_link:{vm.id}"
-            )
+            p.add_row((g, y), (1, -1), "<=", beta)
 
         # Symmetry breaking among anonymous fresh candidates of one type.
         by_type: dict[str, list[VmSnapshot]] = {}
@@ -224,34 +227,28 @@ class FfsippModel:
                 by_type.setdefault(vm.type_id, []).append(vm)
         for group in by_type.values():
             for a, b in zip(group, group[1:]):
-                self._add_con(
-                    milp.LinearExpr({self._g[a.id]: 1, self._g[b.id]: -1}),
-                    ">=",
-                    0,
-                    f"symmetry:{b.id}",
-                )
+                p.add_row((self._g[a.id], self._g[b.id]), (1, -1), ">=", 0)
 
         # Placement variables and per-instance rows.
+        capacities = [
+            (vm, self._vm_type(vm).cpu_supply + 1e-9, self._vm_type(vm).ram_supply + 1e-9)
+            for vm in self.candidates
+        ]
         for inst in state.instances:
-            ready = sorted(next_steps(inst))
             schedulable: dict[int, list[VmSnapshot]] = {}
-            for j in ready:
+            for j in sorted(next_steps(inst)):
                 step = inst.steps[j]
-                fits_any_type = any(
-                    self._fits(step.cpu_demand, step.ram_demand, vm) for vm in self.candidates
-                )
-                if not fits_any_type:
+                fitting = [
+                    vm
+                    for vm, cpu, ram in capacities
+                    if step.cpu_demand <= cpu and step.ram_demand <= ram
+                ]
+                if not fitting:
                     raise ModelError(
                         f"step {inst.id}/{j} ({step.service}, {step.cpu_demand}%) "
                         f"exceeds every VM type's supply"
                     )
-                cands = [
-                    vm
-                    for vm in self.candidates
-                    if self._fits(step.cpu_demand, step.ram_demand, vm)
-                    and self._baseline_allows(step.service, vm)
-                ]
-                schedulable[j] = cands
+                schedulable[j] = [vm for vm in fitting if self._baseline_allows(step.service, vm)]
             self._instance_rows(inst, schedulable, tau)
 
         # Baseline type exclusivity.
@@ -261,106 +258,74 @@ class FfsippModel:
         # Capacity, free capacity, usage link per VM.
         for vm in self.candidates:
             vt = self._vm_type(vm)
+            y, g = self._y[vm.id], self._g[vm.id]
             run_cpu, run_ram = self._running_demand(vm)
-            cap_c = milp.LinearExpr()
-            cap_r = milp.LinearExpr()
-            vm_x: list[str] = []
-            for (iid, j, vid), xname in self._x.items():
-                if vid != vm.id:
-                    continue
-                a = self._x_meta[xname]
-                cap_c.add(a.cpu_demand, xname)
-                cap_r.add(a.ram_demand, xname)
-                vm_x.append(xname)
-            self._add_con(cap_c.copy(), "<=", vt.cpu_supply - run_cpu, f"cap_cpu:{vm.id}")
+            vm_x = self._vm_x[vm.id]
+            cpu_cols = [col for col, a in vm_x if a.cpu_demand]
+            cpu = [a.cpu_demand for _, a in vm_x if a.cpu_demand]
+            ram_cols = [col for col, a in vm_x if a.ram_demand]
+            ram = [a.ram_demand for _, a in vm_x if a.ram_demand]
+            p.add_row(cpu_cols, cpu, "<=", vt.cpu_supply - run_cpu)
             if vt.ram_supply < math.inf:
-                self._add_con(cap_r.copy(), "<=", vt.ram_supply - run_ram, f"cap_ram:{vm.id}")
-            for xname in vm_x:
-                self._add_con(
-                    milp.LinearExpr({xname: 1.0, self._g[vm.id]: -1.0}),
-                    "<=",
-                    0,
-                    f"usage:{vm.id}:{xname}",
-                )
+                p.add_row(ram_cols, ram, "<=", vt.ram_supply - run_ram)
+            for col, _ in vm_x:
+                p.add_row((col, g), (1.0, -1.0), "<=", 0)
 
-            # f >= s*g - used  <=>  f + used - s*g >= -running_load
-            fc = self._add_var(f"fC__{vm.id}", milp.CONTINUOUS, 0, math.inf)
-            fr = self._add_var(f"fR__{vm.id}", milp.CONTINUOUS, 0, math.inf)
-            row_c = milp.LinearExpr(dict(cap_c.terms))
-            row_c.add(1.0, fc)
-            row_c.add(-vt.cpu_supply, self._g[vm.id])
-            self._add_con(row_c, ">=", -run_cpu, f"free_cpu:{vm.id}")
-            row_r = milp.LinearExpr(dict(cap_r.terms))
-            row_r.add(1.0, fr)
-            row_r.add(-vt.ram_supply if vt.ram_supply < math.inf else 0.0, self._g[vm.id])
-            self._add_con(row_r, ">=", -run_ram, f"free_ram:{vm.id}")
-            self._floor_rows[fc] = [(self._negate_without(row_c, fc), -run_cpu)]
-            self._floor_rows[fr] = [(self._negate_without(row_r, fr), -run_ram)]
-            self._terms["free_capacity"].add(w.f_cpu, fc)
-            self._terms["free_capacity"].add(w.f_ram, fr)
+            fc = p.add_var(f"fC__{vm.id}", milp.CONTINUOUS, 0, math.inf)
+            fr = p.add_var(f"fR__{vm.id}", milp.CONTINUOUS, 0, math.inf)
+            self._free[vm.id] = (fc, fr)
+            ram_supply = vt.ram_supply if vt.ram_supply < math.inf else 0.0
+            self._free_row(fc, cpu_cols, cpu, g, vt.cpu_supply, run_cpu, w.f_cpu)
+            self._free_row(fr, ram_cols, ram, g, ram_supply, run_ram, w.f_ram)
 
             # Lease coverage for running steps.
             max_run = max((rem for _, _, rem in vm.running_steps), default=0)
             if max_run > vm.lease_remaining_ms:
-                self._add_con(
-                    milp.LinearExpr({self._y[vm.id]: float(vt.btu_ms)}),
-                    ">=",
-                    max_run - vm.lease_remaining_ms,
-                    f"run_cover:{vm.id}",
-                )
+                p.add_row((y,), (float(vt.btu_ms),), ">=", max_run - vm.lease_remaining_ms)
 
             # Extra BTUs beyond what any placement could consume only add
             # cost, so cap y at the worst single-step coverage need.
-            horizon = max(
-                [max_run]
-                + [self._x_meta[xname].occupancy_ms for xname in vm_x]
-            )
+            horizon = max([max_run] + [a.occupancy_ms for _, a in vm_x])
             need = min(
                 cfg.btu_max, math.ceil(max(0, horizon - vm.lease_remaining_ms) / vt.btu_ms)
             )
-            self._set_upper(self._y[vm.id], need)
+            p.upper[y] = need
             if vm.fresh:
-                self._add_con(
-                    milp.LinearExpr({self._y[vm.id]: 1.0, self._g[vm.id]: -float(need)}),
-                    "<=",
-                    0,
-                    f"lease_used:{vm.id}",
-                )
+                p.add_row((y, g), (1.0, -float(need)), "<=", 0)
 
         # BTU totals per type.
         for vt in state.vm_types.values():
-            members = [vm for vm in self.candidates if vm.type_id == vt.id]
-            gamma = self._add_var(
+            members = y_by_type[vt.id]
+            gamma = p.add_var(
                 f"gamma__{vt.id}", milp.INTEGER, 0, cfg.btu_max * max(1, len(members))
             )
-            expr = milp.LinearExpr({gamma: 1.0})
-            for vm in members:
-                expr.add(-1.0, self._y[vm.id])
-            self._add_con(expr, "=", 0, f"gamma:{vt.id}")
-            self._terms["leasing"].add(vt.cost_per_btu, gamma)
+            self._gamma[vt.id] = gamma
+            p.add_row([gamma] + members, [1.0] + [-1.0] * len(members), "=", 0)
+            self._term("leasing", gamma, vt.cost_per_btu)
 
-        if not self._vars:
-            self._add_var("nothing", milp.CONTINUOUS, 0, 0)
+        if not p.num_vars:
+            p.add_var("nothing", milp.CONTINUOUS, 0, 0)
 
-    @staticmethod
-    def _negate_without(expr: milp.LinearExpr, skip: str) -> milp.LinearExpr:
-        out = milp.LinearExpr()
-        for v, c in expr.terms.items():
-            if v != skip:
-                out.add(-c, v)
-        return out
+    def _free_row(self, f: int, cols, coefs, g: int, supply: float, run: float, weight: float):
+        """f >= supply*g - used  <=>  f + used - supply*g >= -running_load"""
+        if supply:
+            cols, coefs = cols + [g], coefs + [-supply]
+        self.problem.add_row(cols + [f], coefs + [1.0], ">=", -run)
+        self._floors.append((f, [(cols, [-c for c in coefs], -run)]))
+        self._term("free_capacity", f, weight)
 
     def _running_demand(self, vm: VmSnapshot) -> tuple[float, float]:
         cpu = ram = 0.0
         for iid, j, _ in vm.running_steps:
-            inst = next(i for i in self.state.instances if i.id == iid)
-            cpu += inst.steps[j].cpu_demand
-            ram += inst.steps[j].ram_demand
+            step = self._instances[iid].steps[j]
+            cpu += step.cpu_demand
+            ram += step.ram_demand
         return cpu, ram
 
     def _instance_rows(self, inst: ProcessInstance, schedulable, tau: int):
         cfg, w = self.config, self.config.weights
         svcs = self.state.services
+        p = self.problem
         rs = worstcase.remaining_structure(inst, svcs, self.delta_ms, set(schedulable))
         ex_run = max(
             (
@@ -373,16 +338,15 @@ class FfsippModel:
         )
 
         # Placement variables with their objective contributions.
+        placed: dict[int, list[tuple[int, int]]] = {}  # step -> (column, occupancy)
         for j, cands in schedulable.items():
             step = inst.steps[j]
-            dl_star = step_deadline(inst, j, svcs, self.delta_ms)
-            step.step_deadline = dl_star
+            importance = w.dl_per_ms * (step_deadline(inst, j, svcs, self.delta_ms) - tau)
+            placed[j] = []
             for vm in cands:
-                name = f"x__{inst.id}__{j}__{vm.id}"
-                self._add_var(name, milp.BOOLEAN, 0, 1)
+                col = p.add_var(f"x__{inst.id}__{j}__{vm.id}", milp.BOOLEAN, 0, 1)
                 occ = self._occupancy_ms(inst, j, vm)
-                self._x[(inst.id, j, vm.id)] = name
-                self._x_meta[name] = Assignment(
+                a = Assignment(
                     instance_id=inst.id,
                     step_index=j,
                     vm_id=vm.id,
@@ -392,24 +356,25 @@ class FfsippModel:
                     duration_ms=step.expected_ms,
                     occupancy_ms=occ,
                 )
+                self._x.append((col, a))
+                self._vm_x[vm.id].append((col, a))
+                placed[j].append((col, occ))
                 # Baseline deployments are priced per type variable instead
                 # (see _baseline_rows); there is no image cache there.
                 if not self.baseline and step.service not in vm.cached_images:
-                    self._terms["deployment"].add(w.z, name)
-                self._terms["remaining_lease"].add(w.d_per_ms * vm.lease_remaining_ms, name)
-                self._terms["importance"].add(w.dl_per_ms * (dl_star - tau), name)
+                    self._term("deployment", col, w.z)
+                self._term("remaining_lease", col, w.d_per_ms * vm.lease_remaining_ms)
+                self._term("importance", col, importance)
                 # Lease coverage for this placement.
-                vt = self._vm_type(vm)
-                self._add_con(
-                    milp.LinearExpr({name: float(occ), self._y[vm.id]: -float(vt.btu_ms)}),
+                p.add_row(
+                    (col, self._y[vm.id]),
+                    (float(occ), -float(self._vm_type(vm).btu_ms)),
                     "<=",
                     vm.lease_remaining_ms,
-                    f"cover:{inst.id}:{j}:{vm.id}",
                 )
             # At most one VM per step.
-            pick = milp.LinearExpr({self._x[(inst.id, j, vm.id)]: 1.0 for vm in cands})
-            if pick.terms:
-                self._add_con(pick, "<=", 1, f"one_vm:{inst.id}:{j}")
+            if placed[j]:
+                p.add_row([col for col, _ in placed[j]], [1.0] * len(placed[j]), "<=", 1)
 
         # Block variables for AND/XOR remainders that depend on this round.
         # A scheduled branch head replaces its worst-case coefficient with the
@@ -418,121 +383,79 @@ class FfsippModel:
         # as seen one round later: a head scheduled now has already run for
         # epsilon by then, an unscheduled one still costs the full branch.
         block_heads: set[int] = set()
-        block_now_vars: list[str] = []
-        block_next_vars: list[str] = []
+        block_cols: tuple[list[int], list[int]] = ([], [])  # this round, next round
         for block in rs.blocks:
-            bnow = self._add_var(
-                f"eblk__{inst.id}__{block.node_id}", milp.CONTINUOUS, 0, math.inf
+            pair = (
+                p.add_var(f"eblk__{inst.id}__{block.node_id}", milp.CONTINUOUS, 0, math.inf),
+                p.add_var(f"eblkn__{inst.id}__{block.node_id}", milp.CONTINUOUS, 0, math.inf),
             )
-            bnext = self._add_var(
-                f"eblkn__{inst.id}__{block.node_id}", milp.CONTINUOUS, 0, math.inf
-            )
-            block_now_vars.append(bnow)
-            block_next_vars.append(bnext)
-            floors_now = []
-            floors_next = []
+            floors: tuple[list, list] = ([], [])
             for const, coefs in block.rows:
-                row_now = milp.LinearExpr({bnow: 1.0})
-                row_next = milp.LinearExpr({bnext: 1.0})
-                floor_now = milp.LinearExpr()
-                floor_next = milp.LinearExpr()
-                for j, coef in coefs.items():
-                    block_heads.add(j)
-                    for vm in schedulable.get(j, []):
-                        xname = self._x[(inst.id, j, vm.id)]
-                        occ = self._x_meta[xname].occupancy_ms
-                        red_now = float(coef - occ)
-                        red_next = float(coef + cfg.epsilon_ms - occ)
-                        row_now.add(red_now, xname)
-                        floor_now.add(-red_now, xname)
-                        row_next.add(red_next, xname)
-                        floor_next.add(-red_next, xname)
-                self._add_con(row_now, ">=", const, f"block:{inst.id}:{block.node_id}")
-                self._add_con(
-                    row_next, ">=", const, f"block_next:{inst.id}:{block.node_id}"
-                )
-                floors_now.append((floor_now, float(const)))
-                floors_next.append((floor_next, float(const)))
-            self._floor_rows[bnow] = floors_now
-            self._floor_rows[bnext] = floors_next
+                for b, eps, b_floors in zip(pair, (0, cfg.epsilon_ms), floors):
+                    cols, reds = [], []
+                    for j, coef in coefs.items():
+                        block_heads.add(j)
+                        for col, occ in placed.get(j, ()):
+                            if coef + eps - occ:
+                                cols.append(col)
+                                reds.append(float(coef + eps - occ))
+                    p.add_row([b] + cols, [1.0] + reds, ">=", const)
+                    b_floors.append((cols, [-r for r in reds], float(const)))
+            for b, b_cols, b_floors in zip(pair, block_cols, floors):
+                b_cols.append(b)
+                self._floors.append((b, b_floors))
 
         # Deadline / penalty coupling for this round and the next.
-        ep = self._add_var(f"ep__{inst.id}", milp.CONTINUOUS, 0, math.inf)
+        ep = p.add_var(f"ep__{inst.id}", milp.CONTINUOUS, 0, math.inf)
         self._ep[inst.id] = ep
-        self._terms["penalty"].add(inst.penalty_rate, ep)
+        self._term("penalty", ep, inst.penalty_rate)
 
         covered = set(rs.step_reduction_ms) | block_heads
-
-        def deadline_expr(next_round: bool) -> milp.LinearExpr:
-            expr = milp.LinearExpr(constant=float(rs.constant_ms))
-            eps = cfg.epsilon_ms if next_round else 0
-            for j, red in rs.step_reduction_ms.items():
-                for vm in schedulable.get(j, []):
-                    xname = self._x[(inst.id, j, vm.id)]
-                    occ = self._x_meta[xname].occupancy_ms
-                    expr.add(float(occ - red - eps), xname)
-            for (iid, j, vid), xname in self._x.items():
-                if iid == inst.id and j not in covered:
-                    expr.add(float(self._x_meta[xname].occupancy_ms), xname)
-            for bname in block_next_vars if next_round else block_now_vars:
-                expr.add(1.0, bname)
-            return expr
-
-        row1 = deadline_expr(next_round=False)
-        rhs1 = inst.deadline_ms - tau - ex_run - row1.constant
-        row1.constant = 0.0
-        row1_no_ep = row1.copy()
-        row1.add(-1.0, ep)
-        self._add_con(row1, "<=", rhs1, f"deadline_now:{inst.id}")
-
-        row2 = deadline_expr(next_round=True)
-        rhs2 = inst.deadline_ms - (tau + cfg.epsilon_ms) - row2.constant
-        row2.constant = 0.0
-        row2_no_ep = row2.copy()
-        row2.add(-1.0, ep)
-        self._add_con(row2, "<=", rhs2, f"deadline_next:{inst.id}")
-
-        self._ep_rows[inst.id] = [(row1_no_ep, rhs1), (row2_no_ep, rhs2)]
+        uncovered = [
+            (col, float(occ))
+            for j, cols in placed.items()
+            if j not in covered
+            for col, occ in cols
+            if occ
+        ]
+        rows = []
+        for eps, b_cols, run in ((0, block_cols[0], ex_run), (cfg.epsilon_ms, block_cols[1], 0)):
+            terms = [
+                (col, float(occ - red - eps))
+                for j, red in rs.step_reduction_ms.items()
+                for col, occ in placed.get(j, ())
+                if occ - red - eps
+            ]
+            terms += uncovered
+            terms += [(b, 1.0) for b in b_cols]
+            cols, coefs = [col for col, _ in terms], [c for _, c in terms]
+            rhs = inst.deadline_ms - (tau + eps) - run - float(rs.constant_ms)
+            p.add_row(cols + [ep], coefs + [-1.0], "<=", rhs)
+            rows.append((cols, coefs, -rhs))
+        self._ep_rows.append((ep, rows))
 
     def _baseline_rows(self):
         """One service type per VM: u variables, exclusivity, x <= u."""
         w = self.config.weights
-        per_vm: dict[str, dict[str, list[str]]] = {}
-        for (iid, j, vid), xname in self._x.items():
-            svc = self._x_meta[xname].service
-            per_vm.setdefault(vid, {}).setdefault(svc, []).append(xname)
+        p = self.problem
         for vm in self.candidates:
-            types = per_vm.get(vm.id, {})
-            if not types:
+            per_service: dict[str, list[int]] = {}
+            for col, a in self._vm_x[vm.id]:
+                per_service.setdefault(a.service, []).append(col)
+            if not per_service:
                 continue
-            exclusivity = milp.LinearExpr()
-            for svc, xnames in types.items():
-                uname = self._add_var(f"u__{svc}__{vm.id}", milp.BOOLEAN, 0, 1)
-                self._u[(svc, vm.id)] = uname
-                exclusivity.add(1.0, uname)
-                for xname in xnames:
-                    self._add_con(
-                        milp.LinearExpr({xname: 1.0, uname: -1.0}),
-                        "<=",
-                        0,
-                        f"type_lock:{vm.id}:{svc}",
-                    )
+            u_cols = []
+            for svc, cols in per_service.items():
+                u = p.add_var(f"u__{svc}__{vm.id}", milp.BOOLEAN, 0, 1)
+                u_cols.append(u)
+                for col in cols:
+                    p.add_row((col, u), (1.0, -1.0), "<=", 0)
                 if svc != vm.offered_service:
-                    self._terms["deployment"].add(
-                        w.z * BASELINE_DEPLOY_MS / 1000.0, uname
-                    )
+                    self._term("deployment", u, w.z * BASELINE_DEPLOY_MS / 1000.0)
             # Non-idle VMs are locked to their current type; the candidate
             # filter already restricts their placements, so u for that type
             # is the only one present here.
-            self._add_con(exclusivity, "<=", 1, f"one_type:{vm.id}")
-
-    def _objective(self) -> milp.LinearExpr:
-        total = milp.LinearExpr()
-        for expr in self._terms.values():
-            total.constant += expr.constant
-            for v, c in expr.terms.items():
-                total.add(c, v)
-        return total
+            p.add_row(u_cols, [1.0] * len(u_cols), "<=", 1)
 
     # -- decoding ----------------------------------------------------------
 
@@ -550,34 +473,37 @@ class FfsippModel:
             raise ValueError(f"cannot decode a {solution.status} solution")
         if solution.values is None:
             raise ValueError("solution carries no values")
-        values = dict(solution.values)
-
-        for var in self.problem.variables:
-            if var.domain == milp.CONTINUOUS:
-                continue
-            v = values[var.name]
-            if abs(v - round(v)) > 1e-6:
-                raise ValueError(f"unroundable integrality residue on {var.name}: {v}")
-            values[var.name] = float(round(v))
+        x = np.asarray(solution.values, dtype=np.float64)
+        integral = self.problem.integral()
+        rounded = np.round(x)
+        unroundable = integral & (np.abs(x - rounded) > 1e-6)
+        if unroundable.any():
+            col = int(np.argmax(unroundable))
+            raise ValueError(
+                f"unroundable integrality residue on {self.problem.names[col]}: {x[col]}"
+            )
+        # + 0.0 turns a rounded -0.0 into 0.0
+        values = np.where(integral, rounded + 0.0, x).tolist()
 
         # Re-derive continuous helpers from their defining floors so the
-        # decoded point is exactly feasible (block vars first, then e^p).
-        for name, floors in self._floor_rows.items():
-            values[name] = max(0.0, max(expr.value(values) + rhs for expr, rhs in floors))
-        for iid, rows in self._ep_rows.items():
-            values[self._ep[iid]] = max(
-                0.0, max(expr.value(values) - rhs for expr, rhs in rows)
-            )
+        # decoded point is exactly feasible.
+        for helpers in (self._floors, self._ep_rows):
+            for col, rows in helpers:
+                values[col] = max(
+                    0.0,
+                    max(
+                        0.0 + sum(map(mul, coefs, map(values.__getitem__, cols))) + offset
+                        for cols, coefs, offset in rows
+                    ),
+                )
 
-        assignments = [
-            self._x_meta[xname] for key, xname in self._x.items() if values[xname] > 0.5
-        ]
+        assignments = [a for col, a in self._x if values[col] > 0.5]
         running = [
             Assignment(
                 instance_id=iid,
                 step_index=j,
                 vm_id=vm.id,
-                service=self._running_service(iid, j),
+                service=self._running_step(iid, j).service,
                 cpu_demand=self._running_step(iid, j).cpu_demand,
                 ram_demand=self._running_step(iid, j).ram_demand,
                 duration_ms=rem,
@@ -591,17 +517,13 @@ class FfsippModel:
             for vm in self.candidates
             if values[self._y[vm.id]] > 0.5
         }
-        gamma = {
-            vt: int(round(values[f"gamma__{vt}"]))
-            for vt in self.state.vm_types
-            if f"gamma__{vt}" in values
+        gamma = {vt: int(round(values[col])) for vt, col in self._gamma.items()}
+        penalties = {iid: values[col] for iid, col in self._ep.items()}
+        free = {vm_id: (values[fc], values[fr]) for vm_id, (fc, fr) in self._free.items()}
+        terms = {
+            name: 0.0 + sum(map(mul, coefs, map(values.__getitem__, cols)))
+            for name, (cols, coefs) in self._terms.items()
         }
-        penalties = {iid: values[name] for iid, name in self._ep.items()}
-        free = {
-            vm.id: (values[f"fC__{vm.id}"], values[f"fR__{vm.id}"])
-            for vm in self.candidates
-        }
-        terms = {name: expr.value(values) for name, expr in self._terms.items()}
         total = sum(terms.values())
         self._check_objective(total, solution)
         return SchedulingPlan(
@@ -634,11 +556,7 @@ class FfsippModel:
             )
 
     def _running_step(self, iid: int, j: int):
-        inst = next(i for i in self.state.instances if i.id == iid)
-        return inst.steps[j]
-
-    def _running_service(self, iid: int, j: int) -> str:
-        return self._running_step(iid, j).service
+        return self._instances[iid].steps[j]
 
 
 BASELINE_DEPLOY_MS = 30_000

@@ -231,7 +231,7 @@ class Simulator:
             durations.append(sample_duration(svc, rng))
             cpus.append(sample_cpu(svc, rng))
         loop_iters = {}
-        for node_id, _, reps in landscape.enumerate_paths(model).loops:
+        for node_id, _, reps in model.paths.loops:
             loop_iters[node_id] = int(rng.integers(1, reps + 1))
         # The SLA window scales the model's average makespan as enacted on
         # cloud infrastructure: service times plus expected per-step
@@ -314,7 +314,8 @@ class Simulator:
     def _finish_step(self, iid: int, j: int, vm_id: str):
         inst = self.instances[iid]
         step = inst.steps[j]
-        assert step.status == RUNNING and step.assigned_vm == vm_id
+        if step.status != RUNNING or step.assigned_vm != vm_id:
+            raise InvariantError(f"step {iid}/{j} finished on {vm_id} but was not running there")
         step.status = DONE
         step.runs += 1
         step.remaining_ms = None
@@ -353,7 +354,8 @@ class Simulator:
         if vm is None or vm.lease_end_ms != self.clock:
             return  # stale: extended or already gone
         busy = [c for c in vm.containers.values() if c.invocations]
-        assert not busy, f"lease of {vm_id} expired with running invocations"
+        if busy:
+            raise InvariantError(f"lease of {vm_id} expired with running invocations")
         del self.vms[vm_id]
 
     # -- optimization round --------------------------------------------------
@@ -449,7 +451,8 @@ class Simulator:
         seen = set()
         for c in cplan.containers:
             key = (c.vm_id, c.service)
-            assert key not in seen, f"duplicate container {key}"
+            if key in seen:
+                raise InvariantError(f"duplicate container {key}")
             seen.add(key)
             per_vm[c.vm_id] = per_vm.get(c.vm_id, 0.0) + c.cpu_size
         for vm_id, used in per_vm.items():
@@ -459,7 +462,8 @@ class Simulator:
                 else optimizer.fresh_vm_type(vm_id)
             )
             supply = self.sc.vm_types[type_id].cpu_supply
-            assert used <= supply + 1e-6, f"{vm_id} over capacity: {used} > {supply}"
+            if not used <= supply + 1e-6:
+                raise InvariantError(f"{vm_id} over capacity: {used} > {supply}")
 
     def _schedule_wakeup(self, at_ms: int):
         if not self._live_instances():
@@ -513,7 +517,8 @@ class Simulator:
             elif act.kind == controller.STOP_CONTAINER:
                 vm = self.vms[resolve(act.vm_id)]
                 cont = vm.containers.pop(act.service, None)
-                assert cont is None or not cont.invocations, "stopped a busy container"
+                if cont is not None and cont.invocations:
+                    raise InvariantError(f"stopped busy container {act.service} on {vm.id}")
             elif act.kind == controller.INVOKE_SERVICE:
                 iid, j = act.params["instance"], act.params["step"]
                 vm = self.vms[resolve(act.vm_id)]
@@ -532,9 +537,11 @@ class Simulator:
         for vm in self.vms.values():
             vt = self.sc.vm_types[vm.type_id]
             used = sum(c.cpu_size for c in vm.containers.values())
-            assert used <= vt.cpu_supply + 1e-6, f"{vm.id} over CPU capacity"
+            if not used <= vt.cpu_supply + 1e-6:
+                raise InvariantError(f"{vm.id} over CPU capacity")
             used_r = sum(c.ram_size for c in vm.containers.values())
-            assert used_r <= vt.ram_supply + 1e-6, f"{vm.id} over RAM capacity"
+            if not used_r <= vt.ram_supply + 1e-6:
+                raise InvariantError(f"{vm.id} over RAM capacity")
 
     def _record_usage(self):
         cores = sum(

@@ -18,7 +18,6 @@ from .landscape import (
     SKIPPED,
     StepState,
     VmType,
-    enumerate_paths,
 )
 
 
@@ -101,7 +100,7 @@ def remaining_duration(
     Running steps never contribute.
     """
     scheduled = scheduled or {}
-    dec = enumerate_paths(inst.model)
+    dec = inst.model.paths
 
     def path_value(indices: list[int]) -> int:
         total = overhead_sum_ms(_remaining(inst, indices), services, delta_ms)
@@ -143,7 +142,7 @@ def remaining_after_done(
     saved_status = step.status
     saved_iters = dict(inst.loop_iters_done)
     step.status = DONE
-    for node_id, body, reps in enumerate_paths(inst.model).loops:
+    for node_id, body, reps in inst.model.paths.loops:
         if step_index in body:
             inst.loop_iters_done[node_id] = reps - 1
     try:
@@ -187,7 +186,7 @@ def remaining_structure(
     delta_ms: int,
     schedulable: set[int],
 ) -> RemainingStructure:
-    dec = enumerate_paths(inst.model)
+    dec = inst.model.paths
     constant = 0
     reductions: dict[int, int] = {}
     blocks: list[BlockTerm] = []

@@ -13,15 +13,7 @@ import pytest
 from ffsipp import baseline as baseline_mod
 from ffsipp import experiment, landscape, milp, optimizer, sim, worstcase
 from ffsipp.landscape import Weights
-from ffsipp.milp import (
-    BOOLEAN,
-    CONTINUOUS,
-    INTEGER,
-    Constraint,
-    LinearExpr,
-    MilpProblem,
-    VarDef,
-)
+from ffsipp.milp import BOOLEAN, CONTINUOUS, INTEGER, MilpProblem
 
 from .conftest import instance, vm_type
 
@@ -63,25 +55,25 @@ def mean_of(runs, name, approach, field):
 
 
 def random_problem(rng: np.random.Generator) -> MilpProblem:
-    variables = []
+    problem = MilpProblem()
     for i in range(int(rng.integers(1, 4))):
-        variables.append(VarDef(f"b{i}", BOOLEAN))
+        problem.add_var(f"b{i}", BOOLEAN)
     for i in range(int(rng.integers(0, 3))):
-        variables.append(VarDef(f"n{i}", INTEGER, 0, int(rng.integers(1, 4))))
+        problem.add_var(f"n{i}", INTEGER, 0, int(rng.integers(1, 4)))
     for i in range(int(rng.integers(0, 3))):
-        variables.append(VarDef(f"x{i}", CONTINUOUS, 0, float(rng.integers(1, 11))))
-    names = [v.name for v in variables]
+        problem.add_var(f"x{i}", CONTINUOUS, 0, float(rng.integers(1, 11)))
 
     def expr():
-        picked = [n for n in names if rng.random() < 0.7] or [names[0]]
-        return LinearExpr({n: round(float(rng.uniform(-10, 10)), 2) for n in picked})
+        picked = [col for col in range(problem.num_vars) if rng.random() < 0.7] or [0]
+        return picked, [round(float(rng.uniform(-10, 10)), 2) for _ in picked]
 
-    constraints = []
-    for i in range(int(rng.integers(1, 5))):
+    for _ in range(int(rng.integers(1, 5))):
         sense = ("<=", ">=", "=")[int(rng.integers(0, 3))]
         rhs = round(float(rng.uniform(-5, 15)), 2)
-        constraints.append(Constraint(expr(), sense, rhs, f"c{i}"))
-    return MilpProblem(variables=variables, objective=expr(), constraints=constraints)
+        problem.add_row(*expr(), sense, rhs)
+    for col, coef in zip(*expr()):
+        problem.cost[col] = coef
+    return problem
 
 
 def test_solver_matches_oracle_on_random_problems():

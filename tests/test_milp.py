@@ -1,17 +1,15 @@
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
-from ffsipp import milp
+from ffsipp import milp, sim
 from ffsipp.milp import (
     BOOLEAN,
     CONTINUOUS,
     INTEGER,
-    Constraint,
-    LinearExpr,
     MilpProblem,
-    VarDef,
     enumerate_oracle,
     export_lp,
     parse_lp,
@@ -25,11 +23,21 @@ from ffsipp.milp import (
 ROUND_LP = pathlib.Path(__file__).parent / "data" / "ffsipp_seed1_round0007.lp"
 
 
+def problem(variables, rows=(), constant=0.0):
+    """``variables``: (name, domain, lower, upper, cost); ``rows``:
+    ({name: coef}, relation, rhs)."""
+    prob = MilpProblem()
+    prob.constant = constant
+    index = {name: prob.add_var(name, *rest) for name, *rest in variables}
+    for terms, relation, rhs in rows:
+        prob.add_row([index[n] for n in terms], terms.values(), relation, rhs)
+    return prob
+
+
 def knapsack():
-    return MilpProblem(
-        variables=[VarDef("a", BOOLEAN), VarDef("b", BOOLEAN)],
-        objective=LinearExpr({"a": 10.0, "b": 15.0}),
-        constraints=[Constraint(LinearExpr({"a": 1.0, "b": 1.0}), ">=", 1.0, "cover")],
+    return problem(
+        [("a", BOOLEAN, 0, 1, 10.0), ("b", BOOLEAN, 0, 1, 15.0)],
+        [({"a": 1.0, "b": 1.0}, ">=", 1.0)],
     )
 
 
@@ -38,7 +46,7 @@ class TestSolve:
         sol = solve(knapsack())
         assert sol.status == milp.OPTIMAL
         assert sol.objective_value == pytest.approx(10.0)
-        assert sol.values["a"] == pytest.approx(1.0)
+        assert sol.values[0] == pytest.approx(1.0)
 
     def test_matches_oracle(self):
         assert solve(knapsack()).objective_value == pytest.approx(
@@ -46,28 +54,19 @@ class TestSolve:
         )
 
     def test_continuous_lp(self):
-        prob = MilpProblem(
-            variables=[VarDef("x", CONTINUOUS, 0, 10), VarDef("y", CONTINUOUS, 0, 10)],
-            objective=LinearExpr({"x": -1.0, "y": -2.0}),
-            constraints=[Constraint(LinearExpr({"x": 1.0, "y": 1.0}), "<=", 4.0)],
+        prob = problem(
+            [("x", CONTINUOUS, 0, 10, -1.0), ("y", CONTINUOUS, 0, 10, -2.0)],
+            [({"x": 1.0, "y": 1.0}, "<=", 4.0)],
         )
         sol = solve(prob)
         assert sol.objective_value == pytest.approx(-8.0)
 
     def test_infeasible(self):
-        prob = MilpProblem(
-            variables=[VarDef("x", BOOLEAN)],
-            objective=LinearExpr({"x": 1.0}),
-            constraints=[Constraint(LinearExpr({"x": 1.0}), ">=", 2.0)],
-        )
+        prob = problem([("x", BOOLEAN, 0, 1, 1.0)], [({"x": 1.0}, ">=", 2.0)])
         assert solve(prob).status == milp.INFEASIBLE
 
     def test_unbounded_raises(self):
-        prob = MilpProblem(
-            variables=[VarDef("x", CONTINUOUS, 0, math.inf)],
-            objective=LinearExpr({"x": -1.0}),
-            constraints=[],
-        )
+        prob = problem([("x", CONTINUOUS, 0, math.inf, -1.0)])
         with pytest.raises(ValueError):
             solve(prob)
 
@@ -83,76 +82,92 @@ class TestSolve:
         assert loose.bound - 1e-6 <= tight.objective_value <= loose.objective_value + 1e-6
 
     def test_objective_constant_carried(self):
-        prob = MilpProblem(
-            variables=[VarDef("x", BOOLEAN)],
-            objective=LinearExpr({"x": 5.0}, constant=7.0),
-            constraints=[],
-        )
+        prob = problem([("x", BOOLEAN, 0, 1, 5.0)], constant=7.0)
         assert solve(prob).objective_value == pytest.approx(7.0)
 
 
 class TestVerify:
     def test_clean_point(self):
-        assert verify(knapsack(), {"a": 1.0, "b": 0.0}) == []
+        assert verify(knapsack(), [1.0, 0.0]) == []
 
     def test_constraint_violation(self):
-        out = verify(knapsack(), {"a": 0.0, "b": 0.0})
+        out = verify(knapsack(), [0.0, 0.0])
         assert out and out[0].kind == "constraint"
 
     def test_bound_violation(self):
-        out = verify(knapsack(), {"a": 2.0, "b": 0.0})
+        out = verify(knapsack(), [2.0, 0.0])
         assert any(v.kind == "bound" for v in out)
 
     def test_integrality_violation(self):
-        out = verify(knapsack(), {"a": 0.5, "b": 0.6})
+        out = verify(knapsack(), [0.5, 0.6])
         assert any(v.kind == "integrality" for v in out)
 
 
 class TestOracle:
     def test_mixed_integer_continuous(self):
-        prob = MilpProblem(
-            variables=[VarDef("n", INTEGER, 0, 3), VarDef("x", CONTINUOUS, 0, 5)],
-            objective=LinearExpr({"n": 2.0, "x": 1.0}),
-            constraints=[Constraint(LinearExpr({"n": 1.0, "x": 1.0}), ">=", 3.5)],
+        prob = problem(
+            [("n", INTEGER, 0, 3, 2.0), ("x", CONTINUOUS, 0, 5, 1.0)],
+            [({"n": 1.0, "x": 1.0}, ">=", 3.5)],
         )
         sol = enumerate_oracle(prob)
         assert sol.objective_value == pytest.approx(3.5)
         assert solve(prob).objective_value == pytest.approx(3.5)
 
     def test_equality_rows(self):
-        prob = MilpProblem(
-            variables=[VarDef("x", CONTINUOUS, 0, 10), VarDef("b", BOOLEAN)],
-            objective=LinearExpr({"x": 1.0, "b": -5.0}),
-            constraints=[Constraint(LinearExpr({"x": 1.0, "b": -4.0}), "=", 0.0)],
+        prob = problem(
+            [("x", CONTINUOUS, 0, 10, 1.0), ("b", BOOLEAN, 0, 1, -5.0)],
+            [({"x": 1.0, "b": -4.0}, "=", 0.0)],
         )
         sol = enumerate_oracle(prob)
         assert sol.objective_value == pytest.approx(-1.0)
-        assert sol.values["x"] == pytest.approx(4.0)
+        assert sol.values[0] == pytest.approx(4.0)
 
 
 class TestLpFormat:
     def test_round_trip(self):
-        prob = MilpProblem(
-            variables=[
-                VarDef("x", CONTINUOUS, 0, 4.5),
-                VarDef("n", INTEGER, 0, 7),
-                VarDef("b", BOOLEAN),
+        prob = problem(
+            [
+                ("x", CONTINUOUS, 0, 4.5, 1.5),
+                ("n", INTEGER, 0, 7, -2.0),
+                ("b", BOOLEAN, 0, 1, 3.0),
             ],
-            objective=LinearExpr({"x": 1.5, "n": -2.0, "b": 3.0}),
-            constraints=[
-                Constraint(LinearExpr({"x": 1.0, "n": 1.0}), "<=", 6.0, "c1"),
-                Constraint(LinearExpr({"x": -2.5, "b": 1.0}), ">=", -3.0, "c2"),
-                Constraint(LinearExpr({"n": 1.0, "b": -4.0}), "=", 0.0, "c3"),
+            [
+                ({"x": 1.0, "n": 1.0}, "<=", 6.0),
+                ({"x": -2.5, "b": 1.0}, ">=", -3.0),
+                ({"n": 1.0, "b": -4.0}, "=", 0.0),
             ],
         )
         text = export_lp(prob)
         back = parse_lp(text)
-        assert [v.name for v in back.variables] == ["x", "n", "b"]
-        assert back.objective.terms == prob.objective.terms
-        assert len(back.constraints) == 3
+        assert back.names == ["x", "n", "b"]
+        assert back.cost == prob.cost
+        assert back.num_rows == 3
         assert solve(back).objective_value == pytest.approx(solve(prob).objective_value)
 
     def test_sections_present(self):
         text = export_lp(knapsack())
         for section in ("Minimize", "Subject To", "Bounds", "Binaries", "End"):
             assert section in text
+
+    def test_dumped_round_replays_the_simulated_solve(self, smoke_scenario, tmp_path, monkeypatch):
+        # Bounds lists every column in index order, so a parsed dump hands
+        # HiGHS the columns, rows and coefficients of the simulated round.
+        original = milp.solve
+        solved = []
+
+        def recording(problem, **options):
+            solution = original(problem, **options)
+            solved.append((options, solution))
+            return solution
+
+        monkeypatch.setattr(milp, "solve", recording)
+        for approach in (sim.FFSIPP, sim.SIPP):
+            sim.run(smoke_scenario, approach, 1, dump_lp_dir=tmp_path / approach)
+        dumps = sorted((tmp_path / sim.FFSIPP).glob("*.lp")) + sorted(
+            (tmp_path / sim.SIPP).glob("*.lp")
+        )
+        assert len(dumps) == len(solved) > 0
+        for path, (options, in_sim) in zip(dumps, solved):
+            replay = original(parse_lp(path.read_text()), **options)
+            assert np.array_equal(replay.values, in_sim.values), path.name
+            assert replay.objective_value == in_sim.objective_value, path.name

@@ -80,8 +80,8 @@ class TestDecodeGapLimited:
     def padded(self, abc_services):
         model = build(TestSingleStep().single_step_state(abc_services), config())
         exact = milp.solve(model.problem, gap_tol=1e-9)
-        values = dict(exact.values)
-        values[f"fC__{model.candidates[0].id}"] += 5.0
+        values = exact.values.copy()
+        values[model.problem.names.index(f"fC__{model.candidates[0].id}")] += 5.0
         padded = milp.MilpSolution(
             milp.GAP_LIMIT, values, exact.objective_value + 5.0 * WEIGHTS.f_cpu, exact.bound
         )
@@ -122,9 +122,9 @@ class TestPenalties:
         types = {"p1": vm_type("p1")}
         model = build(state([inst], abc_services, types), config(epsilon_ms=5000))
         plan, _ = solve_plan(model)
-        values = dict(plan.milp_values)
-        xnames = [n for n in values if n.startswith("x__")]
-        assert sum(values[n] for n in xnames) == 1.0
+        values = plan.milp_values
+        xcols = [i for i, n in enumerate(model.problem.names) if n.startswith("x__")]
+        assert sum(values[i] for i in xcols) == 1.0
 
 
 class TestSharingAndCapacity:

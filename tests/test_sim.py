@@ -1,6 +1,12 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import ffsipp
 from ffsipp import milp, sim
 from ffsipp.sim import (
     Simulator,
@@ -121,6 +127,32 @@ class TestEndToEnd:
         monkeypatch.setattr(milp, "verify", lambda problem, values: [violation])
         with pytest.raises(sim.InvariantError, match="violates its model"):
             sim.run(smoke_scenario, "ffsipp", 1)
+
+
+class TestInvariants:
+    def test_capacity_check_survives_optimize(self):
+        # Under python -O a bare assert is gone; the invariant must still raise.
+        code = """
+import importlib.resources
+from ffsipp import landscape, sim
+text = importlib.resources.files("ffsipp.presets").joinpath("smoke.yaml").read_text()
+simulator = sim.Simulator(landscape.parse_scenario(text), "ffsipp", 1)
+vt = simulator.sc.vm_types["p1"]
+vm = sim.VmRuntime(id="vm1", type_id="p1", leased_at_ms=0, lease_end_ms=1, ready_at_ms=0)
+vm.containers["A"] = sim.Container("A", vt.cpu_supply + 1.0, 0.0)
+simulator.vms["vm1"] = vm
+try:
+    simulator._assert_capacity()
+except sim.InvariantError as exc:
+    print("raised:", exc)
+"""
+        src = str(pathlib.Path(ffsipp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        assert proc.stdout.strip() == "raised: vm1 over CPU capacity"
 
 
 class TestSingleStepBilling:
