@@ -2,25 +2,14 @@
 
 The model is the main optimizer's MILP with per-(type, VM) exclusivity
 variables and a flat 30 s deployment overhead instead of image caching.
-Once a VM has hosted a type it keeps it for the rest of its lease.
+Once a VM has hosted a type it keeps it for the rest of its lease; a VM
+snapshot's ``offered_service`` names that type (None when never deployed).
 Decoding and wake-up computation are shared with the main approach.
 """
 from __future__ import annotations
 
-from .optimizer import (  # noqa: F401  (re-exported surface)
-    BASELINE_DEPLOY_MS,
-    FfsippModel,
-    OptimizerConfig,
-    SchedulingPlan,
-    SchedulingState,
-    decode,
-    next_wakeup,
-)
-
-# The baseline state is a SchedulingState whose VM snapshots carry
-# `offered_service` (the single deployed type, None when never deployed).
-BaselineState = SchedulingState
+from .optimizer import FfsippModel, OptimizerConfig, SchedulingState
 
 
-def build_baseline(state: BaselineState, config: OptimizerConfig) -> FfsippModel:
+def build_baseline(state: SchedulingState, config: OptimizerConfig) -> FfsippModel:
     return FfsippModel(state, config, baseline=True)

@@ -24,7 +24,6 @@ class ContainerAssignment:
     ram_size: float
     invocations: list[tuple[int, int]]  # (instance id, step index)
     new_invocations: list[tuple[int, int]]
-    deployed: bool = True  # a_(c,k,t)
 
 
 @dataclass
@@ -32,8 +31,6 @@ class ContainerPlan:
     containers: list[ContainerAssignment]
     step_to_container: dict[tuple[int, int], str]
     lease_extensions: dict[str, int]
-    gamma: dict[str, int]
-    plan: SchedulingPlan
 
 
 def container_id(service: str, vm_id: str) -> str:
@@ -70,8 +67,6 @@ def transform(plan: SchedulingPlan) -> ContainerPlan:
         containers=sorted(grouped.values(), key=lambda c: (c.vm_id, c.service)),
         step_to_container=mapping,
         lease_extensions=dict(plan.lease_extensions),
-        gamma=dict(plan.gamma),
-        plan=plan,
     )
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import yaml
 
 PENDING = "pending"
-NEXT = "next"
 RUNNING = "running"
 DONE = "done"
 SKIPPED = "skipped"
@@ -111,10 +110,6 @@ class ProcessModel:
         for child in node.children:
             self._assign_ids(child, counter)
 
-    @property
-    def step_services(self) -> list[str]:
-        return [n.service for n in self.step_nodes]
-
     @functools.cached_property
     def paths(self) -> "PathDecomposition":
         """``enumerate_paths(self)``, computed once per model."""
@@ -153,9 +148,6 @@ class ProcessInstance:
             raise ScenarioError(f"instance {self.id}: deadline before arrival")
         if self.penalty_rate < 0:
             raise ScenarioError(f"instance {self.id}: negative penalty rate")
-
-    def step(self, index: int) -> StepState:
-        return self.steps[index]
 
     @property
     def done(self) -> bool:
@@ -221,7 +213,7 @@ def _node_state(inst: ProcessInstance, node: WorkflowNode) -> tuple[set[int], bo
         st = inst.steps[node.step_index].status
         if st in (DONE, SKIPPED):
             return set(), True
-        if st in (PENDING, NEXT):
+        if st == PENDING:
             return {node.step_index}, False
         return set(), False  # running
     if node.kind == SEQUENCE or node.kind == REPEAT_LOOP:
@@ -429,21 +421,6 @@ def critical_path_overhead_ms(
         raise AssertionError(node.kind)
 
     return startup_ms + value(model.root)[1]
-
-
-def step_deadline(
-    inst: ProcessInstance,
-    step_index: int,
-    services: dict[str, ServiceType],
-    delta_ms: int,
-) -> int:
-    """Latest start time (ms) for a next step so the instance can still meet
-    its deadline under worst-case assumptions. May lie in the past."""
-    from . import worstcase
-
-    own = worstcase.step_coefficient_ms(inst.step(step_index), services, delta_ms)
-    tail = worstcase.remaining_after_done(inst, step_index, services, delta_ms)
-    return inst.deadline_ms - own - tail
 
 
 # ---------------------------------------------------------------------------

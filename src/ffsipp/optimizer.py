@@ -23,7 +23,6 @@ from .landscape import (
     VmType,
     Weights,
     next_steps,
-    step_deadline,
 )
 
 
@@ -324,9 +323,10 @@ class FfsippModel:
 
     def _instance_rows(self, inst: ProcessInstance, schedulable, tau: int):
         cfg, w = self.config, self.config.weights
-        svcs = self.state.services
         p = self.problem
-        rs = worstcase.remaining_structure(inst, svcs, self.delta_ms, set(schedulable))
+        rs = worstcase.remaining_structure(
+            inst, self.state.services, self.delta_ms, set(schedulable)
+        )
         ex_run = max(
             (
                 rem
@@ -341,7 +341,7 @@ class FfsippModel:
         placed: dict[int, list[tuple[int, int]]] = {}  # step -> (column, occupancy)
         for j, cands in schedulable.items():
             step = inst.steps[j]
-            importance = w.dl_per_ms * (step_deadline(inst, j, svcs, self.delta_ms) - tau)
+            importance = w.dl_per_ms * (rs.step_deadline_ms[j] - tau)
             placed[j] = []
             for vm in cands:
                 col = p.add_var(f"x__{inst.id}__{j}__{vm.id}", milp.BOOLEAN, 0, 1)
@@ -576,10 +576,6 @@ def build(state: SchedulingState, config: OptimizerConfig) -> FfsippModel:
     return FfsippModel(state, config, baseline=False)
 
 
-def decode(model: FfsippModel, solution: milp.MilpSolution) -> SchedulingPlan:
-    return model.decode(solution)
-
-
 def next_wakeup(plan: SchedulingPlan, state: SchedulingState, config: OptimizerConfig) -> int:
     """Earliest time (ms) the next round must run so every instance can
     still meet its (penalty-adjusted) deadline; never sooner than now+eps."""
@@ -594,7 +590,7 @@ def next_wakeup(plan: SchedulingPlan, state: SchedulingState, config: OptimizerC
             for a in plan.assignments
             if a.instance_id == inst.id
         }
-        e_i = worstcase.remaining_duration(inst, state.services, delta, scheduled).e_i_ms
+        e_i = worstcase.remaining_duration(inst, state.services, delta, scheduled)
         ep = plan.penalties_ms.get(inst.id, 0.0)
         candidates.append(inst.deadline_ms + ep - e_i)
     if not candidates:

@@ -80,26 +80,6 @@ def penalty_units(inst: ProcessInstance, finish_ms: int, policy: str = "fraction
     return math.ceil(delay / unit)
 
 
-def foresee_violations(state: optimizer.SchedulingState) -> set[int]:
-    """Instances whose worst-case remainder no longer fits their deadline."""
-    delta = worstcase.max_startup_ms(state.vm_types)
-    out = set()
-    for inst in state.instances:
-        ex_run = max(
-            (
-                rem
-                for vm in state.fleet
-                for iid, j, rem in vm.running_steps
-                if iid == inst.id
-            ),
-            default=0,
-        )
-        e_i = worstcase.remaining_duration(inst, state.services, delta).e_i_ms
-        if state.now_ms + ex_run + e_i > inst.deadline_ms:
-            out.add(inst.id)
-    return out
-
-
 @dataclass
 class Container:
     service: str

@@ -2,23 +2,14 @@
 
 Every pending step is assumed to pay the full deployment overhead on a
 freshly started VM of the slowest-starting type; blocks contribute their
-longest branch and loops their maximum repetitions. The optimizer and the
-step-deadline derivation both consume these figures.
+longest branch and loops their maximum repetitions. The optimizer's
+deadline rows, step deadlines and wake-ups all consume these figures.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .landscape import (
-    DONE,
-    NEXT,
-    PENDING,
-    ProcessInstance,
-    ServiceType,
-    SKIPPED,
-    StepState,
-    VmType,
-)
+from .landscape import PENDING, ProcessInstance, ServiceType, StepState, VmType
 
 
 def max_startup_ms(vm_types: dict[str, VmType]) -> int:
@@ -35,33 +26,6 @@ def step_coefficient_ms(step: StepState, services: dict[str, ServiceType], delta
     return step.expected_ms + svc.container_start_ms + svc.image_pull_ms + delta_ms
 
 
-def invocation_overhead(
-    service: ServiceType,
-    *,
-    image_cached: bool,
-    vm_running: bool,
-    vm_startup_ms: int,
-    delta_ms: int,
-    worst_case: bool = False,
-    duration_ms: int | None = None,
-) -> int:
-    """Time a placement occupies its VM, i.e. the coefficient of x.
-
-    The worst-case variant charges every overhead plus the catalog-max VM
-    startup; the concrete variant skips cached deployments (z) and the
-    startup of already-running VMs (beta).
-    """
-    e = service.duration_ms if duration_ms is None else duration_ms
-    if worst_case:
-        return e + service.container_start_ms + service.image_pull_ms + delta_ms
-    total = e
-    if not image_cached:
-        total += service.container_start_ms + service.image_pull_ms
-    if not vm_running:
-        total += vm_startup_ms
-    return total
-
-
 def overhead_sum_ms(
     steps: list[StepState], services: dict[str, ServiceType], delta_ms: int
 ) -> int:
@@ -70,20 +34,7 @@ def overhead_sum_ms(
 
 
 def _remaining(inst: ProcessInstance, indices: list[int]) -> list[StepState]:
-    return [inst.steps[i] for i in indices if inst.steps[i].status in (PENDING, NEXT)]
-
-
-@dataclass
-class WorstCaseReport:
-    e_seq_ms: int
-    e_la_ms: int
-    e_lx_ms: int
-    e_rl_ms: int
-    delta_ms: int
-
-    @property
-    def e_i_ms(self) -> int:
-        return self.e_seq_ms + self.e_la_ms + self.e_lx_ms + self.e_rl_ms
+    return [inst.steps[i] for i in indices if inst.steps[i].status == PENDING]
 
 
 def remaining_duration(
@@ -91,13 +42,15 @@ def remaining_duration(
     services: dict[str, ServiceType],
     delta_ms: int,
     scheduled: dict[int, int] | None = None,
-) -> WorstCaseReport:
-    """Worst-case remaining enactment time, split by workflow pattern.
+) -> int:
+    """Worst-case remaining enactment time e_i.
 
-    ``scheduled`` maps step index to the overheadful duration chosen for it
-    this round; that amount is subtracted from the step's own structural
-    component, since the scheduled execution is accounted for separately.
-    Running steps never contribute.
+    Sequences sum, AND/XOR blocks take their longest branch and loops add
+    their future repetitions. ``scheduled`` maps step index to the
+    overheadful duration chosen for it this round; that amount is
+    subtracted from the step's own structural component, since the
+    scheduled execution is accounted for separately. Running steps never
+    contribute.
     """
     scheduled = scheduled or {}
     dec = inst.model.paths
@@ -107,49 +60,16 @@ def remaining_duration(
         total -= sum(scheduled.get(i, 0) for i in indices)
         return total
 
-    e_seq = path_value(dec.seq_steps)
-    e_la = sum(
-        max(0, max(path_value(branch) for branch in branches))
-        for _, branches in dec.and_blocks
-    )
-    e_lx = sum(
-        max(0, max(path_value(branch) for branch in branches))
-        for _, branches in dec.xor_blocks
-    )
-
-    e_rl = 0
+    e_i = path_value(dec.seq_steps)
+    for _, branches in dec.and_blocks + dec.xor_blocks:
+        e_i += max(0, max(path_value(branch) for branch in branches))
     for node_id, body, reps in dec.loops:
-        remaining_now = _remaining(inst, body)
-        if not remaining_now:
+        if not _remaining(inst, body):
             continue
-        current = path_value(body)
         full = overhead_sum_ms([inst.steps[i] for i in body], services, delta_ms)
         future = max(0, reps - inst.loop_iters_done.get(node_id, 0) - 1)
-        e_rl += max(0, current) + future * full
-
-    return WorstCaseReport(e_seq, e_la, e_lx, e_rl, delta_ms)
-
-
-def remaining_after_done(
-    inst: ProcessInstance,
-    step_index: int,
-    services: dict[str, ServiceType],
-    delta_ms: int,
-) -> int:
-    """Worst-case remainder once ``step_index`` has completed (its final
-    loop iteration, for loop steps)."""
-    step = inst.steps[step_index]
-    saved_status = step.status
-    saved_iters = dict(inst.loop_iters_done)
-    step.status = DONE
-    for node_id, body, reps in inst.model.paths.loops:
-        if step_index in body:
-            inst.loop_iters_done[node_id] = reps - 1
-    try:
-        return remaining_duration(inst, services, delta_ms).e_i_ms
-    finally:
-        step.status = saved_status
-        inst.loop_iters_done = saved_iters
+        e_i += max(0, path_value(body)) + future * full
+    return e_i
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +93,18 @@ class BlockTerm:
 @dataclass
 class RemainingStructure:
     """e_i as an affine function of this round's assignment variables:
-    constant minus per-step reductions, plus one variable per block term."""
+    constant minus per-step reductions, plus one variable per block term.
+
+    ``step_deadline_ms`` holds each schedulable step's latest start: the
+    instance deadline minus the step's own coefficient and the remainder
+    once the step has completed (in its loop's final iteration). It may lie
+    in the past.
+    """
 
     constant_ms: int
     step_reduction_ms: dict[int, int]
     blocks: list[BlockTerm]
+    step_deadline_ms: dict[int, int]
 
 
 def remaining_structure(
@@ -189,13 +116,14 @@ def remaining_structure(
     dec = inst.model.paths
     constant = 0
     reductions: dict[int, int] = {}
+    loop_future: dict[int, int] = {}  # step -> its loop's future iterations
     blocks: list[BlockTerm] = []
 
     def coef(i: int) -> int:
         return step_coefficient_ms(inst.steps[i], services, delta_ms)
 
     for i in dec.seq_steps:
-        if inst.steps[i].status in (PENDING, NEXT):
+        if inst.steps[i].status == PENDING:
             constant += coef(i)
             if i in schedulable:
                 reductions[i] = coef(i)
@@ -206,12 +134,12 @@ def remaining_structure(
             continue
         constant += overhead_sum_ms(remaining_now, services, delta_ms)
         future = max(0, reps - inst.loop_iters_done.get(node_id, 0) - 1)
-        constant += future * overhead_sum_ms(
-            [inst.steps[i] for i in body], services, delta_ms
-        )
+        future_ms = future * overhead_sum_ms([inst.steps[i] for i in body], services, delta_ms)
+        constant += future_ms
         for i in body:
             if i in schedulable:
                 reductions[i] = coef(i)
+                loop_future[i] = future_ms
 
     for node_id, branches in dec.and_blocks + dec.xor_blocks:
         branch_rows = []
@@ -226,4 +154,16 @@ def remaining_structure(
         else:
             constant += max(const for const, _ in branch_rows)
 
-    return RemainingStructure(constant_ms=constant, step_reduction_ms=reductions, blocks=blocks)
+    deadlines: dict[int, int] = {}
+    for j in schedulable:
+        tail = constant - reductions.get(j, 0) - loop_future.get(j, 0)
+        for block in blocks:
+            tail += max(0, max(const - coefs.get(j, 0) for const, coefs in block.rows))
+        deadlines[j] = inst.deadline_ms - coef(j) - tail
+
+    return RemainingStructure(
+        constant_ms=constant,
+        step_reduction_ms=reductions,
+        blocks=blocks,
+        step_deadline_ms=deadlines,
+    )

@@ -1,6 +1,6 @@
 import pytest
 
-from ffsipp import landscape
+from ffsipp import landscape, worstcase
 from ffsipp.landscape import (
     AND_BLOCK,
     DONE,
@@ -18,7 +18,6 @@ from ffsipp.landscape import (
     parse_scenario,
     parse_structure,
     pending_xor_choices,
-    step_deadline,
 )
 
 from .conftest import instance, preset_text
@@ -118,11 +117,13 @@ class TestDerivedQuantities:
 
     def test_step_deadline_last_step(self, abc_services):
         inst = instance("s", abc_services, ["A"], deadline_ms=1_000_000)
-        assert step_deadline(inst, 0, abc_services, 60_000) == 868_000
+        rs = worstcase.remaining_structure(inst, abc_services, 60_000, {0})
+        assert rs.step_deadline_ms[0] == 868_000
 
     def test_step_deadline_can_be_past(self, abc_services):
         inst = instance("s,s,s", abc_services, ["C", "C", "C"], deadline_ms=100_000)
-        assert step_deadline(inst, 0, abc_services, 60_000) < 0
+        rs = worstcase.remaining_structure(inst, abc_services, 60_000, {0})
+        assert rs.step_deadline_ms[0] < 0
 
 
 class TestParseScenario:

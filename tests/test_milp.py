@@ -76,6 +76,8 @@ class TestSolve:
         tight = solve(prob, gap_tol=1e-9)
         assert loose.objective_value - loose.bound > 1e-9 * abs(loose.objective_value)
         assert loose.status == milp.GAP_LIMIT
+        # the incumbent the simulation itself got in this round
+        assert loose.objective_value == pytest.approx(21386.09666193001, abs=1e-6)
         assert verify(prob, loose.values) == []
         assert tight.status == milp.OPTIMAL
         assert tight.objective_value - tight.bound <= 1e-9 * abs(tight.objective_value)

@@ -11,13 +11,12 @@ from ffsipp import milp, sim
 from ffsipp.sim import (
     Simulator,
     arrival_pyramid,
-    foresee_violations,
     penalty_units,
     sample_cpu,
     sample_duration,
 )
 
-from .conftest import instance, service, vm_type
+from .conftest import instance, service
 
 
 class TestArrivalPyramid:
@@ -69,22 +68,6 @@ class TestPenaltyUnits:
         assert penalty_units(inst, 380_001, policy="per_10s") == 3
 
 
-class TestForesee:
-    def test_flags_unreachable_deadline(self, abc_services):
-        from ffsipp.optimizer import SchedulingState
-
-        tight = instance("s", abc_services, ["C"], deadline_ms=100_000, iid=1)
-        slack = instance("s", abc_services, ["A"], deadline_ms=900_000, iid=2)
-        st = SchedulingState(
-            now_ms=0,
-            instances=[tight, slack],
-            fleet=[],
-            services=abc_services,
-            vm_types={"p1": vm_type("p1")},
-        )
-        assert foresee_violations(st) == {1}
-
-
 class TestEndToEnd:
     def test_smoke_run_completes_all_instances(self, smoke_scenario):
         rep = sim.run(smoke_scenario, "ffsipp", 1)
@@ -127,6 +110,22 @@ class TestEndToEnd:
         monkeypatch.setattr(milp, "verify", lambda problem, values: [violation])
         with pytest.raises(sim.InvariantError, match="violates its model"):
             sim.run(smoke_scenario, "ffsipp", 1)
+
+    def test_round_without_incumbent_falls_back(self, smoke_scenario, monkeypatch):
+        solve, calls = milp.solve, []
+
+        def no_incumbent_in_round_3(problem, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                return milp.MilpSolution(milp.TIME_LIMIT, None, None, None)
+            return solve(problem, **kwargs)
+
+        monkeypatch.setattr(milp, "solve", no_incumbent_in_round_3)
+        rep = sim.run(smoke_scenario, "ffsipp", 1)
+        assert rep.fallbacks == 1
+        assert sum("\tfallback_postpone\t" in line for line in rep.audit_log) == 1
+        assert rep.verified_plans == rep.rounds - 1
+        assert len(rep.records) == smoke_scenario.arrival.total_requests
 
 
 class TestInvariants:

@@ -1,7 +1,20 @@
-from ffsipp import worstcase
-from ffsipp.landscape import DONE, RUNNING
+import copy
 
-from .conftest import instance, vm_type
+from hypothesis import given, settings, strategies as hst
+
+from ffsipp import worstcase
+from ffsipp.landscape import (
+    DONE,
+    PENDING,
+    REPEAT_LOOP,
+    RUNNING,
+    SEQUENCE,
+    SKIPPED,
+    STEP,
+    WorkflowNode,
+)
+
+from .conftest import instance, service, vm_type
 
 DELTA = 60_000
 
@@ -26,77 +39,37 @@ class TestStepCoefficients:
         assert worstcase.step_coefficient_ms(inst.steps[0], abc_services, DELTA) == 142_000
 
 
-class TestInvocationOverhead:
-    def test_worst_case_fresh(self, abc_services):
-        assert (
-            worstcase.invocation_overhead(
-                abc_services["A"],
-                image_cached=False,
-                vm_running=False,
-                vm_startup_ms=60_000,
-                delta_ms=DELTA,
-                worst_case=True,
-            )
-            == 132_000
-        )
-
-    def test_cached_running(self, abc_services):
-        assert (
-            worstcase.invocation_overhead(
-                abc_services["A"],
-                image_cached=True,
-                vm_running=True,
-                vm_startup_ms=60_000,
-                delta_ms=DELTA,
-            )
-            == 40_000
-        )
-
-    def test_running_not_cached(self, abc_services):
-        assert (
-            worstcase.invocation_overhead(
-                abc_services["A"],
-                image_cached=False,
-                vm_running=True,
-                vm_startup_ms=60_000,
-                delta_ms=DELTA,
-            )
-            == 72_000
-        )
-
-
 class TestRemainingDuration:
     def test_sequence_unscheduled(self, abc_services):
         inst = instance("s,s", abc_services, ["A", "A"])
-        assert worstcase.remaining_duration(inst, abc_services, DELTA).e_i_ms == 264_000
+        assert worstcase.remaining_duration(inst, abc_services, DELTA) == 264_000
 
     def test_scheduled_subtraction(self, abc_services):
         inst = instance("s,s", abc_services, ["A", "A"])
-        rep = worstcase.remaining_duration(inst, abc_services, DELTA, {0: 132_000})
-        assert rep.e_i_ms == 132_000
+        assert worstcase.remaining_duration(inst, abc_services, DELTA, {0: 132_000}) == 132_000
 
     def test_and_block_max(self, abc_services):
         inst = instance("AND(s|s)", abc_services, ["A", "C"])
-        rep = worstcase.remaining_duration(inst, abc_services, DELTA)
-        assert rep.e_la_ms == 212_000
-        assert rep.e_i_ms == 212_000
+        assert worstcase.remaining_duration(inst, abc_services, DELTA) == 212_000
 
     def test_running_steps_excluded(self, abc_services):
         inst = instance("s,s", abc_services, ["A", "A"])
         inst.steps[0].status = RUNNING
-        assert worstcase.remaining_duration(inst, abc_services, DELTA).e_i_ms == 132_000
+        assert worstcase.remaining_duration(inst, abc_services, DELTA) == 132_000
 
     def test_loop_counts_future_iterations(self, abc_services):
         inst = instance("LOOP*3(s)", abc_services, ["A"])
-        assert worstcase.remaining_duration(inst, abc_services, DELTA).e_rl_ms == 396_000
+        assert worstcase.remaining_duration(inst, abc_services, DELTA) == 396_000
         loop_id = next(iter(inst.loop_iters_done))
         inst.loop_iters_done[loop_id] = 2
-        assert worstcase.remaining_duration(inst, abc_services, DELTA).e_rl_ms == 132_000
+        assert worstcase.remaining_duration(inst, abc_services, DELTA) == 132_000
 
     def test_remaining_after_done(self, abc_services):
         inst = instance("s,s", abc_services, ["A", "C"])
-        assert worstcase.remaining_after_done(inst, 0, abc_services, DELTA) == 212_000
-        assert inst.steps[0].status != DONE  # restored
+        rs = worstcase.remaining_structure(inst, abc_services, DELTA, {0})
+        own = worstcase.step_coefficient_ms(inst.steps[0], abc_services, DELTA)
+        assert inst.deadline_ms - own - rs.step_deadline_ms[0] == 212_000
+        assert inst.steps[0].status == PENDING  # untouched
 
 
 class TestRemainingStructure:
@@ -115,9 +88,82 @@ class TestRemainingStructure:
 
     def test_block_with_heads_gets_rows(self, abc_services):
         inst = instance("AND(s|s)", abc_services, ["A", "C"])
-        inst.steps[0].status = "next"
-        inst.steps[1].status = "next"
         rs = worstcase.remaining_structure(inst, abc_services, DELTA, {0, 1})
         assert rs.constant_ms == 0
         (block,) = rs.blocks
         assert block.rows == [(132_000, {0: 132_000}), (212_000, {1: 212_000})]
+
+
+# -- step deadlines against a from-scratch re-evaluation ---------------------
+
+
+def _structures():
+    def extend(children):
+        branches = hst.lists(children, min_size=2, max_size=3)
+        return hst.one_of(
+            branches.map(",".join),
+            branches.map(lambda b: "AND(" + "|".join(b) + ")"),
+            branches.map(lambda b: "XOR(" + "|".join(b) + ")"),
+            hst.tuples(hst.integers(1, 3), children).map(lambda t: f"LOOP*{t[0]}({t[1]})"),
+        )
+
+    return hst.recursive(hst.just("s"), extend, max_leaves=8)
+
+
+def _nodes(node: WorkflowNode):
+    yield node
+    for child in node.children:
+        yield from _nodes(child)
+
+
+def _top_level_loops(node: WorkflowNode):
+    """Loops reached from the root through sequences only, with their steps."""
+    if node.kind == REPEAT_LOOP:
+        yield node, {n.step_index for n in _nodes(node) if n.kind == STEP}
+    elif node.kind == SEQUENCE:
+        for child in node.children:
+            yield from _top_level_loops(child)
+
+
+def _reference_deadline(inst, j, services) -> int:
+    """Mark ``j`` done in its loop's last iteration and re-evaluate e_i."""
+    after = copy.deepcopy(inst)
+    after.steps[j].status = DONE
+    for loop, steps in _top_level_loops(after.model.root):
+        if j in steps:
+            after.loop_iters_done[loop.node_id] = loop.repetitions - 1
+    own = worstcase.step_coefficient_ms(inst.steps[j], services, DELTA)
+    return inst.deadline_ms - own - worstcase.remaining_duration(after, services, DELTA)
+
+
+@hst.composite
+def _instances(draw, services):
+    inst = instance(draw(_structures()), services)
+    for step in inst.steps:
+        step.status = draw(hst.sampled_from((PENDING, PENDING, DONE, RUNNING, SKIPPED)))
+        step.expected_ms = draw(hst.integers(1, 200)) * 1000
+    for node in _nodes(inst.model.root):
+        if node.kind == REPEAT_LOOP:
+            inst.loop_iters_done[node.node_id] = draw(hst.integers(0, node.repetitions - 1))
+    pending = [s.index for s in inst.steps if s.status == PENDING]
+    schedulable = set(draw(hst.lists(hst.sampled_from(pending), unique=True))) if pending else set()
+    return inst, schedulable
+
+
+class TestStepDeadlines:
+    SERVICES = {
+        "A": service("A", cpu=45.0, duration_s=40),
+        "B": service("B", cpu=75.0, duration_s=80),
+        "C": service("C", cpu=75.0, duration_s=120),
+    }
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_instances(SERVICES))
+    def test_deadline_matches_reevaluation(self, drawn):
+        inst, schedulable = drawn
+        before = copy.deepcopy(inst)
+        rs = worstcase.remaining_structure(inst, self.SERVICES, DELTA, schedulable)
+        assert inst == before
+        assert set(rs.step_deadline_ms) == schedulable
+        for j in schedulable:
+            assert rs.step_deadline_ms[j] == _reference_deadline(inst, j, self.SERVICES)
