@@ -17,55 +17,33 @@ INVOKE_SERVICE = "invoke_service"
 
 @dataclass
 class ContainerAssignment:
-    container_id: str
     service: str
     vm_id: str
     cpu_size: float
     ram_size: float
-    invocations: list[tuple[int, int]]  # (instance id, step index)
-    new_invocations: list[tuple[int, int]]
+    new_invocations: list[tuple[int, int]]  # (instance id, step index)
 
 
 @dataclass
 class ContainerPlan:
     containers: list[ContainerAssignment]
-    step_to_container: dict[tuple[int, int], str]
     lease_extensions: dict[str, int]
-
-
-def container_id(service: str, vm_id: str) -> str:
-    return f"c_{service}@{vm_id}"
 
 
 def transform(plan: SchedulingPlan) -> ContainerPlan:
     """One container per (service type, VM) sized to the demand sum of its
     invocations; running invocations stay in their containers."""
     grouped: dict[tuple[str, str], ContainerAssignment] = {}
-    mapping: dict[tuple[int, int], str] = {}
-    for a, is_new in [(a, True) for a in plan.assignments] + [
-        (a, False) for a in plan.running
-    ]:
+    for a in plan.assignments + plan.running:
         key = (a.service, a.vm_id)
         if key not in grouped:
-            grouped[key] = ContainerAssignment(
-                container_id=container_id(a.service, a.vm_id),
-                service=a.service,
-                vm_id=a.vm_id,
-                cpu_size=0.0,
-                ram_size=0.0,
-                invocations=[],
-                new_invocations=[],
-            )
-        c = grouped[key]
-        c.cpu_size += a.cpu_demand
-        c.ram_size += a.ram_demand
-        c.invocations.append((a.instance_id, a.step_index))
-        if is_new:
-            c.new_invocations.append((a.instance_id, a.step_index))
-        mapping[(a.instance_id, a.step_index)] = c.container_id
+            grouped[key] = ContainerAssignment(a.service, a.vm_id, 0.0, 0.0, [])
+        grouped[key].cpu_size += a.cpu_demand
+        grouped[key].ram_size += a.ram_demand
+    for a in plan.assignments:
+        grouped[(a.service, a.vm_id)].new_invocations.append((a.instance_id, a.step_index))
     return ContainerPlan(
         containers=sorted(grouped.values(), key=lambda c: (c.vm_id, c.service)),
-        step_to_container=mapping,
         lease_extensions=dict(plan.lease_extensions),
     )
 

@@ -585,7 +585,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("epsilon_ms must be positive")
 
     services: dict[str, ServiceType] = {}
-    for entry in _get(raw, "services", required=True):
+    for entry in _entries(raw, "services", ("name", "duration_s")):
         svc = ServiceType(
             id=str(entry["name"]),
             cpu_demand=float(entry.get("cpu", 0.0)),
@@ -601,7 +601,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("no services")
 
     vm_types: dict[str, VmType] = {}
-    for entry in _get(raw, "vm_types", required=True):
+    for entry in _entries(raw, "vm_types", ("name", "cores", "cost_per_btu")):
         limit = entry.get("pool_limit")
         vt = VmType(
             id=str(entry["name"]),
@@ -621,7 +621,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"duplicate vm type {vt.id}")
         vm_types[vt.id] = vt
 
-    model_entries = _get(raw, "models", required=True)
+    model_entries = _entries(raw, "models", ("id", "structure"))
     if not model_entries:
         raise ScenarioError("no process models")
     service_cycle = list(services)
@@ -723,3 +723,17 @@ def _get(raw: dict, key: str, default=None, required=False):
     if required:
         raise ScenarioError(f"missing scenario key {key!r}")
     return default
+
+
+def _entries(raw: dict, section: str, keys: tuple[str, ...]) -> list[dict]:
+    """The required list ``section``, each entry a mapping that sets ``keys``."""
+    entries = _get(raw, section, required=True)
+    if not isinstance(entries, list):
+        raise ScenarioError(f"{section}: expected a list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ScenarioError(f"{section}[{i}]: expected a mapping, got {entry!r}")
+        for key in keys:
+            if entry.get(key) is None:
+                raise ScenarioError(f"{section}[{i}]: missing key {key!r}")
+    return entries

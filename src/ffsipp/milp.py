@@ -5,6 +5,8 @@ order. ``solve`` hands its arrays to scipy's HiGHS-backed MILP solver.
 ``enumerate_oracle`` is an independent exhaustive checker (grid over the
 integer variables, hand-rolled two-phase simplex for any continuous
 remainder) used by the test suite to cross-validate the production path.
+``export_lp`` writes a problem as LP text for external solvers; the format
+is write-only here (the tests read it back with HiGHS's own LP reader).
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ GAP_LIMIT = "gap_limit"
 
 
 class MilpProblem:
-    """Minimise ``cost @ x + constant`` subject to bounds on each row of
+    """Minimise ``cost @ x`` subject to bounds on each row of
     ``A @ x`` and bounds and integrality on each column of ``x``.
 
     Columns carry parallel lists of name, domain, bounds and cost; rows are
@@ -50,7 +52,6 @@ class MilpProblem:
         self.lower: list[float] = []
         self.upper: list[float] = []
         self.cost: list[float] = []
-        self.constant = 0.0
         self.row_lower: list[float] = []
         self.row_upper: list[float] = []
         self.indptr: list[int] = [0]
@@ -72,9 +73,8 @@ class MilpProblem:
         domain: str = CONTINUOUS,
         lower: float = 0.0,
         upper: float = math.inf,
-        cost: float = 0.0,
     ) -> int:
-        """Append a column and return its index."""
+        """Append a column, with cost 0, and return its index."""
         if domain not in _DOMAINS:
             raise ValueError(f"unknown domain {domain!r}")
         if domain == BOOLEAN and upper == _INF:
@@ -87,7 +87,7 @@ class MilpProblem:
         self.domains.append(domain)
         self.lower.append(lower)
         self.upper.append(upper)
-        self.cost.append(cost)
+        self.cost.append(0.0)
         return len(self.names) - 1
 
     def add_row(self, cols, coefs, relation: str, rhs: float):
@@ -201,9 +201,8 @@ def solve(
         raise ValueError("unbounded model")
     if res.x is None:  # stopped at a limit without an incumbent
         return MilpSolution(TIME_LIMIT, None, None, None)
-    offset = problem.constant
-    objective = float(res.fun) + offset
-    bound = float(res.mip_dual_bound) + offset if res.mip_dual_bound is not None else None
+    objective = float(res.fun)
+    bound = float(res.mip_dual_bound) if res.mip_dual_bound is not None else None
     if res.status != 0:  # stopped at a limit with an incumbent
         status = TIME_LIMIT
     elif bound is not None and objective - bound > OPTIMAL_GAP * max(1.0, abs(objective)):
@@ -281,7 +280,7 @@ def enumerate_oracle(problem: MilpProblem) -> MilpSolution:
         else:
             if any(v.kind != "integrality" for v in verify(problem, candidate)):
                 continue
-            obj = problem.constant + sum(problem.cost[i] * candidate[i] for i in range(n))
+            obj = sum(problem.cost[i] * candidate[i] for i in range(n))
         if obj < best_obj - 1e-12:
             best_obj = obj
             best_values = candidate
@@ -304,7 +303,7 @@ def _fixed_lp(problem, cont_cols, fixed):
                 rhs -= c * fixed[col]
         rows.append((coefs, relation, rhs))
     c = np.array([problem.cost[col] for col in cont_cols], dtype=np.float64)
-    obj_fixed = problem.constant + sum(
+    obj_fixed = sum(
         problem.cost[col] * fixed[col] for col in range(problem.num_vars) if col not in idx
     )
     lowers = np.array([problem.lower[col] for col in cont_cols], dtype=np.float64)
@@ -460,14 +459,10 @@ def _format_terms(terms, names: list[str]) -> str:
 
 
 def export_lp(problem: MilpProblem) -> str:
-    """Serialize to the conventional LP text format (readable by external
-    solvers; the objective constant travels in a comment). Bounds lists
-    every column, binaries included, in index order."""
+    """Serialize to the conventional LP text format, readable by external
+    solvers. Bounds lists every column, binaries included, in index order."""
     names = problem.names
-    lines = []
-    if problem.constant:
-        lines.append(f"\\ constant {_num(problem.constant)}")
-    lines.append("Minimize")
+    lines = ["Minimize"]
     objective = [(col, c) for col, c in enumerate(problem.cost) if c]
     lines.append(f" obj: {_format_terms(objective, names)}")
     lines.append("Subject To")
@@ -490,96 +485,3 @@ def export_lp(problem: MilpProblem) -> str:
         lines.extend(f" {name}" for name in binaries)
     lines.append("End")
     return "\n".join(lines) + "\n"
-
-
-def _parse_terms(text: str) -> dict[str, float]:
-    terms: dict[str, float] = {}
-    sign = 1.0
-    pending: float | None = None
-    for tok in text.split():
-        if tok == "+":
-            sign = 1.0
-        elif tok == "-":
-            sign = -1.0
-        else:
-            try:
-                value = float(tok)
-            except ValueError:
-                coef = sign * (1.0 if pending is None else pending)
-                if coef:
-                    terms[tok] = terms.get(tok, 0.0) + coef
-                    if terms[tok] == 0.0:
-                        del terms[tok]
-                sign, pending = 1.0, None
-                continue
-            pending = value
-    return terms
-
-
-def parse_lp(text: str) -> MilpProblem:
-    """Round-trip reader for export_lp output.
-
-    Columns take the order of the Bounds section, which export_lp writes in
-    index order, so a parsed dump hands HiGHS the columns it was built with.
-    Columns missing from Bounds (binaries, in dumps that left them out)
-    follow in order of first appearance."""
-    constant = 0.0
-    section = None
-    objective: dict[str, float] = {}
-    raw_rows: list[tuple[dict[str, float], str, float]] = []
-    bounds: dict[str, tuple[float, float]] = {}
-    generals: set[str] = set()
-    binaries: set[str] = set()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("\\"):
-            parts = line.split()
-            if len(parts) == 3 and parts[1] == "constant":
-                constant = float(parts[2])
-            continue
-        lowered = line.lower()
-        if lowered in ("minimize", "subject to", "bounds", "generals", "binaries", "end"):
-            section = lowered
-            continue
-        if section == "minimize":
-            body = line.split(":", 1)[1] if ":" in line else line
-            objective = _parse_terms(body)
-        elif section == "subject to":
-            body = line.split(":", 1)[1] if ":" in line else line
-            for rel in ("<=", ">=", "="):
-                if f" {rel} " in body:
-                    lhs, rhs = body.rsplit(f" {rel} ", 1)
-                    raw_rows.append((_parse_terms(lhs), rel, float(rhs)))
-                    break
-        elif section == "bounds":
-            parts = line.split("<=")
-            lo = -math.inf if parts[0].strip() == "-inf" else float(parts[0])
-            name = parts[1].strip()
-            hi = math.inf if parts[2].strip() == "+inf" else float(parts[2])
-            bounds[name] = (lo, hi)
-        elif section == "generals":
-            generals.add(line)
-        elif section == "binaries":
-            binaries.add(line)
-
-    names = dict.fromkeys(bounds)
-    for terms in [objective] + [row[0] for row in raw_rows]:
-        names.update(dict.fromkeys(terms))
-    names.update(dict.fromkeys(sorted(generals)))
-    names.update(dict.fromkeys(sorted(binaries)))
-
-    problem = MilpProblem()
-    problem.constant = constant
-    index = {}
-    for name in names:
-        if name in binaries:
-            domain, default = BOOLEAN, (0.0, 1.0)
-        else:
-            domain, default = (INTEGER if name in generals else CONTINUOUS), (0.0, math.inf)
-        lo, hi = bounds.get(name, default)
-        index[name] = problem.add_var(name, domain, lo, hi, objective.get(name, 0.0))
-    for terms, rel, rhs in raw_rows:
-        problem.add_row([index[name] for name in terms], terms.values(), rel, rhs)
-    return problem

@@ -44,10 +44,6 @@ class VmSnapshot:
     running_steps: list[tuple[int, int, int]] = field(default_factory=list)
     # (instance id, step index, remaining ms)
 
-    @property
-    def leased(self) -> bool:
-        return not self.fresh
-
 
 @dataclass
 class SchedulingState:
@@ -87,7 +83,6 @@ class Assignment:
     service: str
     cpu_demand: float
     ram_demand: float
-    duration_ms: int
     occupancy_ms: int  # overheadful duration on the VM from now
 
 
@@ -99,16 +94,9 @@ class SchedulingPlan:
     lease_extensions: dict[str, int]  # vm id -> BTUs to lease/extend
     gamma: dict[str, int]  # vm type -> total BTUs this round
     penalties_ms: dict[int, float]  # instance -> planned worst-case delay
-    free_capacity: dict[str, tuple[float, float]]
     objective_terms: dict[str, float]
     objective_value: float  # repaired objective, bracketed by bound and incumbent
     milp_values: list[float]  # repaired column values, pass verify
-
-    def assignment_for(self, instance_id: int, step_index: int) -> Assignment | None:
-        for a in self.assignments:
-            if a.instance_id == instance_id and a.step_index == step_index:
-                return a
-        return None
 
 
 TERM_NAMES = ("leasing", "penalty", "deployment", "remaining_lease", "free_capacity", "importance")
@@ -138,7 +126,6 @@ class FfsippModel:
         self._vm_x: dict[str, list[tuple[int, Assignment]]] = {vm.id: [] for vm in self.candidates}
         self._y: dict[str, int] = {}
         self._g: dict[str, int] = {}
-        self._free: dict[str, tuple[int, int]] = {}
         self._gamma: dict[str, int] = {}
         self._ep: dict[int, int] = {}
         # Continuous helpers decode re-derives at their floor, the largest of
@@ -272,7 +259,6 @@ class FfsippModel:
 
             fc = p.add_var(f"fC__{vm.id}", milp.CONTINUOUS, 0, math.inf)
             fr = p.add_var(f"fR__{vm.id}", milp.CONTINUOUS, 0, math.inf)
-            self._free[vm.id] = (fc, fr)
             ram_supply = vt.ram_supply if vt.ram_supply < math.inf else 0.0
             self._free_row(fc, cpu_cols, cpu, g, vt.cpu_supply, run_cpu, w.f_cpu)
             self._free_row(fr, ram_cols, ram, g, ram_supply, run_ram, w.f_ram)
@@ -353,7 +339,6 @@ class FfsippModel:
                     service=step.service,
                     cpu_demand=step.cpu_demand,
                     ram_demand=step.ram_demand,
-                    duration_ms=step.expected_ms,
                     occupancy_ms=occ,
                 )
                 self._x.append((col, a))
@@ -506,7 +491,6 @@ class FfsippModel:
                 service=self._running_step(iid, j).service,
                 cpu_demand=self._running_step(iid, j).cpu_demand,
                 ram_demand=self._running_step(iid, j).ram_demand,
-                duration_ms=rem,
                 occupancy_ms=rem,
             )
             for vm in self.state.fleet
@@ -519,7 +503,6 @@ class FfsippModel:
         }
         gamma = {vt: int(round(values[col])) for vt, col in self._gamma.items()}
         penalties = {iid: values[col] for iid, col in self._ep.items()}
-        free = {vm_id: (values[fc], values[fr]) for vm_id, (fc, fr) in self._free.items()}
         terms = {
             name: 0.0 + sum(map(mul, coefs, map(values.__getitem__, cols)))
             for name, (cols, coefs) in self._terms.items()
@@ -533,7 +516,6 @@ class FfsippModel:
             lease_extensions=leases,
             gamma=gamma,
             penalties_ms=penalties,
-            free_capacity=free,
             objective_terms=terms,
             objective_value=total,
             milp_values=values,

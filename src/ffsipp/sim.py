@@ -454,6 +454,7 @@ class Simulator:
 
     def _apply_actions(self, actions: list[controller.Action], plan: optimizer.SchedulingPlan):
         vm_ids: dict[str, str] = {}  # fresh candidate id -> concrete id
+        occupancy_ms = {(a.instance_id, a.step_index): a.occupancy_ms for a in plan.assignments}
 
         def resolve(vm_id: str) -> str:
             return vm_ids.get(vm_id, vm_id)
@@ -502,14 +503,14 @@ class Simulator:
             elif act.kind == controller.INVOKE_SERVICE:
                 iid, j = act.params["instance"], act.params["step"]
                 vm = self.vms[resolve(act.vm_id)]
-                assignment = plan.assignment_for(iid, j)
+                occupancy = occupancy_ms[(iid, j)]
                 step = self.instances[iid].steps[j]
                 step.status = RUNNING
                 step.assigned_vm = vm.id
                 step.scheduled_at = self.clock
-                step.remaining_ms = assignment.occupancy_ms
+                step.remaining_ms = occupancy
                 vm.containers[act.service].invocations.add((iid, j))
-                self._push(self.clock + assignment.occupancy_ms, STEP_FINISHED, (iid, j, vm.id))
+                self._push(self.clock + occupancy, STEP_FINISHED, (iid, j, vm.id))
 
     # -- bookkeeping ---------------------------------------------------------
 

@@ -1,8 +1,12 @@
 import importlib.resources
+import pathlib
+import tempfile
 
+import numpy as np
 import pytest
+from scipy import sparse
 
-from ffsipp import landscape
+from ffsipp import landscape, milp
 
 
 def service(name, cpu=45.0, duration_s=40, ram=0.0, pull_s=30, start_s=2):
@@ -63,3 +67,45 @@ def preset_text(name):
 @pytest.fixture
 def smoke_scenario():
     return landscape.parse_scenario(preset_text("smoke"))
+
+
+def assert_highs_reads_back(problem: milp.MilpProblem, text: str):
+    """HiGHS's own LP reader turns ``text`` into ``problem``: the same
+    columns (matched by name, since HiGHS numbers them by first appearance),
+    costs, bounds, integrality, row bounds and matrix, value for value."""
+    # scipy's private binding of HiGHS; only the tests that call this need it.
+    from scipy.optimize._highspy import _core
+
+    highs = _core._Highs()
+    highs.setOptionValue("output_flag", False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "model.lp"
+        path.write_text(text)
+        assert highs.readModel(str(path)) == _core.HighsStatus.kOk
+    lp = highs.getLp()
+    assert lp.sense_ == _core.ObjSense.kMinimize and lp.offset_ == 0.0
+    assert sorted(lp.col_names_) == sorted(problem.names)
+    index = {name: col for col, name in enumerate(problem.names)}
+    cols = np.array([index[name] for name in lp.col_names_], dtype=np.int64)
+
+    def column(values):
+        return np.array(values, dtype=np.float64)[cols]
+
+    assert np.array_equal(np.array(lp.col_cost_), column(problem.cost))
+    assert np.array_equal(np.array(lp.col_lower_), column(problem.lower))
+    assert np.array_equal(np.array(lp.col_upper_), column(problem.upper))
+    # An empty integrality list means every column is continuous.
+    integral = [kind != _core.HighsVarType.kContinuous for kind in lp.integrality_]
+    assert np.array_equal(
+        np.array(integral or [False] * lp.num_col_, dtype=bool), problem.integral()[cols]
+    )
+    assert lp.row_lower_ == problem.row_lower
+    assert lp.row_upper_ == problem.row_upper
+    a = lp.a_matrix_
+    assert a.format_ == _core.MatrixFormat.kColwise
+    read = sparse.csc_array(
+        (np.array(a.value_), np.array(a.index_), np.array(a.start_)),
+        shape=(lp.num_row_, lp.num_col_),
+    )
+    expected = problem.matrix().tocsc()[:, cols]
+    assert read.nnz == expected.nnz and (read != expected).nnz == 0

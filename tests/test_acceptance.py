@@ -15,7 +15,7 @@ from ffsipp import experiment, landscape, milp, optimizer, sim, worstcase
 from ffsipp.landscape import Weights
 from ffsipp.milp import BOOLEAN, CONTINUOUS, INTEGER, MilpProblem
 
-from .conftest import instance, vm_type
+from .conftest import assert_highs_reads_back, instance, vm_type
 
 SEEDS = (1, 2, 3)
 
@@ -92,6 +92,13 @@ def test_solver_matches_oracle_on_random_problems():
             solved += 1
     assert solved > 50  # the generator must exercise real optima
     assert time.monotonic() - started < 60.0
+
+
+def test_lp_export_read_by_highs_on_random_problems():
+    rng = np.random.default_rng(20240824)
+    for _ in range(200):
+        problem = random_problem(rng)
+        assert_highs_reads_back(problem, milp.export_lp(problem))
 
 
 # -- 2. plan feasibility ----------------------------------------------------

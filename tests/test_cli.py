@@ -3,6 +3,8 @@ from click.testing import CliRunner
 from ffsipp import cli
 from ffsipp.experiment import METRICS_HEADER
 
+from .conftest import preset_text
+
 
 def run_cli(*args):
     return CliRunner().invoke(cli.main, list(args))
@@ -31,6 +33,17 @@ class TestRunCommand:
         )
         assert result.exit_code != 0
         assert "preset" in result.output
+
+    def test_bad_scenario_fails_cleanly(self, tmp_path):
+        scenario = tmp_path / "bad.yaml"
+        scenario.write_text(preset_text("smoke").replace("duration_s: 40, ", ""))
+        result = run_cli(
+            "run", "--scenario", str(scenario), "--seeds", "1",
+            "--out", str(tmp_path / "out"),
+        )
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code != 0
+        assert "services[0]: missing key 'duration_s'" in result.output
 
     def test_dump_lp_writes_models(self, tmp_path):
         out = tmp_path / "out"

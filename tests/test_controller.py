@@ -13,7 +13,6 @@ def assignment(iid, j, vm_id, service, cpu, occupancy_ms=100_000):
         service=service,
         cpu_demand=cpu,
         ram_demand=0.0,
-        duration_ms=occupancy_ms,
         occupancy_ms=occupancy_ms,
     )
 
@@ -26,7 +25,6 @@ def plan(assignments, running=(), lease_extensions=None, gamma=None):
         lease_extensions=lease_extensions or {},
         gamma=gamma or {},
         penalties_ms={},
-        free_capacity={},
         objective_terms={},
         objective_value=0.0,
         milp_values={},
@@ -54,12 +52,6 @@ class TestTransform:
         (c,) = transform(p).containers
         assert c.cpu_size == 90.0
         assert c.new_invocations == [(1, 0)]
-        assert set(c.invocations) == {(1, 0), (2, 1)}
-
-    def test_step_mapping(self):
-        p = plan([assignment(1, 0, "vm2", "B", 30.0)])
-        cp = transform(p)
-        assert cp.step_to_container[(1, 0)] == controller.container_id("B", "vm2")
 
 
 class TestPlanActions:

@@ -1,4 +1,5 @@
 import pytest
+import yaml
 
 from ffsipp import landscape, worstcase
 from ffsipp.landscape import (
@@ -146,6 +147,36 @@ class TestParseScenario:
             text = preset_text("smoke").replace(old, new)
             with pytest.raises(ScenarioError, match="free-capacity weight"):
                 parse_scenario(text)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("services", "name"),
+            ("services", "duration_s"),
+            ("vm_types", "name"),
+            ("vm_types", "cores"),
+            ("vm_types", "cost_per_btu"),
+            ("models", "id"),
+            ("models", "structure"),
+        ],
+    )
+    def test_entry_without_required_key_rejected(self, section, key):
+        raw = yaml.safe_load(preset_text("smoke"))
+        del raw[section][1][key]
+        with pytest.raises(ScenarioError, match=rf"^{section}\[1\]: missing key '{key}'$"):
+            parse_scenario(yaml.safe_dump(raw))
+
+    @pytest.mark.parametrize("section", ["services", "vm_types", "models"])
+    @pytest.mark.parametrize(
+        "value, error",
+        [([1], r"\[0\]: expected a mapping"), (5, ": expected a list")],
+        ids=["entry", "section"],
+    )
+    def test_entry_not_a_mapping_rejected(self, section, value, error):
+        raw = yaml.safe_load(preset_text("smoke"))
+        raw[section] = value
+        with pytest.raises(ScenarioError, match=rf"^{section}{error}"):
+            parse_scenario(yaml.safe_dump(raw))
 
     def test_dangling_service_rejected(self):
         text = preset_text("smoke").replace(

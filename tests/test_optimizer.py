@@ -185,7 +185,7 @@ class TestWakeup:
         st = state([inst], abc_services, types)
         plan = optimizer.SchedulingPlan(
             now_ms=0, assignments=[], running=[], lease_extensions={}, gamma={},
-            penalties_ms={}, free_capacity={}, objective_terms={},
+            penalties_ms={}, objective_terms={},
             objective_value=0.0, milp_values={},
         )
         assert next_wakeup(plan, st, config(epsilon_ms=1000)) == 636_000
@@ -198,7 +198,7 @@ class TestWakeup:
         st = state([inst], abc_services, types)
         plan = optimizer.SchedulingPlan(
             now_ms=0, assignments=[], running=[], lease_extensions={}, gamma={},
-            penalties_ms={}, free_capacity={}, objective_terms={},
+            penalties_ms={}, objective_terms={},
             objective_value=0.0, milp_values={},
         )
         assert next_wakeup(plan, st, config(epsilon_ms=2000)) == 2000
