@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .optimizer import SchedulingPlan
+from .optimizer import SchedulingPlan, is_fresh_vm
 
 LEASE_VM = "lease_vm"
 EXTEND_LEASE = "extend_lease"
@@ -73,19 +73,18 @@ class CloudVmView:
 def plan_actions(cplan: ContainerPlan, cloud: dict[str, CloudVmView]) -> list[Action]:
     """Concrete enactment: lease/extend, deploy/resize, stop, invoke.
 
-    Stops normally come after deploys (a VM whose containers are simply no
-    longer planned keeps them until they idle out is NOT the rule here —
-    unplanned running containers are shut down to free resources); when a
-    VM needs the freed capacity for its new deployments, its stops are
-    hoisted ahead of them.
+    A VM's containers that the plan no longer uses are stopped to free
+    their resources. Stops normally come after deploys; when a VM needs the
+    freed capacity for its new deployments, its stops are hoisted ahead of
+    them.
     """
     for c in cplan.containers:
-        if not c.vm_id.startswith("new_") and c.vm_id not in cloud:
+        if not is_fresh_vm(c.vm_id) and c.vm_id not in cloud:
             raise KeyError(f"plan references unknown VM {c.vm_id}")
 
     leases: list[Action] = []
     for vm_id, btus in sorted(cplan.lease_extensions.items()):
-        kind = LEASE_VM if vm_id.startswith("new_") or vm_id not in cloud else EXTEND_LEASE
+        kind = LEASE_VM if is_fresh_vm(vm_id) or vm_id not in cloud else EXTEND_LEASE
         leases.append(Action(kind, vm_id, params={"btus": btus}))
 
     by_vm: dict[str, list[ContainerAssignment]] = {}

@@ -474,7 +474,6 @@ class Scenario:
     sla: SlaSpec
     weights: Weights
     solver: SolverSpec
-    btu_ms: int
     epsilon_ms: int
 
     def model_by_id(self, mid: int) -> ProcessModel:
@@ -484,7 +483,7 @@ class Scenario:
         raise ScenarioError(f"unknown process model id {mid}")
 
 
-_STRUCTURE_TOKEN = _re.compile(r"\s*(AND|XOR|LOOP\*?\d*|s|\(|\)|,|\|)", _re.IGNORECASE)
+_STRUCTURE_TOKEN = _re.compile(r"\s*(AND|XOR|LOOP(?:\*\d+)?|s|\(|\)|,|\|)", _re.IGNORECASE)
 
 
 def _tokenize_structure(text: str) -> list[str]:
@@ -579,20 +578,20 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("malformed scenario file: expected a mapping")
 
-    btu_ms = ms(_get(raw, "btu_seconds", 300))
-    epsilon_ms = int(_get(raw, "epsilon_ms", 2000))
+    btu_ms = ms(_number("btu_seconds", raw.get("btu_seconds", 300)))
+    epsilon_ms = _number("epsilon_ms", raw.get("epsilon_ms", 2000), int)
     if epsilon_ms <= 0:
         raise ScenarioError("epsilon_ms must be positive")
 
     services: dict[str, ServiceType] = {}
-    for entry in _entries(raw, "services", ("name", "duration_s")):
+    for where, entry in _entries(raw, "services", ("name", "duration_s")):
         svc = ServiceType(
             id=str(entry["name"]),
-            cpu_demand=float(entry.get("cpu", 0.0)),
-            ram_demand=float(entry.get("ram", 0.0)),
-            duration_ms=ms(float(entry["duration_s"])),
-            image_pull_ms=ms(float(entry.get("pull_s", 30))),
-            container_start_ms=ms(float(entry.get("start_s", 2))),
+            cpu_demand=_number(f"{where}.cpu", entry.get("cpu", 0.0)),
+            ram_demand=_number(f"{where}.ram", entry.get("ram", 0.0)),
+            duration_ms=ms(_number(f"{where}.duration_s", entry["duration_s"])),
+            image_pull_ms=ms(_number(f"{where}.pull_s", entry.get("pull_s", 30))),
+            container_start_ms=ms(_number(f"{where}.start_s", entry.get("start_s", 2))),
         )
         if svc.id in services:
             raise ScenarioError(f"duplicate service {svc.id}")
@@ -601,17 +600,17 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("no services")
 
     vm_types: dict[str, VmType] = {}
-    for entry in _entries(raw, "vm_types", ("name", "cores", "cost_per_btu")):
+    for where, entry in _entries(raw, "vm_types", ("name", "cores", "cost_per_btu")):
         limit = entry.get("pool_limit")
         vt = VmType(
             id=str(entry["name"]),
             provider=str(entry.get("provider", "public")),
-            cpu_supply=float(entry["cores"]) * 100.0,
-            ram_supply=float(entry.get("ram", 1024)),
+            cpu_supply=_number(f"{where}.cores", entry["cores"]) * 100.0,
+            ram_supply=_number(f"{where}.ram", entry.get("ram", 1024)),
             btu_ms=btu_ms,
-            cost_per_btu=float(entry["cost_per_btu"]),
-            startup_ms=ms(float(entry.get("startup_s", 60))),
-            pool_limit=int(limit) if limit is not None else None,
+            cost_per_btu=_number(f"{where}.cost_per_btu", entry["cost_per_btu"]),
+            startup_ms=ms(_number(f"{where}.startup_s", entry.get("startup_s", 60))),
+            pool_limit=None if limit is None else _number(f"{where}.pool_limit", limit, int),
         )
         if vt.provider not in ("private", "public"):
             raise ScenarioError(f"vm type {vt.id}: unknown provider {vt.provider!r}")
@@ -627,8 +626,8 @@ def parse_scenario(text: str) -> Scenario:
     service_cycle = list(services)
     models: list[ProcessModel] = []
     seen_ids = set()
-    for entry in model_entries:
-        mid = int(entry["id"])
+    for where, entry in model_entries:
+        mid = _number(f"{where}.id", entry["id"], int)
         if mid in seen_ids:
             raise ScenarioError(f"duplicate model id {mid}")
         seen_ids.add(mid)
@@ -636,6 +635,8 @@ def parse_scenario(text: str) -> Scenario:
         model = ProcessModel(id=mid, root=root)
         explicit = entry.get("steps")
         if explicit is not None:
+            if not isinstance(explicit, list):
+                raise ScenarioError(f"{where}.steps must be a list, got {explicit!r}")
             if len(explicit) != len(model.step_nodes):
                 raise ScenarioError(
                     f"model {mid}: {len(explicit)} step services for "
@@ -650,56 +651,58 @@ def parse_scenario(text: str) -> Scenario:
             node.service = svc_id
         models.append(model)
 
-    arr = _get(raw, "arrival", {}) or {}
+    arr = _section(raw, "arrival")
     kind = arr.get("kind", "constant")
     if kind not in ("constant", "pyramid"):
         raise ScenarioError(f"unknown arrival kind {kind!r}")
     batch = arr.get("batch_models")
     if batch is not None:
-        batch = tuple(tuple(int(m) for m in group) for group in batch)
+        if not isinstance(batch, list) or not all(isinstance(g, list) for g in batch):
+            raise ScenarioError(f"arrival.batch_models must be a list of lists, got {batch!r}")
+        batch = tuple(tuple(_number("arrival.batch_models", m, int) for m in g) for g in batch)
         for group in batch:
             for mid in group:
                 if mid not in seen_ids:
                     raise ScenarioError(f"arrival references unknown model {mid}")
+    constant = kind == "constant"
+    interval_s = arr.get("interval_s", 120 if constant else 60)
+    requests = arr.get("total_requests", 50 if constant else 100)
     arrival = ArrivalSpec(
         kind=kind,
-        interval_ms=ms(float(arr.get("interval_s", 120 if kind == "constant" else 60))),
+        interval_ms=ms(_number("arrival.interval_s", interval_s)),
         batch_models=batch,
-        total_requests=int(arr.get("total_requests", 50 if kind == "constant" else 100)),
+        total_requests=_number("arrival.total_requests", requests, int),
     )
 
-    sla_raw = _get(raw, "sla", {}) or {}
+    sla_raw = _section(raw, "sla")
+    rate = sla_raw.get("planning_rate_per_s")
     sla = SlaSpec(
-        factor=float(sla_raw.get("factor", 1.5)),
+        factor=_number("sla.factor", sla_raw.get("factor", 1.5)),
         penalty_policy=str(sla_raw.get("penalty_policy", "fraction")),
-        planning_rate_per_s=(
-            float(sla_raw["planning_rate_per_s"])
-            if sla_raw.get("planning_rate_per_s") is not None
-            else None
-        ),
+        planning_rate_per_s=None if rate is None else _number("sla.planning_rate_per_s", rate),
     )
     if sla.factor <= 1:
         raise ScenarioError("sla factor must exceed 1")
     if sla.penalty_policy not in ("fraction", "per_10s"):
         raise ScenarioError(f"unknown penalty policy {sla.penalty_policy!r}")
 
-    w = _get(raw, "weights", {}) or {}
+    w = _section(raw, "weights")
     weights = Weights(
-        dl_per_ms=float(w.get("dl", 0.001)) / 1000.0,
-        d_per_ms=float(w.get("d", 0.0001)) / 1000.0,
-        f_cpu=float(w.get("f_cpu", 0.01)),
-        f_ram=float(w.get("f_ram", 0.0)),
-        z=float(w.get("z", 1.0)),
+        dl_per_ms=_number("weights.dl", w.get("dl", 0.001)) / 1000.0,
+        d_per_ms=_number("weights.d", w.get("d", 0.0001)) / 1000.0,
+        f_cpu=_number("weights.f_cpu", w.get("f_cpu", 0.01)),
+        f_ram=_number("weights.f_ram", w.get("f_ram", 0.0)),
+        z=_number("weights.z", w.get("z", 1.0)),
     )
 
     # A solver section's `mn` (a big-M constant) is accepted and ignored: no
     # row of the model is big-M.
-    s = _get(raw, "solver", {}) or {}
+    s = _section(raw, "solver")
     solver = SolverSpec(
-        gap=float(s.get("gap", 1e-6)),
-        time_limit_ms=int(s.get("time_limit_ms", 20000)),
-        fresh_candidates=int(s.get("fresh_candidates", 3)),
-        btu_max=int(s.get("btu_max", 1000)),
+        gap=_number("solver.gap", s.get("gap", 1e-6)),
+        time_limit_ms=_number("solver.time_limit_ms", s.get("time_limit_ms", 20000), int),
+        fresh_candidates=_number("solver.fresh_candidates", s.get("fresh_candidates", 3), int),
+        btu_max=_number("solver.btu_max", s.get("btu_max", 1000), int),
     )
     if solver.fresh_candidates < 1:
         raise ScenarioError("fresh_candidates must be >= 1")
@@ -712,28 +715,41 @@ def parse_scenario(text: str) -> Scenario:
         sla=sla,
         weights=weights,
         solver=solver,
-        btu_ms=btu_ms,
         epsilon_ms=epsilon_ms,
     )
 
 
-def _get(raw: dict, key: str, default=None, required=False):
-    if key in raw and raw[key] is not None:
-        return raw[key]
-    if required:
-        raise ScenarioError(f"missing scenario key {key!r}")
-    return default
+def _number(name: str, value, kind=float):
+    """``value`` converted by ``kind``, or a ScenarioError naming the key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{name} must be a number, got {value!r}") from None
 
 
-def _entries(raw: dict, section: str, keys: tuple[str, ...]) -> list[dict]:
-    """The required list ``section``, each entry a mapping that sets ``keys``."""
-    entries = _get(raw, section, required=True)
+def _section(raw: dict, key: str) -> dict:
+    """The optional mapping ``key``; absent or null means all defaults."""
+    section = {} if raw.get(key) is None else raw[key]
+    if not isinstance(section, dict):
+        raise ScenarioError(f"{key}: expected a mapping, got {section!r}")
+    return section
+
+
+def _entries(raw: dict, section: str, keys: tuple[str, ...]) -> list[tuple[str, dict]]:
+    """The required list ``section`` as (``section[i]``, entry) pairs, each
+    entry a mapping that sets ``keys``."""
+    entries = raw.get(section)
+    if entries is None:
+        raise ScenarioError(f"missing scenario key {section!r}")
     if not isinstance(entries, list):
         raise ScenarioError(f"{section}: expected a list")
+    out = []
     for i, entry in enumerate(entries):
+        where = f"{section}[{i}]"
         if not isinstance(entry, dict):
-            raise ScenarioError(f"{section}[{i}]: expected a mapping, got {entry!r}")
+            raise ScenarioError(f"{where}: expected a mapping, got {entry!r}")
         for key in keys:
             if entry.get(key) is None:
-                raise ScenarioError(f"{section}[{i}]: missing key {key!r}")
-    return entries
+                raise ScenarioError(f"{where}: missing key {key!r}")
+        out.append((where, entry))
+    return out

@@ -17,7 +17,6 @@ import numpy as np
 from . import milp, worstcase
 from .landscape import (
     ProcessInstance,
-    RUNNING,
     Scenario,
     ServiceType,
     VmType,
@@ -93,7 +92,8 @@ class SchedulingPlan:
     running: list[Assignment]
     lease_extensions: dict[str, int]  # vm id -> BTUs to lease/extend
     gamma: dict[str, int]  # vm type -> total BTUs this round
-    penalties_ms: dict[int, float]  # instance -> planned worst-case delay
+    penalties_ms: dict[int, float]  # instance -> planned worst-case delay e^p
+    remaining_ms: dict[int, int]  # instance -> worst-case remaining time e_i
     objective_terms: dict[str, float]
     objective_value: float  # repaired objective, bracketed by bound and incumbent
     milp_values: list[float]  # repaired column values, pass verify
@@ -128,6 +128,7 @@ class FfsippModel:
         self._g: dict[str, int] = {}
         self._gamma: dict[str, int] = {}
         self._ep: dict[int, int] = {}
+        self._remaining: dict[int, worstcase.RemainingStructure] = {}
         # Continuous helpers decode re-derives at their floor, the largest of
         # ``0`` and ``sum(coefs * x[cols]) + offset`` over their rows: block
         # remainders and free capacity first, then e^p, which reads them.
@@ -153,7 +154,7 @@ class FfsippModel:
             for i in range(max(0, n)):
                 cands.append(
                     VmSnapshot(
-                        id=f"new_{vt.id}_{i}",
+                        id=f"{FRESH_PREFIX}{vt.id}_{i}",
                         type_id=vt.id,
                         ready_in_ms=vt.startup_ms,
                         lease_remaining_ms=0,
@@ -313,6 +314,7 @@ class FfsippModel:
         rs = worstcase.remaining_structure(
             inst, self.state.services, self.delta_ms, set(schedulable)
         )
+        self._remaining[inst.id] = rs
         ex_run = max(
             (
                 rem
@@ -503,6 +505,10 @@ class FfsippModel:
         }
         gamma = {vt: int(round(values[col])) for vt, col in self._gamma.items()}
         penalties = {iid: values[col] for iid, col in self._ep.items()}
+        placed: dict[int, list[int]] = {iid: [] for iid in self._remaining}
+        for a in assignments:
+            placed[a.instance_id].append(a.step_index)
+        remaining = {iid: rs.remaining_ms(placed[iid]) for iid, rs in self._remaining.items()}
         terms = {
             name: 0.0 + sum(map(mul, coefs, map(values.__getitem__, cols)))
             for name, (cols, coefs) in self._terms.items()
@@ -516,6 +522,7 @@ class FfsippModel:
             lease_extensions=leases,
             gamma=gamma,
             penalties_ms=penalties,
+            remaining_ms=remaining,
             objective_terms=terms,
             objective_value=total,
             milp_values=values,
@@ -546,9 +553,14 @@ BASELINE_DEPLOY_MS = 30_000
 FRESH_PREFIX = "new_"
 
 
+def is_fresh_vm(vm_id: str) -> bool:
+    """Whether ``vm_id`` names a fresh candidate rather than a live lease."""
+    return vm_id.startswith(FRESH_PREFIX)
+
+
 def fresh_vm_type(vm_id: str) -> str:
     """VM type encoded in a fresh candidate's id (``new_<type>_<n>``)."""
-    if not vm_id.startswith(FRESH_PREFIX):
+    if not is_fresh_vm(vm_id):
         raise ValueError(f"{vm_id!r} is not a fresh candidate id")
     return vm_id[len(FRESH_PREFIX) :].rsplit("_", 1)[0]
 
@@ -560,21 +572,14 @@ def build(state: SchedulingState, config: OptimizerConfig) -> FfsippModel:
 
 def next_wakeup(plan: SchedulingPlan, state: SchedulingState, config: OptimizerConfig) -> int:
     """Earliest time (ms) the next round must run so every instance can
-    still meet its (penalty-adjusted) deadline; never sooner than now+eps."""
-    delta = worstcase.max_startup_ms(state.vm_types)
+    still meet its (penalty-adjusted) deadline, ``deadline + e^p - e_i``
+    with e_i as the plan left it; never sooner than now+eps."""
     floor = state.now_ms + config.epsilon_ms
-    candidates = []
-    for inst in state.instances:
-        scheduled = {
-            a.step_index: worstcase.step_coefficient_ms(
-                inst.steps[a.step_index], state.services, delta
-            )
-            for a in plan.assignments
-            if a.instance_id == inst.id
-        }
-        e_i = worstcase.remaining_duration(inst, state.services, delta, scheduled)
-        ep = plan.penalties_ms.get(inst.id, 0.0)
-        candidates.append(inst.deadline_ms + ep - e_i)
-    if not candidates:
-        return floor
-    return max(floor, int(min(candidates)))
+    latest = min(
+        (
+            inst.deadline_ms + plan.penalties_ms[inst.id] - plan.remaining_ms[inst.id]
+            for inst in state.instances
+        ),
+        default=floor,
+    )
+    return max(floor, int(latest))

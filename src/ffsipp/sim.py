@@ -283,11 +283,9 @@ class Simulator:
         return [i for i in self.instances.values() if i.finished_ms is None]
 
     def _has_schedulable(self) -> bool:
-        return any(
-            inst.steps[j].status != RUNNING
-            for inst in self._live_instances()
-            for j in next_steps(inst)
-        )
+        """Whether some live instance has a ready step (``next_steps``
+        never returns a running one)."""
+        return any(next_steps(inst) for inst in self._live_instances())
 
     # -- events ------------------------------------------------------------
 
@@ -412,16 +410,10 @@ class Simulator:
         }
         actions = controller.plan_actions(cplan, cloud)
         self._apply_actions(actions, plan)
-        # A wakeup is only useful while some ready step stays unscheduled;
-        # otherwise the next arrival/step-finished event triggers the round.
-        assigned = {(a.instance_id, a.step_index) for a in plan.assignments}
-        leftover = any(
-            (inst.id, j) not in assigned
-            for inst in self._live_instances()
-            for j in next_steps(inst)
-            if inst.steps[j].status != RUNNING
-        )
-        if leftover:
+        # A wakeup is only useful while some ready step stays unscheduled
+        # (every placed step is running now); otherwise the next
+        # arrival/step-finished event triggers the round.
+        if self._has_schedulable():
             self._schedule_wakeup(optimizer.next_wakeup(plan, state, self.config))
         else:
             self._wakeup_at = None

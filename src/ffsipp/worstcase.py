@@ -2,11 +2,15 @@
 
 Every pending step is assumed to pay the full deployment overhead on a
 freshly started VM of the slowest-starting type; blocks contribute their
-longest branch and loops their maximum repetitions. The optimizer's
-deadline rows, step deadlines and wake-ups all consume these figures.
+longest branch and loops their maximum repetitions. Each round derives one
+``RemainingStructure`` per instance: e_i, the worst-case remaining
+enactment time, as an affine function of the round's placements.
+``RemainingStructure.remaining_ms`` is the only rule that evaluates it;
+the optimizer's deadline rows, step deadlines and wake-ups all read it.
 """
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .landscape import PENDING, ProcessInstance, ServiceType, StepState, VmType
@@ -37,45 +41,6 @@ def _remaining(inst: ProcessInstance, indices: list[int]) -> list[StepState]:
     return [inst.steps[i] for i in indices if inst.steps[i].status == PENDING]
 
 
-def remaining_duration(
-    inst: ProcessInstance,
-    services: dict[str, ServiceType],
-    delta_ms: int,
-    scheduled: dict[int, int] | None = None,
-) -> int:
-    """Worst-case remaining enactment time e_i.
-
-    Sequences sum, AND/XOR blocks take their longest branch and loops add
-    their future repetitions. ``scheduled`` maps step index to the
-    overheadful duration chosen for it this round; that amount is
-    subtracted from the step's own structural component, since the
-    scheduled execution is accounted for separately. Running steps never
-    contribute.
-    """
-    scheduled = scheduled or {}
-    dec = inst.model.paths
-
-    def path_value(indices: list[int]) -> int:
-        total = overhead_sum_ms(_remaining(inst, indices), services, delta_ms)
-        total -= sum(scheduled.get(i, 0) for i in indices)
-        return total
-
-    e_i = path_value(dec.seq_steps)
-    for _, branches in dec.and_blocks + dec.xor_blocks:
-        e_i += max(0, max(path_value(branch) for branch in branches))
-    for node_id, body, reps in dec.loops:
-        if not _remaining(inst, body):
-            continue
-        full = overhead_sum_ms([inst.steps[i] for i in body], services, delta_ms)
-        future = max(0, reps - inst.loop_iters_done.get(node_id, 0) - 1)
-        e_i += max(0, path_value(body)) + future * full
-    return e_i
-
-
-# ---------------------------------------------------------------------------
-# Linearization support for the optimizer
-
-
 @dataclass
 class BlockTerm:
     """One AND/XOR block whose value depends on this round's assignments.
@@ -104,7 +69,17 @@ class RemainingStructure:
     constant_ms: int
     step_reduction_ms: dict[int, int]
     blocks: list[BlockTerm]
-    step_deadline_ms: dict[int, int]
+    step_deadline_ms: dict[int, int] = field(default_factory=dict)
+
+    def remaining_ms(self, placed: Collection[int]) -> int:
+        """e_i once the schedulable steps in ``placed`` are placed this round:
+        each placed step's own worst case is accounted for by its placement."""
+        e_i = self.constant_ms - sum(self.step_reduction_ms.get(j, 0) for j in placed)
+        for block in self.blocks:
+            e_i += max(
+                0, max(const - sum(coefs.get(j, 0) for j in placed) for const, coefs in block.rows)
+            )
+        return e_i
 
 
 def remaining_structure(
@@ -154,16 +129,10 @@ def remaining_structure(
         else:
             constant += max(const for const, _ in branch_rows)
 
-    deadlines: dict[int, int] = {}
+    rs = RemainingStructure(constant_ms=constant, step_reduction_ms=reductions, blocks=blocks)
     for j in schedulable:
-        tail = constant - reductions.get(j, 0) - loop_future.get(j, 0)
-        for block in blocks:
-            tail += max(0, max(const - coefs.get(j, 0) for const, coefs in block.rows))
-        deadlines[j] = inst.deadline_ms - coef(j) - tail
-
-    return RemainingStructure(
-        constant_ms=constant,
-        step_reduction_ms=reductions,
-        blocks=blocks,
-        step_deadline_ms=deadlines,
-    )
+        # After j completes its loop's last iteration, the loop's future
+        # iterations no longer follow it.
+        tail = rs.remaining_ms((j,)) - loop_future.get(j, 0)
+        rs.step_deadline_ms[j] = inst.deadline_ms - coef(j) - tail
+    return rs

@@ -4,9 +4,14 @@ import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy import sparse
 
-from ffsipp import landscape, milp
+from ffsipp import landscape, milp, worstcase
+
+# Property tests draw the same examples on every run.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def service(name, cpu=45.0, duration_s=40, ram=0.0, pull_s=30, start_s=2):
@@ -49,6 +54,39 @@ def instance(structure, services, service_names=None, deadline_ms=10_000_000, ii
         penalty_rate=penalty_rate,
         loop_iterations=loop_iterations,
     )
+
+
+def remaining_duration(inst, services, delta_ms, scheduled=None) -> int:
+    """Oracle for the worst-case remaining enactment time e_i, evaluated
+    from scratch over the workflow.
+
+    Sequences sum, AND/XOR blocks take their longest branch and loops add
+    their future repetitions. ``scheduled`` maps step index to the
+    overheadful duration chosen for it this round; that amount is
+    subtracted from the step's own structural component, since the
+    scheduled execution is accounted for separately. Only pending steps
+    contribute.
+    """
+    scheduled = scheduled or {}
+    dec = inst.model.paths
+
+    def pending(indices):
+        return [inst.steps[i] for i in indices if inst.steps[i].status == landscape.PENDING]
+
+    def path_value(indices):
+        total = worstcase.overhead_sum_ms(pending(indices), services, delta_ms)
+        return total - sum(scheduled.get(i, 0) for i in indices)
+
+    e_i = path_value(dec.seq_steps)
+    for _, branches in dec.and_blocks + dec.xor_blocks:
+        e_i += max(0, max(path_value(branch) for branch in branches))
+    for node_id, body, reps in dec.loops:
+        if not pending(body):
+            continue
+        full = worstcase.overhead_sum_ms([inst.steps[i] for i in body], services, delta_ms)
+        future = max(0, reps - inst.loop_iters_done.get(node_id, 0) - 1)
+        e_i += max(0, path_value(body)) + future * full
+    return e_i
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from ffsipp import experiment, landscape, milp, optimizer, sim, worstcase
 from ffsipp.landscape import Weights
 from ffsipp.milp import BOOLEAN, CONTINUOUS, INTEGER, MilpProblem
 
-from .conftest import assert_highs_reads_back, instance, vm_type
+from .conftest import assert_highs_reads_back, instance, remaining_duration, vm_type
 
 SEEDS = (1, 2, 3)
 
@@ -216,11 +216,11 @@ def test_ffsipp_never_costs_more_than_baseline_on_same_candidates():
 
 def test_worst_case_reference_values(abc_services):
     pair = instance("s,s", abc_services, ["A", "A"])
-    assert worstcase.remaining_duration(pair, abc_services, 60_000) == 264_000
+    assert remaining_duration(pair, abc_services, 60_000) == 264_000
     single_c = instance("s", abc_services, ["C"])
-    assert worstcase.remaining_duration(single_c, abc_services, 60_000) == 212_000
+    assert remaining_duration(single_c, abc_services, 60_000) == 212_000
     single_a = instance("s", abc_services, ["A"])
-    assert worstcase.remaining_duration(single_a, abc_services, 60_000) == 132_000
+    assert remaining_duration(single_a, abc_services, 60_000) == 132_000
     deadlined = instance("s", abc_services, ["A"], deadline_ms=1_000_000)
     rs = worstcase.remaining_structure(deadlined, abc_services, 60_000, {0})
     assert rs.step_deadline_ms[0] == 868_000

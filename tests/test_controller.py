@@ -25,6 +25,7 @@ def plan(assignments, running=(), lease_extensions=None, gamma=None):
         lease_extensions=lease_extensions or {},
         gamma=gamma or {},
         penalties_ms={},
+        remaining_ms={},
         objective_terms={},
         objective_value=0.0,
         milp_values={},

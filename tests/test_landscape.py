@@ -178,6 +178,30 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match=rf"^{section}{error}"):
             parse_scenario(yaml.safe_dump(raw))
 
+    @pytest.mark.parametrize(
+        "path, value, error",
+        [
+            (("services", 0, "cpu"), None, r"^services\[0\]\.cpu must be a number, got None$"),
+            (("arrival",), 5, r"^arrival: expected a mapping, got 5$"),
+            (("sla", "factor"), [1], r"^sla\.factor must be a number, got \[1\]$"),
+            (("weights",), [1], r"^weights: expected a mapping, got \[1\]$"),
+            (("models", 0, "steps"), 3, r"^models\[0\]\.steps must be a list, got 3$"),
+            (("arrival", "batch_models"), 1, r"^arrival\.batch_models must be a list of lists"),
+            (("btu_seconds",), "x", r"^btu_seconds must be a number, got 'x'$"),
+            (("models", 0, "structure"), "LOOP*(s)", r"^bad workflow structure near '\*\(s\)'$"),
+        ],
+        ids=["cpu", "arrival", "sla", "weights", "steps", "batch_models", "btu_seconds", "loop"],
+    )
+    def test_mistyped_value_rejected(self, path, value, error):
+        raw = yaml.safe_load(preset_text("smoke"))
+        *parents, key = path
+        section = raw
+        for part in parents:
+            section = section[part]
+        section[key] = value
+        with pytest.raises(ScenarioError, match=error):
+            parse_scenario(yaml.safe_dump(raw))
+
     def test_dangling_service_rejected(self):
         text = preset_text("smoke").replace(
             '{id: 1, structure: "s,s,s"}',

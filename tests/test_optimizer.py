@@ -3,7 +3,7 @@ import math
 import pytest
 
 from ffsipp import milp, optimizer
-from ffsipp.landscape import Weights
+from ffsipp.landscape import RUNNING, Weights
 from ffsipp.optimizer import (
     OptimizerConfig,
     SchedulingState,
@@ -179,29 +179,49 @@ class TestCachingIncentive:
 
 
 class TestWakeup:
+    def wakeup(self, inst, abc_services, cfg, fleet=()):
+        st = state([inst], abc_services, {"p1": vm_type("p1", pool_limit=4)}, fleet=fleet)
+        plan, _ = solve_plan(build(st, cfg))
+        return plan, next_wakeup(plan, st, cfg)
+
     def test_formula(self, abc_services):
+        # Ample slack: nothing is placed and e_i is the whole worst case.
         inst = instance("s,s", abc_services, ["A", "A"], deadline_ms=900_000)
-        types = {"p1": vm_type("p1")}
-        st = state([inst], abc_services, types)
-        plan = optimizer.SchedulingPlan(
-            now_ms=0, assignments=[], running=[], lease_extensions={}, gamma={},
-            penalties_ms={}, objective_terms={},
-            objective_value=0.0, milp_values={},
-        )
-        assert next_wakeup(plan, st, config(epsilon_ms=1000)) == 636_000
-        plan.penalties_ms[inst.id] = 10_000.0
-        assert next_wakeup(plan, st, config(epsilon_ms=1000)) == 646_000
+        plan, at = self.wakeup(inst, abc_services, config(epsilon_ms=1000))
+        assert plan.assignments == [] and plan.remaining_ms == {inst.id: 264_000}
+        assert at == 636_000
+        # Late: the step is placed and the planned delay e^p defers the wake-up.
+        inst = instance("s", abc_services, ["A"], deadline_ms=100_000)
+        plan, at = self.wakeup(inst, abc_services, config(epsilon_ms=1000))
+        assert plan.penalties_ms[inst.id] == pytest.approx(32_000.0)
+        assert plan.remaining_ms == {inst.id: 0}
+        assert at == 132_000
 
     def test_never_before_epsilon(self, abc_services):
-        inst = instance("s", abc_services, ["C"], deadline_ms=10_000)
-        types = {"p1": vm_type("p1")}
-        st = state([inst], abc_services, types)
-        plan = optimizer.SchedulingPlan(
-            now_ms=0, assignments=[], running=[], lease_extensions={}, gamma={},
-            penalties_ms={}, objective_terms={},
-            objective_value=0.0, milp_values={},
+        # A warm VM runs the step in 40 s, well inside the 100 s epsilon.
+        inst = instance("s", abc_services, ["A"], deadline_ms=50_000)
+        warm = VmSnapshot(
+            id="vm1", type_id="p1", ready_in_ms=0, lease_remaining_ms=250_000,
+            cached_images=frozenset({"A"}),
         )
-        assert next_wakeup(plan, st, config(epsilon_ms=2000)) == 2000
+        plan, at = self.wakeup(inst, abc_services, config(epsilon_ms=100_000), fleet=[warm])
+        assert [a.vm_id for a in plan.assignments] == ["vm1"]
+        assert inst.deadline_ms + plan.penalties_ms[inst.id] < 100_000
+        assert at == 100_000
+
+    def test_placed_step_counted_once(self, abc_services):
+        """e_i leaves out a placed step's worst case once; marking the step
+        running afterwards, as the simulator does, changes nothing."""
+        inst = instance("s,s", abc_services, ["A", "A"], deadline_ms=250_000)
+        cfg = config()
+        st = state([inst], abc_services, {"p1": vm_type("p1")})
+        plan, _ = solve_plan(build(st, cfg))
+        assert [a.step_index for a in plan.assignments] == [0]
+        inst.steps[0].status = RUNNING
+        ep = plan.penalties_ms[inst.id]
+        assert ep > 0
+        assert next_wakeup(plan, st, cfg) == int(inst.deadline_ms + ep - 132_000)
+        assert plan.remaining_ms == {inst.id: 132_000}
 
 
 def test_fresh_vm_type_roundtrip():

@@ -14,7 +14,7 @@ from ffsipp.landscape import (
     WorkflowNode,
 )
 
-from .conftest import instance, service, vm_type
+from .conftest import instance, remaining_duration, service, vm_type
 
 DELTA = 60_000
 
@@ -42,27 +42,27 @@ class TestStepCoefficients:
 class TestRemainingDuration:
     def test_sequence_unscheduled(self, abc_services):
         inst = instance("s,s", abc_services, ["A", "A"])
-        assert worstcase.remaining_duration(inst, abc_services, DELTA) == 264_000
+        assert remaining_duration(inst, abc_services, DELTA) == 264_000
 
     def test_scheduled_subtraction(self, abc_services):
         inst = instance("s,s", abc_services, ["A", "A"])
-        assert worstcase.remaining_duration(inst, abc_services, DELTA, {0: 132_000}) == 132_000
+        assert remaining_duration(inst, abc_services, DELTA, {0: 132_000}) == 132_000
 
     def test_and_block_max(self, abc_services):
         inst = instance("AND(s|s)", abc_services, ["A", "C"])
-        assert worstcase.remaining_duration(inst, abc_services, DELTA) == 212_000
+        assert remaining_duration(inst, abc_services, DELTA) == 212_000
 
     def test_running_steps_excluded(self, abc_services):
         inst = instance("s,s", abc_services, ["A", "A"])
         inst.steps[0].status = RUNNING
-        assert worstcase.remaining_duration(inst, abc_services, DELTA) == 132_000
+        assert remaining_duration(inst, abc_services, DELTA) == 132_000
 
     def test_loop_counts_future_iterations(self, abc_services):
         inst = instance("LOOP*3(s)", abc_services, ["A"])
-        assert worstcase.remaining_duration(inst, abc_services, DELTA) == 396_000
+        assert remaining_duration(inst, abc_services, DELTA) == 396_000
         loop_id = next(iter(inst.loop_iters_done))
         inst.loop_iters_done[loop_id] = 2
-        assert worstcase.remaining_duration(inst, abc_services, DELTA) == 132_000
+        assert remaining_duration(inst, abc_services, DELTA) == 132_000
 
     def test_remaining_after_done(self, abc_services):
         inst = instance("s,s", abc_services, ["A", "C"])
@@ -133,7 +133,7 @@ def _reference_deadline(inst, j, services) -> int:
         if j in steps:
             after.loop_iters_done[loop.node_id] = loop.repetitions - 1
     own = worstcase.step_coefficient_ms(inst.steps[j], services, DELTA)
-    return inst.deadline_ms - own - worstcase.remaining_duration(after, services, DELTA)
+    return inst.deadline_ms - own - remaining_duration(after, services, DELTA)
 
 
 @hst.composite
@@ -147,7 +147,8 @@ def _instances(draw, services):
             inst.loop_iters_done[node.node_id] = draw(hst.integers(0, node.repetitions - 1))
     pending = [s.index for s in inst.steps if s.status == PENDING]
     schedulable = set(draw(hst.lists(hst.sampled_from(pending), unique=True))) if pending else set()
-    return inst, schedulable
+    placed = {j for j in sorted(schedulable) if draw(hst.booleans())}
+    return inst, schedulable, placed
 
 
 class TestStepDeadlines:
@@ -157,13 +158,18 @@ class TestStepDeadlines:
         "C": service("C", cpu=75.0, duration_s=120),
     }
 
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(_instances(SERVICES))
     def test_deadline_matches_reevaluation(self, drawn):
-        inst, schedulable = drawn
+        inst, schedulable, placed = drawn
         before = copy.deepcopy(inst)
         rs = worstcase.remaining_structure(inst, self.SERVICES, DELTA, schedulable)
         assert inst == before
         assert set(rs.step_deadline_ms) == schedulable
         for j in schedulable:
             assert rs.step_deadline_ms[j] == _reference_deadline(inst, j, self.SERVICES)
+        # e_i once ``placed`` is placed, with every step still pending.
+        scheduled = {
+            j: worstcase.step_coefficient_ms(inst.steps[j], self.SERVICES, DELTA) for j in placed
+        }
+        assert rs.remaining_ms(placed) == remaining_duration(inst, self.SERVICES, DELTA, scheduled)
