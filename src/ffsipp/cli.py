@@ -1,7 +1,6 @@
 """Command-line entry points: ``ffsipp run`` and ``ffsipp report``."""
 from __future__ import annotations
 
-import importlib.resources
 import sys
 from pathlib import Path
 
@@ -9,24 +8,6 @@ import click
 
 from . import experiment
 from .landscape import ScenarioError
-
-
-def resolve_scenario(name: str) -> str:
-    """Accept a file path or the name of a bundled preset."""
-    if Path(name).exists():
-        return name
-    stem = name.removesuffix(".yaml")
-    resource = importlib.resources.files("ffsipp.presets").joinpath(f"{stem}.yaml")
-    if resource.is_file():
-        return str(resource)
-    presets = sorted(
-        p.name.removesuffix(".yaml")
-        for p in importlib.resources.files("ffsipp.presets").iterdir()
-        if p.name.endswith(".yaml")
-    )
-    raise click.BadParameter(
-        f"{name!r} is neither a file nor a preset (presets: {', '.join(presets)})"
-    )
 
 
 @click.group()
@@ -51,7 +32,7 @@ def run_cmd(scenario, approach, seeds, out_dir, dump_lp_dir, sla_factor, workers
     """Execute seeded runs and write metrics, usage, audit, and aggregate files."""
     try:
         config = experiment.ExperimentConfig(
-            scenario_path=resolve_scenario(scenario),
+            scenario_path=scenario,
             approaches=tuple(a.strip() for a in approach.split(",") if a.strip()),
             seeds=tuple(int(s) for s in seeds.split(",") if s.strip()),
             out_dir=out_dir,

@@ -56,16 +56,20 @@ class ExperimentConfig:
 
 
 def load_scenario(config: ExperimentConfig) -> Scenario:
+    """Parse the scenario file ``config.scenario_path`` or, if there is no
+    such file, the bundled preset of that name (``.yaml`` optional)."""
     path = Path(config.scenario_path)
     if path.exists():
         text = path.read_text()
     else:
-        preset = resources.files("ffsipp.presets").joinpath(
-            f"{config.scenario_path}.yaml"
-        )
+        presets = resources.files("ffsipp.presets")
+        preset = presets.joinpath(config.scenario_path.removesuffix(".yaml") + ".yaml")
         if not preset.is_file():
+            names = sorted(p.name.removesuffix(".yaml") for p in presets.iterdir()
+                           if p.name.endswith(".yaml"))
             raise ScenarioError(
-                f"scenario file or preset not found: {config.scenario_path}"
+                f"{config.scenario_path!r} is neither a file nor a preset "
+                f"(presets: {', '.join(names)})"
             )
         text = preset.read_text()
     scenario = parse_scenario(text)

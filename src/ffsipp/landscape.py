@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import re as _re
+import sys
 from dataclasses import dataclass, field
 
 import yaml
@@ -95,20 +96,16 @@ class WorkflowNode:
 class ProcessModel:
     id: int
     root: WorkflowNode
-    step_nodes: list[WorkflowNode] = field(default_factory=list, repr=False)
+    nodes: list[WorkflowNode] = field(init=False, repr=False)  # pre-order, by node_id
+    step_nodes: list[WorkflowNode] = field(init=False, repr=False)  # by step_index
 
     def __post_init__(self):
-        self.step_nodes = []
-        self._assign_ids(self.root, [0])
-
-    def _assign_ids(self, node: WorkflowNode, counter: list[int]):
-        node.node_id = counter[0]
-        counter[0] += 1
-        if node.kind == STEP:
-            node.step_index = len(self.step_nodes)
-            self.step_nodes.append(node)
-        for child in node.children:
-            self._assign_ids(child, counter)
+        self.nodes = list(_iter_nodes(self.root))
+        self.step_nodes = [node for node in self.nodes if node.kind == STEP]
+        for i, node in enumerate(self.nodes):
+            node.node_id = i
+        for i, node in enumerate(self.step_nodes):
+            node.step_index = i
 
     @functools.cached_property
     def paths(self) -> "PathDecomposition":
@@ -187,7 +184,7 @@ def make_instance(
         penalty_rate=penalty_rate,
         steps=steps,
     )
-    for node in _iter_nodes(model.root):
+    for node in model.nodes:
         if node.kind == REPEAT_LOOP:
             inst.loop_iters_done[node.node_id] = 0
             planned = node.repetitions
@@ -207,8 +204,11 @@ def _iter_nodes(node: WorkflowNode):
 # Structural queries
 
 
-def _node_state(inst: ProcessInstance, node: WorkflowNode) -> tuple[set[int], bool]:
-    """Return (ready step indices, node fully done)."""
+def _node_state(
+    inst: ProcessInstance, node: WorkflowNode, pending: list[int] | None = None
+) -> tuple[set[int], bool]:
+    """Return (ready step indices, node fully done). Enabled XOR blocks with
+    no chosen branch are appended to ``pending``, if given, in tree order."""
     if node.kind == STEP:
         st = inst.steps[node.step_index].status
         if st in (DONE, SKIPPED):
@@ -218,7 +218,7 @@ def _node_state(inst: ProcessInstance, node: WorkflowNode) -> tuple[set[int], bo
         return set(), False  # running
     if node.kind == SEQUENCE or node.kind == REPEAT_LOOP:
         for child in node.children:
-            ready, child_done = _node_state(inst, child)
+            ready, child_done = _node_state(inst, child, pending)
             if not child_done:
                 return ready, False
         return set(), True
@@ -226,7 +226,7 @@ def _node_state(inst: ProcessInstance, node: WorkflowNode) -> tuple[set[int], bo
         ready: set[int] = set()
         all_done = True
         for child in node.children:
-            r, d = _node_state(inst, child)
+            r, d = _node_state(inst, child, pending)
             ready |= r
             all_done = all_done and d
         return ready, all_done  # blocking merge
@@ -235,8 +235,10 @@ def _node_state(inst: ProcessInstance, node: WorkflowNode) -> tuple[set[int], bo
         if choice is None:
             # Branch chosen by the simulator when the block is reached; until
             # then the block exposes no ready steps.
+            if pending is not None:
+                pending.append(node.node_id)
             return set(), False
-        return _node_state(inst, node.children[choice])
+        return _node_state(inst, node.children[choice], pending)
     raise AssertionError(node.kind)
 
 
@@ -249,34 +251,13 @@ def next_steps(inst: ProcessInstance) -> set[int]:
 def pending_xor_choices(inst: ProcessInstance) -> list[int]:
     """Enabled XOR blocks whose branch has not been chosen yet, in tree order."""
     pending: list[int] = []
-
-    def walk(node: WorkflowNode) -> bool:
-        # returns done
-        if node.kind == STEP:
-            return inst.steps[node.step_index].status in (DONE, SKIPPED)
-        if node.kind in (SEQUENCE, REPEAT_LOOP):
-            for child in node.children:
-                if not walk(child):
-                    return False
-            return True
-        if node.kind == AND_BLOCK:
-            done = True
-            for child in node.children:
-                done = walk(child) and done
-            return done
-        choice = inst.xor_choices.get(node.node_id)
-        if choice is None:
-            pending.append(node.node_id)
-            return False
-        return walk(node.children[choice])
-
-    walk(inst.model.root)
+    _node_state(inst, inst.model.root, pending)
     return pending
 
 
 def apply_xor_choice(inst: ProcessInstance, node_id: int, branch: int):
     """Record a branch choice and mark the other branches' steps skipped."""
-    node = _find_node(inst.model.root, node_id)
+    node = inst.model.nodes[node_id]
     inst.xor_choices[node_id] = branch
     for i, child in enumerate(node.children):
         if i == branch:
@@ -296,7 +277,7 @@ def advance_loops(inst: ProcessInstance) -> list[tuple[int, list[int]]]:
     changed = True
     while changed:
         changed = False
-        for node in _iter_nodes(inst.model.root):
+        for node in inst.model.nodes:
             if node.kind != REPEAT_LOOP:
                 continue
             _, body_done = _node_state(inst, node)
@@ -324,13 +305,6 @@ def advance_loops(inst: ProcessInstance) -> list[tuple[int, list[int]]]:
     return restarted
 
 
-def _find_node(root: WorkflowNode, node_id: int) -> WorkflowNode:
-    for node in _iter_nodes(root):
-        if node.node_id == node_id:
-            return node
-    raise KeyError(node_id)
-
-
 @dataclass
 class PathDecomposition:
     """Structural positions of a model's steps.
@@ -349,12 +323,7 @@ def enumerate_paths(model: ProcessModel) -> PathDecomposition:
     dec = PathDecomposition([], [], [], [])
 
     def flatten(node: WorkflowNode) -> list[int]:
-        if node.kind == STEP:
-            return [node.step_index]
-        out: list[int] = []
-        for child in node.children:
-            out.extend(flatten(child))
-        return out
+        return [n.step_index for n in _iter_nodes(node) if n.kind == STEP]
 
     def walk(node: WorkflowNode):
         if node.kind == STEP:
@@ -373,25 +342,24 @@ def enumerate_paths(model: ProcessModel) -> PathDecomposition:
     return dec
 
 
+def _critical_path(node: WorkflowNode, services: dict[str, ServiceType]) -> tuple[float, int]:
+    """(mean service seconds, deployment overhead ms) along the path with the
+    longest mean service time: sequences sum, AND/XOR take the longest
+    branch, loops multiply by their maximum repetitions."""
+    if node.kind == STEP:
+        svc = services[node.service]
+        return svc.duration_ms / 1000.0, svc.image_pull_ms + svc.container_start_ms
+    parts = [_critical_path(c, services) for c in node.children]
+    if node.kind in (AND_BLOCK, XOR_BLOCK):
+        return max(parts, key=lambda p: p[0])
+    reps = node.repetitions if node.kind == REPEAT_LOOP else 1
+    return reps * sum(p[0] for p in parts), reps * sum(p[1] for p in parts)
+
+
 def average_makespan(model: ProcessModel, services: dict[str, ServiceType]) -> float:
-    """Service-time-only makespan in seconds using mean durations.
-
-    Sequences sum, AND/XOR take the longest branch, loops multiply by their
-    maximum repetitions. VM/container overheads are excluded.
-    """
-
-    def value(node: WorkflowNode) -> float:
-        if node.kind == STEP:
-            return services[node.service].duration_ms / 1000.0
-        if node.kind == SEQUENCE:
-            return sum(value(c) for c in node.children)
-        if node.kind in (AND_BLOCK, XOR_BLOCK):
-            return max(value(c) for c in node.children)
-        if node.kind == REPEAT_LOOP:
-            return node.repetitions * sum(value(c) for c in node.children)
-        raise AssertionError(node.kind)
-
-    return value(model.root)
+    """Service-time-only makespan in seconds using mean durations; VM and
+    container overheads are excluded."""
+    return _critical_path(model.root, services)[0]
 
 
 def critical_path_overhead_ms(
@@ -399,28 +367,7 @@ def critical_path_overhead_ms(
 ) -> int:
     """Expected one-off deployment overheads along the makespan-critical path:
     one VM startup for the instance plus pull + container start per step."""
-
-    def value(node: WorkflowNode) -> tuple[float, int]:
-        if node.kind == STEP:
-            svc = services[node.service]
-            return (
-                svc.duration_ms / 1000.0,
-                svc.image_pull_ms + svc.container_start_ms,
-            )
-        if node.kind == SEQUENCE:
-            parts = [value(c) for c in node.children]
-            return sum(p[0] for p in parts), sum(p[1] for p in parts)
-        if node.kind in (AND_BLOCK, XOR_BLOCK):
-            return max((value(c) for c in node.children), key=lambda p: p[0])
-        if node.kind == REPEAT_LOOP:
-            parts = [value(c) for c in node.children]
-            return (
-                node.repetitions * sum(p[0] for p in parts),
-                node.repetitions * sum(p[1] for p in parts),
-            )
-        raise AssertionError(node.kind)
-
-    return startup_ms + value(model.root)[1]
+    return startup_ms + _critical_path(model.root, services)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +578,11 @@ def parse_scenario(text: str) -> Scenario:
         if mid in seen_ids:
             raise ScenarioError(f"duplicate model id {mid}")
         seen_ids.add(mid)
-        root = parse_structure(str(entry["structure"]))
-        model = ProcessModel(id=mid, root=root)
+        model = ProcessModel(id=mid, root=parse_structure(str(entry["structure"])))
+        loops = sum(node.kind == REPEAT_LOOP for node in model.nodes)
+        if loops != len(model.paths.loops):
+            # The worst case and the loop sampling see top-level loops only.
+            raise ScenarioError(f"model {mid}: a loop inside a block or loop is not supported")
         explicit = entry.get("steps")
         if explicit is not None:
             if not isinstance(explicit, list):
@@ -720,11 +670,17 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def _number(name: str, value, kind=float):
-    """``value`` converted by ``kind``, or a ScenarioError naming the key."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{name} must be a number, got {value!r}") from None
+    """``value`` converted by ``kind``, or a ScenarioError naming the key.
+
+    Only finite YAML numbers are accepted: no bools, no strings, no nan or
+    inf, and for int keys no fractional values."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # also false for nan
+        raise ScenarioError(f"{name} must be a finite number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ScenarioError(f"{name} must be a whole number, got {value!r}")
+    return kind(value)
 
 
 def _section(raw: dict, key: str) -> dict:

@@ -243,7 +243,7 @@ class Simulator:
         pending = pending_xor_choices(inst)
         while pending:
             for node_id in pending:
-                node = landscape._find_node(inst.model.root, node_id)
+                node = inst.model.nodes[node_id]
                 apply_xor_choice(inst, node_id, int(rng.integers(len(node.children))))
             pending = pending_xor_choices(inst)
 

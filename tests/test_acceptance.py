@@ -2,7 +2,6 @@
 adherence bands for both approaches, baseline dominance, arrival pattern
 totals, and byte-identical determinism."""
 
-import importlib.resources
 import pathlib
 import statistics
 import time
@@ -15,16 +14,13 @@ from ffsipp import experiment, landscape, milp, optimizer, sim, worstcase
 from ffsipp.landscape import Weights
 from ffsipp.milp import BOOLEAN, CONTINUOUS, INTEGER, MilpProblem
 
-from .conftest import assert_highs_reads_back, instance, remaining_duration, vm_type
+from .conftest import assert_highs_reads_back, instance, preset_text, remaining_duration, vm_type
 
 SEEDS = (1, 2, 3)
 
 
 def load_scenario(name: str) -> landscape.Scenario:
-    text = (
-        importlib.resources.files("ffsipp.presets").joinpath(f"{name}.yaml").read_text()
-    )
-    return landscape.parse_scenario(text)
+    return landscape.parse_scenario(preset_text(name))
 
 
 @pytest.fixture(scope="session")
@@ -244,12 +240,11 @@ def test_pyramid_counts_and_padding():
 
 def test_repeated_runs_are_byte_identical(tmp_path):
     outputs = []
-    preset = importlib.resources.files("ffsipp.presets").joinpath("smoke.yaml")
     for label in ("first", "second"):
         out = tmp_path / label
         experiment.run_experiment(
             experiment.ExperimentConfig(
-                scenario_path=str(preset),
+                scenario_path="smoke",
                 approaches=("ffsipp", "sipp"),
                 seeds=(1, 2),
                 out_dir=str(out),

@@ -14,7 +14,6 @@ model) with
 """
 import dataclasses
 import hashlib
-import importlib.resources
 import json
 import pathlib
 
@@ -22,6 +21,8 @@ import numpy as np
 from scipy import optimize, sparse
 
 from ffsipp import landscape, sim
+
+from .conftest import preset_text
 
 DIGESTS = pathlib.Path(__file__).parent / "data" / "highs_model_digests.json"
 PRESET = "constant_lenient_light"
@@ -57,8 +58,7 @@ def model_digest(c, integrality, bounds, constraints, options) -> str:
 
 def round_digests() -> dict[str, list[str]]:
     """Digest of every HiGHS call, per approach, in round order."""
-    text = importlib.resources.files("ffsipp.presets").joinpath(f"{PRESET}.yaml").read_text()
-    scenario = landscape.parse_scenario(text)
+    scenario = landscape.parse_scenario(preset_text(PRESET))
     scenario.arrival = dataclasses.replace(scenario.arrival, total_requests=REQUESTS)
     original = optimize.milp
     out = {}

@@ -14,6 +14,7 @@ from ffsipp.landscape import (
     advance_loops,
     apply_xor_choice,
     average_makespan,
+    critical_path_overhead_ms,
     enumerate_paths,
     next_steps,
     parse_scenario,
@@ -84,6 +85,10 @@ class TestWorkflowSemantics:
         assert next_steps(inst) == {1}
         assert inst.steps[0].status == SKIPPED
 
+    def test_pending_xor_choices_in_tree_order(self, abc_services):
+        inst = instance("AND(XOR(s|s)|XOR(s|s))", abc_services)
+        assert pending_xor_choices(inst) == [1, 4]
+
     def test_loop_restarts_body(self, abc_services):
         inst = instance("LOOP*3(s)", abc_services, ["A"])
         inst.steps[0].status = DONE
@@ -115,6 +120,16 @@ class TestDerivedQuantities:
         assert average_makespan(par, abc_services) == 120.0
         loop = instance("LOOP*3(s)", abc_services, ["A"]).model
         assert average_makespan(loop, abc_services) == 120.0
+
+    def test_critical_path_overhead_composition(self, abc_services):
+        # Each A/B/C step pulls for 30 s and starts its container in 2 s.
+        seq = instance("s,s,s", abc_services, ["A", "B", "C"]).model
+        assert critical_path_overhead_ms(seq, abc_services, 60_000) == 60_000 + 3 * 32_000
+        # The AND's longer branch (two steps, 160 s) sets the overheads.
+        par = instance("AND(s|s,s)", abc_services, ["C", "B", "B"]).model
+        assert critical_path_overhead_ms(par, abc_services, 60_000) == 60_000 + 2 * 32_000
+        loop = instance("LOOP*3(s)", abc_services, ["A"]).model
+        assert critical_path_overhead_ms(loop, abc_services, 0) == 3 * 32_000
 
     def test_step_deadline_last_step(self, abc_services):
         inst = instance("s", abc_services, ["A"], deadline_ms=1_000_000)
@@ -189,8 +204,15 @@ class TestParseScenario:
             (("arrival", "batch_models"), 1, r"^arrival\.batch_models must be a list of lists"),
             (("btu_seconds",), "x", r"^btu_seconds must be a number, got 'x'$"),
             (("models", 0, "structure"), "LOOP*(s)", r"^bad workflow structure near '\*\(s\)'$"),
+            (("solver", "fresh_candidates"), 2.7,
+             r"^solver\.fresh_candidates must be a whole number, got 2\.7$"),
+            (("services", 0, "cpu"), "45", r"^services\[0\]\.cpu must be a number, got '45'$"),
+            (("vm_types", 0, "pool_limit"), True,
+             r"^vm_types\[0\]\.pool_limit must be a number, got True$"),
+            (("weights", "z"), float("nan"), r"^weights\.z must be a finite number, got nan$"),
         ],
-        ids=["cpu", "arrival", "sla", "weights", "steps", "batch_models", "btu_seconds", "loop"],
+        ids=["cpu", "arrival", "sla", "weights", "steps", "batch_models", "btu_seconds", "loop",
+             "fractional_int", "string", "bool", "nan"],
     )
     def test_mistyped_value_rejected(self, path, value, error):
         raw = yaml.safe_load(preset_text("smoke"))
@@ -201,6 +223,12 @@ class TestParseScenario:
         section[key] = value
         with pytest.raises(ScenarioError, match=error):
             parse_scenario(yaml.safe_dump(raw))
+
+    def test_loop_below_top_level_rejected(self):
+        # The worst case counts such a loop's steps once, not per repetition.
+        text = preset_text("smoke").replace('"s,AND(s|s)"', '"s,AND(LOOP*3(s)|s)"')
+        with pytest.raises(ScenarioError, match=r"^model 2: a loop inside a block or loop"):
+            parse_scenario(text)
 
     def test_dangling_service_rejected(self):
         text = preset_text("smoke").replace(

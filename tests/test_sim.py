@@ -16,7 +16,7 @@ from ffsipp.sim import (
     sample_duration,
 )
 
-from .conftest import instance, service
+from .conftest import instance, preset_text, service
 
 
 class TestArrivalPyramid:
@@ -132,10 +132,9 @@ class TestInvariants:
     def test_capacity_check_survives_optimize(self):
         # Under python -O a bare assert is gone; the invariant must still raise.
         code = """
-import importlib.resources
+import sys
 from ffsipp import landscape, sim
-text = importlib.resources.files("ffsipp.presets").joinpath("smoke.yaml").read_text()
-simulator = sim.Simulator(landscape.parse_scenario(text), "ffsipp", 1)
+simulator = sim.Simulator(landscape.parse_scenario(sys.stdin.read()), "ffsipp", 1)
 vt = simulator.sc.vm_types["p1"]
 vm = sim.VmRuntime(id="vm1", type_id="p1", leased_at_ms=0, lease_end_ms=1, ready_at_ms=0)
 vm.containers["A"] = sim.Container("A", vt.cpu_supply + 1.0, 0.0)
@@ -148,8 +147,8 @@ except sim.InvariantError as exc:
         src = str(pathlib.Path(ffsipp.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
-            timeout=60, check=True,
+            [sys.executable, "-O", "-c", code], env=env, input=preset_text("smoke"),
+            capture_output=True, text=True, timeout=60, check=True,
         )
         assert proc.stdout.strip() == "raised: vm1 over CPU capacity"
 

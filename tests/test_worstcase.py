@@ -162,6 +162,7 @@ class TestStepDeadlines:
     @given(_instances(SERVICES))
     def test_deadline_matches_reevaluation(self, drawn):
         inst, schedulable, placed = drawn
+        assert all(inst.model.nodes[n.node_id] is n for n in _nodes(inst.model.root))
         before = copy.deepcopy(inst)
         rs = worstcase.remaining_structure(inst, self.SERVICES, DELTA, schedulable)
         assert inst == before
