@@ -78,13 +78,13 @@ def plan_actions(cplan: ContainerPlan, cloud: dict[str, CloudVmView]) -> list[Ac
     freed capacity for its new deployments, its stops are hoisted ahead of
     them.
     """
-    for c in cplan.containers:
-        if not is_fresh_vm(c.vm_id) and c.vm_id not in cloud:
-            raise KeyError(f"plan references unknown VM {c.vm_id}")
+    for vm_id in [c.vm_id for c in cplan.containers] + list(cplan.lease_extensions):
+        if not is_fresh_vm(vm_id) and vm_id not in cloud:
+            raise KeyError(f"plan references unknown VM {vm_id}")
 
     leases: list[Action] = []
     for vm_id, btus in sorted(cplan.lease_extensions.items()):
-        kind = LEASE_VM if is_fresh_vm(vm_id) or vm_id not in cloud else EXTEND_LEASE
+        kind = LEASE_VM if is_fresh_vm(vm_id) else EXTEND_LEASE
         leases.append(Action(kind, vm_id, params={"btus": btus}))
 
     by_vm: dict[str, list[ContainerAssignment]] = {}

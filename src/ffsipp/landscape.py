@@ -566,6 +566,8 @@ def parse_scenario(text: str) -> Scenario:
         if vt.id in vm_types:
             raise ScenarioError(f"duplicate vm type {vt.id}")
         vm_types[vt.id] = vt
+    if not vm_types:
+        raise ScenarioError("no vm types")
 
     model_entries = _entries(raw, "models", ("id", "structure"))
     if not model_entries:

@@ -90,10 +90,11 @@ class MilpProblem:
         self.cost.append(0.0)
         return len(self.names) - 1
 
-    def add_row(self, cols, coefs, relation: str, rhs: float):
-        """Append the row ``sum(coefs[k] * x[cols[k]]) relation rhs``. A
-        column appears at most once per row. Terms are kept as given, zero
-        coefficients too, for the LP text; ``matrix`` drops the zeros."""
+    def add_row(self, cols, coefs, relation: str, rhs: float) -> int:
+        """Append the row ``sum(coefs[k] * x[cols[k]]) relation rhs`` and
+        return its index. A column appears at most once per row. Terms are
+        kept as given, zero coefficients too, for the LP text; ``matrix``
+        drops the zeros."""
         if relation == "<=":
             self.row_lower.append(_NEG_INF)
             self.row_upper.append(rhs)
@@ -108,6 +109,7 @@ class MilpProblem:
         self.indices.extend(cols)
         self.data.extend(coefs)
         self.indptr.append(len(self.indices))
+        return len(self.row_lower) - 1
 
     def integral(self) -> np.ndarray:
         """Mask of the columns with an integer domain (shared: do not modify)."""

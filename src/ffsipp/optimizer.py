@@ -87,7 +87,6 @@ class Assignment:
 
 @dataclass
 class SchedulingPlan:
-    now_ms: int
     assignments: list[Assignment]
     running: list[Assignment]
     lease_extensions: dict[str, int]  # vm id -> BTUs to lease/extend
@@ -129,11 +128,15 @@ class FfsippModel:
         self._gamma: dict[str, int] = {}
         self._ep: dict[int, int] = {}
         self._remaining: dict[int, worstcase.RemainingStructure] = {}
-        # Continuous helpers decode re-derives at their floor, the largest of
-        # ``0`` and ``sum(coefs * x[cols]) + offset`` over their rows: block
-        # remainders and free capacity first, then e^p, which reads them.
-        self._floors: list[tuple[int, list[tuple[list[int], list[float], float]]]] = []
-        self._ep_rows: list[tuple[int, list[tuple[list[int], list[float], float]]]] = []
+        # Continuous helpers and the rows that bound each from below, in
+        # creation order: an instance's block remainders precede its e^p,
+        # which reads them. Decode re-derives each at its floor.
+        self._helpers: list[tuple[int, list[int]]] = []
+        # instance -> its longest running remainder
+        self._ex_run: dict[int, int] = {}
+        for vm in state.fleet:
+            for iid, _, rem in vm.running_steps:
+                self._ex_run[iid] = max(self._ex_run.get(iid, rem), rem)
         self._build()
         cost = self.problem.cost
         for cols, coefs in self._terms.values():
@@ -165,15 +168,6 @@ class FfsippModel:
 
     def _vm_type(self, vm: VmSnapshot) -> VmType:
         return self.state.vm_types[vm.type_id]
-
-    def _baseline_allows(self, service: str, vm: VmSnapshot) -> bool:
-        if not self.baseline:
-            return True
-        # A VM keeps its single offered type for its whole lease; only a VM
-        # that never hosted a container may still pick one.
-        if vm.offered_service is not None:
-            return service == vm.offered_service
-        return True
 
     def _occupancy_ms(self, inst: ProcessInstance, j: int, vm: VmSnapshot) -> int:
         step = inst.steps[j]
@@ -235,7 +229,14 @@ class FfsippModel:
                         f"step {inst.id}/{j} ({step.service}, {step.cpu_demand}%) "
                         f"exceeds every VM type's supply"
                     )
-                schedulable[j] = [vm for vm in fitting if self._baseline_allows(step.service, vm)]
+                # Baseline: a VM keeps its single offered type for its whole
+                # lease; only a VM that never hosted a container may still
+                # pick one.
+                schedulable[j] = [
+                    vm
+                    for vm in fitting
+                    if not self.baseline or vm.offered_service in (None, step.service)
+                ]
             self._instance_rows(inst, schedulable, tau)
 
         # Baseline type exclusivity.
@@ -296,8 +297,7 @@ class FfsippModel:
         """f >= supply*g - used  <=>  f + used - supply*g >= -running_load"""
         if supply:
             cols, coefs = cols + [g], coefs + [-supply]
-        self.problem.add_row(cols + [f], coefs + [1.0], ">=", -run)
-        self._floors.append((f, [(cols, [-c for c in coefs], -run)]))
+        self._helpers.append((f, [self.problem.add_row(cols + [f], coefs + [1.0], ">=", -run)]))
         self._term("free_capacity", f, weight)
 
     def _running_demand(self, vm: VmSnapshot) -> tuple[float, float]:
@@ -315,15 +315,6 @@ class FfsippModel:
             inst, self.state.services, self.delta_ms, set(schedulable)
         )
         self._remaining[inst.id] = rs
-        ex_run = max(
-            (
-                rem
-                for vm in self.state.fleet
-                for iid, j, rem in vm.running_steps
-                if iid == inst.id
-            ),
-            default=0,
-        )
 
         # Placement variables with their objective contributions.
         placed: dict[int, list[tuple[int, int]]] = {}  # step -> (column, occupancy)
@@ -369,42 +360,33 @@ class FfsippModel:
         # serialised in the deadline row.  The "next" family prices the branch
         # as seen one round later: a head scheduled now has already run for
         # epsilon by then, an unscheduled one still costs the full branch.
-        block_heads: set[int] = set()
         block_cols: tuple[list[int], list[int]] = ([], [])  # this round, next round
         for block in rs.blocks:
             pair = (
                 p.add_var(f"eblk__{inst.id}__{block.node_id}", milp.CONTINUOUS, 0, math.inf),
                 p.add_var(f"eblkn__{inst.id}__{block.node_id}", milp.CONTINUOUS, 0, math.inf),
             )
-            floors: tuple[list, list] = ([], [])
+            rows: tuple[list[int], list[int]] = ([], [])
             for const, coefs in block.rows:
-                for b, eps, b_floors in zip(pair, (0, cfg.epsilon_ms), floors):
+                for b, eps, b_rows in zip(pair, (0, cfg.epsilon_ms), rows):
                     cols, reds = [], []
                     for j, coef in coefs.items():
-                        block_heads.add(j)
                         for col, occ in placed.get(j, ()):
                             if coef + eps - occ:
                                 cols.append(col)
                                 reds.append(float(coef + eps - occ))
-                    p.add_row([b] + cols, [1.0] + reds, ">=", const)
-                    b_floors.append((cols, [-r for r in reds], float(const)))
-            for b, b_cols, b_floors in zip(pair, block_cols, floors):
+                    b_rows.append(p.add_row([b] + cols, [1.0] + reds, ">=", const))
+            for b, b_cols, b_rows in zip(pair, block_cols, rows):
                 b_cols.append(b)
-                self._floors.append((b, b_floors))
+                self._helpers.append((b, b_rows))
 
         # Deadline / penalty coupling for this round and the next.
         ep = p.add_var(f"ep__{inst.id}", milp.CONTINUOUS, 0, math.inf)
         self._ep[inst.id] = ep
         self._term("penalty", ep, inst.penalty_rate)
 
-        covered = set(rs.step_reduction_ms) | block_heads
-        uncovered = [
-            (col, float(occ))
-            for j, cols in placed.items()
-            if j not in covered
-            for col, occ in cols
-            if occ
-        ]
+        # Every schedulable step is either reduced in sequence or a block head.
+        ex_run = self._ex_run.get(inst.id, 0)
         rows = []
         for eps, b_cols, run in ((0, block_cols[0], ex_run), (cfg.epsilon_ms, block_cols[1], 0)):
             terms = [
@@ -413,13 +395,11 @@ class FfsippModel:
                 for col, occ in placed.get(j, ())
                 if occ - red - eps
             ]
-            terms += uncovered
             terms += [(b, 1.0) for b in b_cols]
             cols, coefs = [col for col, _ in terms], [c for _, c in terms]
             rhs = inst.deadline_ms - (tau + eps) - run - float(rs.constant_ms)
-            p.add_row(cols + [ep], coefs + [-1.0], "<=", rhs)
-            rows.append((cols, coefs, -rhs))
-        self._ep_rows.append((ep, rows))
+            rows.append(p.add_row(cols + [ep], coefs + [-1.0], "<=", rhs))
+        self._helpers.append((ep, rows))
 
     def _baseline_rows(self):
         """One service type per VM: u variables, exclusivity, x <= u."""
@@ -472,17 +452,20 @@ class FfsippModel:
         # + 0.0 turns a rounded -0.0 into 0.0
         values = np.where(integral, rounded + 0.0, x).tolist()
 
-        # Re-derive continuous helpers from their defining floors so the
-        # decoded point is exactly feasible.
-        for helpers in (self._floors, self._ep_rows):
-            for col, rows in helpers:
-                values[col] = max(
-                    0.0,
-                    max(
-                        0.0 + sum(map(mul, coefs, map(values.__getitem__, cols))) + offset
-                        for cols, coefs, offset in rows
-                    ),
-                )
+        # Re-derive continuous helpers at their floors, read off the model's
+        # own rows, so the decoded point is exactly feasible. A helper's
+        # coefficient ``a`` is +1 on its ``>=`` rows and -1 on its ``<=``
+        # rows, so ``a`` is also its inverse.
+        p = self.problem
+        for col, rows in self._helpers:
+            floor = 0.0
+            for row in rows:
+                relation, bound = p.row_relation(row)
+                a = 1.0 if relation == ">=" else -1.0
+                cols, coefs = p.row_terms(row)
+                others = [(-c * a) * values[k] for k, c in zip(cols, coefs) if k != col]
+                floor = max(floor, 0.0 + sum(others) + a * bound)
+            values[col] = floor
 
         assignments = [a for col, a in self._x if values[col] > 0.5]
         running = [
@@ -516,7 +499,6 @@ class FfsippModel:
         total = sum(terms.values())
         self._check_objective(total, solution)
         return SchedulingPlan(
-            now_ms=self.state.now_ms,
             assignments=assignments,
             running=running,
             lease_extensions=leases,

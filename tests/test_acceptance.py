@@ -101,8 +101,8 @@ def test_lp_export_read_by_highs_on_random_problems():
 
 
 def test_every_round_produced_a_verified_plan(full_runs):
-    # Round-level verification and transformation capacity/uniqueness checks
-    # are asserted inside the simulator; the counters attest they all ran.
+    # Round-level verification and the container capacity check are
+    # asserted inside the simulator; the counters attest they all ran.
     for (name, approach, seed), report in full_runs.items():
         assert report.rounds > 0, (name, approach, seed)
         assert report.verified_plans == report.rounds - report.fallbacks

@@ -19,7 +19,6 @@ def assignment(iid, j, vm_id, service, cpu, occupancy_ms=100_000):
 
 def plan(assignments, running=(), lease_extensions=None, gamma=None):
     return SchedulingPlan(
-        now_ms=0,
         assignments=list(assignments),
         running=list(running),
         lease_extensions=lease_extensions or {},
@@ -108,9 +107,12 @@ class TestPlanActions:
         )
 
     def test_unknown_vm_rejected(self):
-        p = plan([assignment(1, 0, "vm9", "A", 45.0)])
-        with pytest.raises(KeyError):
-            plan_actions(transform(p), {})
+        for p in (
+            plan([assignment(1, 0, "vm9", "A", 45.0)]),
+            plan([], lease_extensions={"vm9": 1}),  # lease-only
+        ):
+            with pytest.raises(KeyError, match="unknown VM vm9"):
+                plan_actions(transform(p), {})
 
     def test_audit_line_format(self):
         act = controller.Action(

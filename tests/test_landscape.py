@@ -157,6 +157,16 @@ class TestParseScenario:
         with pytest.raises(ScenarioError):
             parse_scenario(text)
 
+    @pytest.mark.parametrize(
+        "section, error",
+        [("services", "no services"), ("vm_types", "no vm types"), ("models", "no process models")],
+    )
+    def test_empty_section_rejected(self, section, error):
+        raw = yaml.safe_load(preset_text("smoke"))
+        raw[section] = []
+        with pytest.raises(ScenarioError, match=rf"^{error}$"):
+            parse_scenario(yaml.safe_dump(raw))
+
     def test_negative_free_capacity_weight_rejected(self):
         for old, new in (("f_cpu: 0.01", "f_cpu: -0.01"), ("f_ram: 0", "f_ram: -0.01")):
             text = preset_text("smoke").replace(old, new)

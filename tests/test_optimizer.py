@@ -74,18 +74,32 @@ class TestSingleStep:
 
 
 class TestDecodeGapLimited:
-    """A gap-limited incumbent may leave free-capacity slack above its floor;
-    decode repairs it and reports the lower, repaired objective."""
+    """A gap-limited incumbent may leave a continuous helper above its floor;
+    decode repairs it from the model's rows and reports the repaired objective."""
 
-    def padded(self, abc_services):
-        model = build(TestSingleStep().single_step_state(abc_services), config())
+    def padded(self, abc_services, prefix="fC__"):
+        # Two parallel heads (one AND block) that miss the deadline by 32 s.
+        inst = instance("AND(s|s)", abc_services, ["A", "A"], deadline_ms=100_000)
+        types = {"p1": vm_type("p1", cores=1, cost=10.0)}
+        model = build(state([inst], abc_services, types), config())
         exact = milp.solve(model.problem, gap_tol=1e-9)
+        (col,) = [i for i, n in enumerate(model.problem.names) if n.startswith(prefix)]
         values = exact.values.copy()
-        values[model.problem.names.index(f"fC__{model.candidates[0].id}")] += 5.0
+        values[col] = model.decode(exact).milp_values[col] + 5.0
         padded = milp.MilpSolution(
-            milp.GAP_LIMIT, values, exact.objective_value + 5.0 * WEIGHTS.f_cpu, exact.bound
+            milp.GAP_LIMIT,
+            values,
+            exact.objective_value + 5.0 * model.problem.cost[col],
+            exact.bound,
         )
         return model, exact, padded
+
+    @pytest.mark.parametrize("prefix", ["fC__", "eblk__", "eblkn__", "ep__"])
+    def test_helper_repaired_to_its_floor(self, abc_services, prefix):
+        model, exact, padded = self.padded(abc_services, prefix)
+        plan = model.decode(padded)
+        assert plan.milp_values == model.decode(exact).milp_values
+        assert milp.verify(model.problem, plan.milp_values) == []
 
     def test_repaired_objective_reported(self, abc_services):
         model, exact, padded = self.padded(abc_services)

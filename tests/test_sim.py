@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ffsipp
-from ffsipp import milp, sim
+from ffsipp import controller, milp, sim
 from ffsipp.sim import (
     Simulator,
     arrival_pyramid,
@@ -111,6 +111,19 @@ class TestEndToEnd:
         with pytest.raises(sim.InvariantError, match="violates its model"):
             sim.run(smoke_scenario, "ffsipp", 1)
 
+    def test_oversized_container_is_refused(self, smoke_scenario, monkeypatch):
+        transform = controller.transform
+
+        def oversize_first_container(plan):
+            cplan = transform(plan)
+            if cplan.containers:
+                cplan.containers[0].cpu_size = 1e9  # beyond every VM type's supply
+            return cplan
+
+        monkeypatch.setattr(controller, "transform", oversize_first_container)
+        with pytest.raises(sim.InvariantError, match="over .*capacity"):
+            sim.run(smoke_scenario, "ffsipp", 1)
+
     def test_round_without_incumbent_falls_back(self, smoke_scenario, monkeypatch):
         solve, calls = milp.solve, []
 
@@ -136,7 +149,7 @@ import sys
 from ffsipp import landscape, sim
 simulator = sim.Simulator(landscape.parse_scenario(sys.stdin.read()), "ffsipp", 1)
 vt = simulator.sc.vm_types["p1"]
-vm = sim.VmRuntime(id="vm1", type_id="p1", leased_at_ms=0, lease_end_ms=1, ready_at_ms=0)
+vm = sim.VmRuntime(id="vm1", type_id="p1", lease_end_ms=1, ready_at_ms=0)
 vm.containers["A"] = sim.Container("A", vt.cpu_supply + 1.0, 0.0)
 simulator.vms["vm1"] = vm
 try:

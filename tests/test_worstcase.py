@@ -167,6 +167,10 @@ class TestStepDeadlines:
         rs = worstcase.remaining_structure(inst, self.SERVICES, DELTA, schedulable)
         assert inst == before
         assert set(rs.step_deadline_ms) == schedulable
+        # Each schedulable step is reduced in sequence or heads a block, never both.
+        heads = {j for b in rs.blocks for _, coefs in b.rows for j in coefs}
+        assert not set(rs.step_reduction_ms) & heads
+        assert set(rs.step_reduction_ms) | heads == schedulable
         for j in schedulable:
             assert rs.step_deadline_ms[j] == _reference_deadline(inst, j, self.SERVICES)
         # e_i once ``placed`` is placed, with every step still pending.
