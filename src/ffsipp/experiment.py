@@ -48,6 +48,10 @@ class ExperimentConfig:
             raise ValueError("at least one seed is required")
         if not self.approaches:
             raise ValueError("at least one approach is required")
+        for name, values in (("seeds", self.seeds), ("approaches", self.approaches)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"repeated {name}: {repeated}")
         unknown = set(self.approaches) - {sim.FFSIPP, sim.SIPP}
         if unknown:
             raise ValueError(f"unknown approaches: {sorted(unknown)}")
@@ -59,7 +63,7 @@ def load_scenario(config: ExperimentConfig) -> Scenario:
     """Parse the scenario file ``config.scenario_path`` or, if there is no
     such file, the bundled preset of that name (``.yaml`` optional)."""
     path = Path(config.scenario_path)
-    if path.exists():
+    if path.is_file():
         text = path.read_text()
     else:
         presets = resources.files("ffsipp.presets")
@@ -96,7 +100,7 @@ def _run_one(args) -> tuple[str, int, sim.MetricsReport]:
 
 
 def run_experiment(config: ExperimentConfig) -> dict[tuple[str, int], sim.MetricsReport]:
-    """Execute all runs and write metrics.csv, usage/audit files, aggregate.csv."""
+    """Execute all runs; write metrics.csv, usage/audit files, and ``report``'s aggregate.csv."""
     scenario = load_scenario(config)  # validate before spawning workers
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -127,7 +131,7 @@ def run_experiment(config: ExperimentConfig) -> dict[tuple[str, int], sim.Metric
                 }
             )
     (out / "metrics.csv").write_text(render_metrics(rows))
-    (out / "aggregate.csv").write_text(render_aggregate(aggregate(rows)))
+    report(config.out_dir)
     for (approach, seed), rep in sorted(reports.items()):
         usage = io.StringIO()
         writer = csv.writer(usage, lineterminator="\n")

@@ -115,16 +115,17 @@ class ProcessModel:
 
 @dataclass
 class StepState:
-    index: int
     service: str
     status: str = PENDING
     cpu_demand: float = 0.0
     ram_demand: float = 0.0
     expected_ms: int = 0
+    # Only the benchmark's snapshot generator writes these four; nothing in
+    # ffsipp reads them (ROADMAP item 1 drops them).
     assigned_vm: str | None = None
     remaining_ms: int | None = None
     scheduled_at: int | None = None
-    runs: int = 0  # completed invocations (loops re-run steps)
+    runs: int = 0
 
 
 @dataclass
@@ -169,7 +170,6 @@ def make_instance(
         svc = services[node.service]
         steps.append(
             StepState(
-                index=i,
                 service=node.service,
                 cpu_demand=step_cpu[i] if step_cpu else svc.cpu_demand,
                 ram_demand=svc.ram_demand,
@@ -290,11 +290,7 @@ def advance_loops(inst: ProcessInstance) -> list[tuple[int, list[int]]]:
             reset: list[int] = []
             for sub in _iter_nodes(node):
                 if sub.kind == STEP:
-                    s = inst.steps[sub.step_index]
-                    s.status = PENDING
-                    s.assigned_vm = None
-                    s.remaining_ms = None
-                    s.scheduled_at = None
+                    inst.steps[sub.step_index].status = PENDING
                     reset.append(sub.step_index)
                 elif sub.kind == XOR_BLOCK:
                     inst.xor_choices.pop(sub.node_id, None)

@@ -132,10 +132,17 @@ class FfsippModel:
         # creation order: an instance's block remainders precede its e^p,
         # which reads them. Decode re-derives each at its floor.
         self._helpers: list[tuple[int, list[int]]] = []
-        # instance -> its longest running remainder
+        # Leased VM -> its running steps (occupancy = remainder), in fleet
+        # order; instance -> its longest running remainder.
+        self._running: dict[str, list[Assignment]] = {}
         self._ex_run: dict[int, int] = {}
         for vm in state.fleet:
-            for iid, _, rem in vm.running_steps:
+            running = self._running[vm.id] = []
+            for iid, j, rem in vm.running_steps:
+                step = self._instances[iid].steps[j]
+                running.append(
+                    Assignment(iid, j, vm.id, step.service, step.cpu_demand, step.ram_demand, rem)
+                )
                 self._ex_run[iid] = max(self._ex_run.get(iid, rem), rem)
         self._build()
         cost = self.problem.cost
@@ -247,7 +254,9 @@ class FfsippModel:
         for vm in self.candidates:
             vt = self._vm_type(vm)
             y, g = self._y[vm.id], self._g[vm.id]
-            run_cpu, run_ram = self._running_demand(vm)
+            running = self._running.get(vm.id, [])
+            run_cpu = sum((a.cpu_demand for a in running), 0.0)
+            run_ram = sum((a.ram_demand for a in running), 0.0)
             vm_x = self._vm_x[vm.id]
             cpu_cols = [col for col, a in vm_x if a.cpu_demand]
             cpu = [a.cpu_demand for _, a in vm_x if a.cpu_demand]
@@ -266,7 +275,7 @@ class FfsippModel:
             self._free_row(fr, ram_cols, ram, g, ram_supply, run_ram, w.f_ram)
 
             # Lease coverage for running steps.
-            max_run = max((rem for _, _, rem in vm.running_steps), default=0)
+            max_run = max((a.occupancy_ms for a in running), default=0)
             if max_run > vm.lease_remaining_ms:
                 p.add_row((y,), (float(vt.btu_ms),), ">=", max_run - vm.lease_remaining_ms)
 
@@ -299,14 +308,6 @@ class FfsippModel:
             cols, coefs = cols + [g], coefs + [-supply]
         self._helpers.append((f, [self.problem.add_row(cols + [f], coefs + [1.0], ">=", -run)]))
         self._term("free_capacity", f, weight)
-
-    def _running_demand(self, vm: VmSnapshot) -> tuple[float, float]:
-        cpu = ram = 0.0
-        for iid, j, _ in vm.running_steps:
-            step = self._instances[iid].steps[j]
-            cpu += step.cpu_demand
-            ram += step.ram_demand
-        return cpu, ram
 
     def _instance_rows(self, inst: ProcessInstance, schedulable, tau: int):
         cfg, w = self.config, self.config.weights
@@ -468,19 +469,6 @@ class FfsippModel:
             values[col] = floor
 
         assignments = [a for col, a in self._x if values[col] > 0.5]
-        running = [
-            Assignment(
-                instance_id=iid,
-                step_index=j,
-                vm_id=vm.id,
-                service=self._running_step(iid, j).service,
-                cpu_demand=self._running_step(iid, j).cpu_demand,
-                ram_demand=self._running_step(iid, j).ram_demand,
-                occupancy_ms=rem,
-            )
-            for vm in self.state.fleet
-            for iid, j, rem in vm.running_steps
-        ]
         leases = {
             vm.id: int(round(values[self._y[vm.id]]))
             for vm in self.candidates
@@ -500,7 +488,7 @@ class FfsippModel:
         self._check_objective(total, solution)
         return SchedulingPlan(
             assignments=assignments,
-            running=running,
+            running=[a for on_vm in self._running.values() for a in on_vm],
             lease_extensions=leases,
             gamma=gamma,
             penalties_ms=penalties,
@@ -525,9 +513,6 @@ class FfsippModel:
             raise ValueError(
                 f"objective breakdown {total} is below solver bound {solution.bound}"
             )
-
-    def _running_step(self, iid: int, j: int):
-        return self._instances[iid].steps[j]
 
 
 BASELINE_DEPLOY_MS = 30_000

@@ -82,10 +82,9 @@ def penalty_units(inst: ProcessInstance, finish_ms: int, policy: str = "fraction
 
 @dataclass
 class Container:
-    service: str
     cpu_size: float
     ram_size: float
-    invocations: set = field(default_factory=set)  # (instance id, step index)
+    invocations: dict = field(default_factory=dict)  # (instance id, step index) -> finish ms
 
 
 @dataclass
@@ -152,7 +151,6 @@ class Simulator:
         self.fallbacks = 0
         self.verified_plans = 0
         self._wakeup_at: int | None = None
-        self._last_finish_ms = 0
         self.config = optimizer.OptimizerConfig.from_scenario(scenario)
 
     # -- setup -------------------------------------------------------------
@@ -292,14 +290,11 @@ class Simulator:
     def _finish_step(self, iid: int, j: int, vm_id: str):
         inst = self.instances[iid]
         step = inst.steps[j]
-        if step.status != RUNNING or step.assigned_vm != vm_id:
-            raise InvariantError(f"step {iid}/{j} finished on {vm_id} but was not running there")
+        vm = self.vms.get(vm_id)
+        cont = vm.containers.get(step.service) if vm is not None else None
+        if cont is None or cont.invocations.pop((iid, j), None) != self.clock:
+            raise InvariantError(f"step {iid}/{j} was not due to finish on {vm_id} at {self.clock}")
         step.status = DONE
-        step.runs += 1
-        step.remaining_ms = None
-        vm = self.vms[vm_id]
-        cont = vm.containers[step.service]
-        cont.invocations.discard((iid, j))
         cont.cpu_size = max(0.0, cont.cpu_size - step.cpu_demand)
         cont.ram_size = max(0.0, cont.ram_size - step.ram_demand)
 
@@ -313,7 +308,6 @@ class Simulator:
 
         if inst.done:
             inst.finished_ms = self.clock
-            self._last_finish_ms = max(self._last_finish_ms, self.clock)
             units = penalty_units(inst, self.clock, self.sc.sla.penalty_policy)
             self.records.append(
                 InstanceRecord(
@@ -341,10 +335,11 @@ class Simulator:
     def _snapshot(self) -> optimizer.SchedulingState:
         fleet = []
         for vm in self.vms.values():
-            running = []
-            for cont in vm.containers.values():
-                for iid, j in sorted(cont.invocations):
-                    running.append((iid, j, self._finish_time(iid, j) - self.clock))
+            running = [
+                (iid, j, finish - self.clock)
+                for cont in vm.containers.values()
+                for (iid, j), finish in cont.invocations.items()
+            ]
             fleet.append(
                 optimizer.VmSnapshot(
                     id=vm.id,
@@ -364,9 +359,6 @@ class Simulator:
             services=self.sc.services,
             vm_types=self.sc.vm_types,
         )
-
-    def _finish_time(self, iid: int, j: int) -> int:
-        return self.instances[iid].steps[j].scheduled_at + self.instances[iid].steps[j].remaining_ms
 
     def _round(self):
         self.rounds += 1
@@ -458,7 +450,7 @@ class Simulator:
                 vm = self.vms[resolve(act.vm_id)]
                 cont = vm.containers.get(act.service)
                 if cont is None:
-                    cont = Container(act.service, 0.0, 0.0)
+                    cont = Container(0.0, 0.0)
                     vm.containers[act.service] = cont
                 cont.cpu_size = act.params["cpu"]
                 cont.ram_size = act.params["ram"]
@@ -472,14 +464,10 @@ class Simulator:
             elif act.kind == controller.INVOKE_SERVICE:
                 iid, j = act.params["instance"], act.params["step"]
                 vm = self.vms[resolve(act.vm_id)]
-                occupancy = occupancy_ms[(iid, j)]
-                step = self.instances[iid].steps[j]
-                step.status = RUNNING
-                step.assigned_vm = vm.id
-                step.scheduled_at = self.clock
-                step.remaining_ms = occupancy
-                vm.containers[act.service].invocations.add((iid, j))
-                self._push(self.clock + occupancy, STEP_FINISHED, (iid, j, vm.id))
+                finish = self.clock + occupancy_ms[(iid, j)]
+                self.instances[iid].steps[j].status = RUNNING
+                vm.containers[act.service].invocations[(iid, j)] = finish
+                self._push(finish, STEP_FINISHED, (iid, j, vm.id))
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -508,7 +496,7 @@ class Simulator:
         met = sum(1 for r in self.records if r.delay_ms == 0)
         adherence = 100.0 * met / total if total else 100.0
         penalty = float(sum(r.penalty_units for r in self.records))
-        makespan_ms = self._last_finish_ms
+        makespan_ms = max((r.finish_ms for r in self.records), default=0)
         series = []
         minutes = math.ceil(makespan_ms / 60000) if makespan_ms else 0
         idx = 0

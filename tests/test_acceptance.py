@@ -2,8 +2,11 @@
 adherence bands for both approaches, baseline dominance, arrival pattern
 totals, and byte-identical determinism."""
 
+import hashlib
+import json
 import pathlib
 import statistics
+import tempfile
 import time
 
 import numpy as np
@@ -238,19 +241,32 @@ def test_pyramid_counts_and_padding():
 # -- 10. determinism --------------------------------------------------------
 
 
-def test_repeated_runs_are_byte_identical(tmp_path):
-    outputs = []
-    for label in ("first", "second"):
-        out = tmp_path / label
-        experiment.run_experiment(
-            experiment.ExperimentConfig(
-                scenario_path="smoke",
-                approaches=("ffsipp", "sipp"),
-                seeds=(1, 2),
-                out_dir=str(out),
-            )
+# The sha256 of every file a smoke run writes. Regenerate only for a
+# deliberate change of behaviour, with
+#
+#     PYTHONPATH=src python -m tests.test_acceptance > tests/data/smoke_output_digests.json
+SMOKE_DIGESTS = pathlib.Path(__file__).parent / "data" / "smoke_output_digests.json"
+
+
+def smoke_output_digests(out: pathlib.Path) -> dict[str, str]:
+    """Run smoke, both approaches, seeds 1-2, into ``out``; digest each file."""
+    experiment.run_experiment(
+        experiment.ExperimentConfig(
+            scenario_path="smoke",
+            approaches=("ffsipp", "sipp"),
+            seeds=(1, 2),
+            out_dir=str(out),
         )
-        outputs.append(out)
-    first, second = outputs
-    for name in sorted(p.name for p in first.iterdir()):
-        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    )
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+def test_repeated_runs_are_byte_identical(tmp_path):
+    first = smoke_output_digests(tmp_path / "first")
+    assert first == smoke_output_digests(tmp_path / "second")
+    assert first == json.loads(SMOKE_DIGESTS.read_text())
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        print(json.dumps(smoke_output_digests(pathlib.Path(tmp)), indent=1))

@@ -9,6 +9,9 @@ from ffsipp.experiment import (
     render_metrics,
     sla_label,
 )
+from ffsipp.landscape import parse_scenario
+
+from .conftest import preset_text
 
 
 def rows():
@@ -38,6 +41,22 @@ class TestConfigValidation:
     def test_sla_factor_must_exceed_one(self):
         with pytest.raises(ValueError):
             ExperimentConfig(scenario_path="x.yaml", sla_factor=0.9)
+
+    def test_repeated_seeds_rejected(self):
+        with pytest.raises(ValueError, match=r"repeated seeds: \[1\]"):
+            ExperimentConfig(scenario_path="x.yaml", seeds=(1, 2, 1))
+
+    def test_repeated_approaches_rejected(self):
+        with pytest.raises(ValueError, match=r"repeated approaches: \['sipp'\]"):
+            ExperimentConfig(scenario_path="x.yaml", approaches=("sipp", "ffsipp", "sipp"))
+
+
+class TestLoadScenario:
+    def test_directory_does_not_shadow_preset(self, tmp_path, monkeypatch):
+        (tmp_path / "smoke").mkdir()
+        monkeypatch.chdir(tmp_path)
+        scenario = experiment.load_scenario(ExperimentConfig(scenario_path="smoke"))
+        assert scenario == parse_scenario(preset_text("smoke"))
 
 
 class TestAggregation:
@@ -93,6 +112,17 @@ class TestReport:
     def test_missing_metrics_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             experiment.report(str(tmp_path))
+
+    def test_report_reproduces_run_aggregate(self, tmp_path):
+        experiment.run_experiment(
+            ExperimentConfig(
+                scenario_path="smoke", approaches=("ffsipp",), seeds=(1, 2, 3),
+                out_dir=str(tmp_path),
+            )
+        )
+        written = (tmp_path / "aggregate.csv").read_bytes()
+        experiment.report(str(tmp_path))
+        assert (tmp_path / "aggregate.csv").read_bytes() == written
 
     def test_foreign_header_rejected(self, tmp_path):
         (tmp_path / "metrics.csv").write_text("a,b,c\n1,2,3\n")

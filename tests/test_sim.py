@@ -8,6 +8,7 @@ import pytest
 
 import ffsipp
 from ffsipp import controller, milp, sim
+from ffsipp.landscape import RUNNING
 from ffsipp.sim import (
     Simulator,
     arrival_pyramid,
@@ -141,6 +142,49 @@ class TestEndToEnd:
         assert len(rep.records) == smoke_scenario.arrival.total_requests
 
 
+class TestRunningRecord:
+    @pytest.mark.parametrize("approach", ["ffsipp", "sipp"])
+    def test_snapshot_lists_exactly_the_running_steps(self, smoke_scenario, approach, monkeypatch):
+        snapshot, listed_per_round = Simulator._snapshot, []
+
+        def checked_snapshot(self):
+            state = snapshot(self)
+            listed = [(iid, j) for vm in state.fleet for iid, j, _ in vm.running_steps]
+            running = [
+                (inst.id, j)
+                for inst in state.instances
+                for j, step in enumerate(inst.steps)
+                if step.status == RUNNING
+            ]
+            assert sorted(listed) == sorted(running)
+            assert all(rem > 0 for vm in state.fleet for _, _, rem in vm.running_steps)
+            listed_per_round.append(len(listed))
+            return state
+
+        monkeypatch.setattr(Simulator, "_snapshot", checked_snapshot)
+        sim.run(smoke_scenario, approach, 1)
+        assert any(listed_per_round), "no round saw a running step"
+
+    @pytest.mark.parametrize("corruption", ["late", "other_vm"])
+    def test_finish_must_match_the_record(self, smoke_scenario, monkeypatch, corruption):
+        push, corrupted = Simulator._push, []
+
+        def corrupt_first_finish(self, time_ms, kind, payload=()):
+            if kind == sim.STEP_FINISHED and not corrupted:
+                corrupted.append(payload)
+                iid, j, vm_id = payload
+                if corruption == "late":
+                    time_ms += 1
+                else:
+                    payload = (iid, j, vm_id + "_other")
+            push(self, time_ms, kind, payload)
+
+        monkeypatch.setattr(Simulator, "_push", corrupt_first_finish)
+        with pytest.raises(sim.InvariantError, match="not due to finish"):
+            sim.run(smoke_scenario, "ffsipp", 1)
+        assert corrupted
+
+
 class TestInvariants:
     def test_capacity_check_survives_optimize(self):
         # Under python -O a bare assert is gone; the invariant must still raise.
@@ -150,7 +194,7 @@ from ffsipp import landscape, sim
 simulator = sim.Simulator(landscape.parse_scenario(sys.stdin.read()), "ffsipp", 1)
 vt = simulator.sc.vm_types["p1"]
 vm = sim.VmRuntime(id="vm1", type_id="p1", lease_end_ms=1, ready_at_ms=0)
-vm.containers["A"] = sim.Container("A", vt.cpu_supply + 1.0, 0.0)
+vm.containers["A"] = sim.Container(vt.cpu_supply + 1.0, 0.0)
 simulator.vms["vm1"] = vm
 try:
     simulator._assert_capacity()

@@ -145,7 +145,7 @@ def _instances(draw, services):
     for node in _nodes(inst.model.root):
         if node.kind == REPEAT_LOOP:
             inst.loop_iters_done[node.node_id] = draw(hst.integers(0, node.repetitions - 1))
-    pending = [s.index for s in inst.steps if s.status == PENDING]
+    pending = [j for j, s in enumerate(inst.steps) if s.status == PENDING]
     schedulable = set(draw(hst.lists(hst.sampled_from(pending), unique=True))) if pending else set()
     placed = {j for j in sorted(schedulable) if draw(hst.booleans())}
     return inst, schedulable, placed
