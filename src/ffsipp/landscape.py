@@ -310,13 +310,13 @@ class PathDecomposition:
     """
 
     seq_steps: list[int]
-    and_blocks: list[tuple[int, list[list[int]]]]  # (node_id, step lists per branch)
-    xor_blocks: list[tuple[int, list[list[int]]]]
+    # AND and XOR blocks in tree order: (node_id, step lists per branch)
+    blocks: list[tuple[int, list[list[int]]]]
     loops: list[tuple[int, list[int], int]]  # (node_id, body steps, re)
 
 
 def enumerate_paths(model: ProcessModel) -> PathDecomposition:
-    dec = PathDecomposition([], [], [], [])
+    dec = PathDecomposition([], [], [])
 
     def flatten(node: WorkflowNode) -> list[int]:
         return [n.step_index for n in _iter_nodes(node) if n.kind == STEP]
@@ -327,10 +327,8 @@ def enumerate_paths(model: ProcessModel) -> PathDecomposition:
         elif node.kind == SEQUENCE:
             for child in node.children:
                 walk(child)
-        elif node.kind == AND_BLOCK:
-            dec.and_blocks.append((node.node_id, [flatten(c) for c in node.children]))
-        elif node.kind == XOR_BLOCK:
-            dec.xor_blocks.append((node.node_id, [flatten(c) for c in node.children]))
+        elif node.kind in (AND_BLOCK, XOR_BLOCK):
+            dec.blocks.append((node.node_id, [flatten(c) for c in node.children]))
         elif node.kind == REPEAT_LOOP:
             dec.loops.append((node.node_id, flatten(node), node.repetitions))
 
@@ -418,12 +416,6 @@ class Scenario:
     weights: Weights
     solver: SolverSpec
     epsilon_ms: int
-
-    def model_by_id(self, mid: int) -> ProcessModel:
-        for m in self.models:
-            if m.id == mid:
-                return m
-        raise ScenarioError(f"unknown process model id {mid}")
 
 
 _STRUCTURE_TOKEN = _re.compile(r"\s*(AND|XOR|LOOP(?:\*\d+)?|s|\(|\)|,|\|)", _re.IGNORECASE)
@@ -520,14 +512,15 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(f"malformed scenario file: {exc}") from None
     if not isinstance(raw, dict):
         raise ScenarioError("malformed scenario file: expected a mapping")
+    _known("scenario", raw, _SCENARIO_KEYS)
 
     btu_ms = ms(_number("btu_seconds", raw.get("btu_seconds", 300)))
-    epsilon_ms = _number("epsilon_ms", raw.get("epsilon_ms", 2000), int)
-    if epsilon_ms <= 0:
-        raise ScenarioError("epsilon_ms must be positive")
+    epsilon_ms = _number("epsilon_ms", raw.get("epsilon_ms", 2000), int, low=1)
 
     services: dict[str, ServiceType] = {}
-    for where, entry in _entries(raw, "services", ("name", "duration_s")):
+    for where, entry in _entries(
+        raw, "services", ("name", "duration_s"), ("cpu", "ram", "pull_s", "start_s")
+    ):
         svc = ServiceType(
             id=str(entry["name"]),
             cpu_demand=_number(f"{where}.cpu", entry.get("cpu", 0.0)),
@@ -543,16 +536,21 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("no services")
 
     vm_types: dict[str, VmType] = {}
-    for where, entry in _entries(raw, "vm_types", ("name", "cores", "cost_per_btu")):
+    for where, entry in _entries(
+        raw,
+        "vm_types",
+        ("name", "cores", "cost_per_btu"),
+        ("provider", "ram", "startup_s", "pool_limit"),
+    ):
         limit = entry.get("pool_limit")
         vt = VmType(
             id=str(entry["name"]),
             provider=str(entry.get("provider", "public")),
             cpu_supply=_number(f"{where}.cores", entry["cores"]) * 100.0,
-            ram_supply=_number(f"{where}.ram", entry.get("ram", 1024)),
+            ram_supply=_number(f"{where}.ram", entry.get("ram", 1024), low=0),
             btu_ms=btu_ms,
             cost_per_btu=_number(f"{where}.cost_per_btu", entry["cost_per_btu"]),
-            startup_ms=ms(_number(f"{where}.startup_s", entry.get("startup_s", 60))),
+            startup_ms=ms(_number(f"{where}.startup_s", entry.get("startup_s", 60), low=0)),
             pool_limit=None if limit is None else _number(f"{where}.pool_limit", limit, int),
         )
         if vt.provider not in ("private", "public"):
@@ -565,7 +563,7 @@ def parse_scenario(text: str) -> Scenario:
     if not vm_types:
         raise ScenarioError("no vm types")
 
-    model_entries = _entries(raw, "models", ("id", "structure"))
+    model_entries = _entries(raw, "models", ("id", "structure"), ("steps",))
     if not model_entries:
         raise ScenarioError("no process models")
     service_cycle = list(services)
@@ -599,7 +597,7 @@ def parse_scenario(text: str) -> Scenario:
             node.service = svc_id
         models.append(model)
 
-    arr = _section(raw, "arrival")
+    arr = _section(raw, "arrival", ("kind", "interval_s", "batch_models", "total_requests"))
     kind = arr.get("kind", "constant")
     if kind not in ("constant", "pyramid"):
         raise ScenarioError(f"unknown arrival kind {kind!r}")
@@ -617,12 +615,12 @@ def parse_scenario(text: str) -> Scenario:
     requests = arr.get("total_requests", 50 if constant else 100)
     arrival = ArrivalSpec(
         kind=kind,
-        interval_ms=ms(_number("arrival.interval_s", interval_s)),
+        interval_ms=ms(_number("arrival.interval_s", interval_s, low=0)),
         batch_models=batch,
         total_requests=_number("arrival.total_requests", requests, int),
     )
 
-    sla_raw = _section(raw, "sla")
+    sla_raw = _section(raw, "sla", ("factor", "penalty_policy", "planning_rate_per_s"))
     rate = sla_raw.get("planning_rate_per_s")
     sla = SlaSpec(
         factor=_number("sla.factor", sla_raw.get("factor", 1.5)),
@@ -634,7 +632,7 @@ def parse_scenario(text: str) -> Scenario:
     if sla.penalty_policy not in ("fraction", "per_10s"):
         raise ScenarioError(f"unknown penalty policy {sla.penalty_policy!r}")
 
-    w = _section(raw, "weights")
+    w = _section(raw, "weights", ("dl", "d", "f_cpu", "f_ram", "z"))
     weights = Weights(
         dl_per_ms=_number("weights.dl", w.get("dl", 0.001)) / 1000.0,
         d_per_ms=_number("weights.d", w.get("d", 0.0001)) / 1000.0,
@@ -645,15 +643,15 @@ def parse_scenario(text: str) -> Scenario:
 
     # A solver section's `mn` (a big-M constant) is accepted and ignored: no
     # row of the model is big-M.
-    s = _section(raw, "solver")
+    s = _section(raw, "solver", ("gap", "time_limit_ms", "fresh_candidates", "btu_max", "mn"))
     solver = SolverSpec(
-        gap=_number("solver.gap", s.get("gap", 1e-6)),
-        time_limit_ms=_number("solver.time_limit_ms", s.get("time_limit_ms", 20000), int),
-        fresh_candidates=_number("solver.fresh_candidates", s.get("fresh_candidates", 3), int),
-        btu_max=_number("solver.btu_max", s.get("btu_max", 1000), int),
+        gap=_number("solver.gap", s.get("gap", 1e-6), low=0),
+        time_limit_ms=_number("solver.time_limit_ms", s.get("time_limit_ms", 20000), int, low=1),
+        fresh_candidates=_number(
+            "solver.fresh_candidates", s.get("fresh_candidates", 3), int, low=1
+        ),
+        btu_max=_number("solver.btu_max", s.get("btu_max", 1000), int, low=1),
     )
-    if solver.fresh_candidates < 1:
-        raise ScenarioError("fresh_candidates must be >= 1")
 
     return Scenario(
         services=services,
@@ -667,31 +665,50 @@ def parse_scenario(text: str) -> Scenario:
     )
 
 
-def _number(name: str, value, kind=float):
+_SCENARIO_KEYS = (
+    "btu_seconds", "epsilon_ms", "services", "vm_types", "models", "arrival", "sla", "weights",
+    "solver",
+)
+
+
+def _number(name: str, value, kind=float, low=None):
     """``value`` converted by ``kind``, or a ScenarioError naming the key.
 
     Only finite YAML numbers are accepted: no bools, no strings, no nan or
-    inf, and for int keys no fractional values."""
+    inf, for int keys no fractional values, and nothing below ``low``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{name} must be a number, got {value!r}")
     if not abs(value) <= sys.float_info.max:  # also false for nan
         raise ScenarioError(f"{name} must be a finite number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ScenarioError(f"{name} must be a whole number, got {value!r}")
+    if low is not None and value < low:
+        raise ScenarioError(f"{name} must be >= {low}, got {value!r}")
     return kind(value)
 
 
-def _section(raw: dict, key: str) -> dict:
-    """The optional mapping ``key``; absent or null means all defaults."""
+def _known(where: str, mapping: dict, keys: tuple[str, ...]):
+    """Refuse a key of ``mapping`` outside ``keys``, which the parser reads."""
+    for key in mapping:
+        if key not in keys:
+            raise ScenarioError(f"{where}: unknown key {key!r}")
+
+
+def _section(raw: dict, key: str, keys: tuple[str, ...]) -> dict:
+    """The optional mapping ``key``, setting only ``keys``; absent or null
+    means all defaults."""
     section = {} if raw.get(key) is None else raw[key]
     if not isinstance(section, dict):
         raise ScenarioError(f"{key}: expected a mapping, got {section!r}")
+    _known(key, section, keys)
     return section
 
 
-def _entries(raw: dict, section: str, keys: tuple[str, ...]) -> list[tuple[str, dict]]:
+def _entries(
+    raw: dict, section: str, keys: tuple[str, ...], optional: tuple[str, ...]
+) -> list[tuple[str, dict]]:
     """The required list ``section`` as (``section[i]``, entry) pairs, each
-    entry a mapping that sets ``keys``."""
+    entry a mapping that sets ``keys`` and may set ``optional``."""
     entries = raw.get(section)
     if entries is None:
         raise ScenarioError(f"missing scenario key {section!r}")
@@ -705,5 +722,6 @@ def _entries(raw: dict, section: str, keys: tuple[str, ...]) -> list[tuple[str, 
         for key in keys:
             if entry.get(key) is None:
                 raise ScenarioError(f"{where}: missing key {key!r}")
+        _known(where, entry, keys + optional)
         out.append((where, entry))
     return out

@@ -121,7 +121,7 @@ class FfsippModel:
         self._terms: dict[str, tuple[list[int], list[float]]] = {
             n: ([], []) for n in TERM_NAMES
         }
-        self._x: list[tuple[int, Assignment]] = []  # placement columns
+        # VM -> its placement columns, in creation order
         self._vm_x: dict[str, list[tuple[int, Assignment]]] = {vm.id: [] for vm in self.candidates}
         self._y: dict[str, int] = {}
         self._g: dict[str, int] = {}
@@ -263,16 +263,14 @@ class FfsippModel:
             ram_cols = [col for col, a in vm_x if a.ram_demand]
             ram = [a.ram_demand for _, a in vm_x if a.ram_demand]
             p.add_row(cpu_cols, cpu, "<=", vt.cpu_supply - run_cpu)
-            if vt.ram_supply < math.inf:
-                p.add_row(ram_cols, ram, "<=", vt.ram_supply - run_ram)
+            p.add_row(ram_cols, ram, "<=", vt.ram_supply - run_ram)
             for col, _ in vm_x:
                 p.add_row((col, g), (1.0, -1.0), "<=", 0)
 
             fc = p.add_var(f"fC__{vm.id}", milp.CONTINUOUS, 0, math.inf)
             fr = p.add_var(f"fR__{vm.id}", milp.CONTINUOUS, 0, math.inf)
-            ram_supply = vt.ram_supply if vt.ram_supply < math.inf else 0.0
             self._free_row(fc, cpu_cols, cpu, g, vt.cpu_supply, run_cpu, w.f_cpu)
-            self._free_row(fr, ram_cols, ram, g, ram_supply, run_ram, w.f_ram)
+            self._free_row(fr, ram_cols, ram, g, vt.ram_supply, run_ram, w.f_ram)
 
             # Lease coverage for running steps.
             max_run = max((a.occupancy_ms for a in running), default=0)
@@ -298,9 +296,6 @@ class FfsippModel:
             self._gamma[vt.id] = gamma
             p.add_row([gamma] + members, [1.0] + [-1.0] * len(members), "=", 0)
             self._term("leasing", gamma, vt.cost_per_btu)
-
-        if not p.num_vars:
-            p.add_var("nothing", milp.CONTINUOUS, 0, 0)
 
     def _free_row(self, f: int, cols, coefs, g: int, supply: float, run: float, weight: float):
         """f >= supply*g - used  <=>  f + used - supply*g >= -running_load"""
@@ -335,7 +330,6 @@ class FfsippModel:
                     ram_demand=step.ram_demand,
                     occupancy_ms=occ,
                 )
-                self._x.append((col, a))
                 self._vm_x[vm.id].append((col, a))
                 placed[j].append((col, occ))
                 # Baseline deployments are priced per type variable instead
@@ -468,7 +462,7 @@ class FfsippModel:
                 floor = max(floor, 0.0 + sum(others) + a * bound)
             values[col] = floor
 
-        assignments = [a for col, a in self._x if values[col] > 0.5]
+        assignments = [a for vm_x in self._vm_x.values() for col, a in vm_x if values[col] > 0.5]
         leases = {
             vm.id: int(round(values[self._y[vm.id]]))
             for vm in self.candidates

@@ -68,16 +68,15 @@ def arrival_pyramid(n: int) -> int:
     return 0
 
 
+def penalty_unit_ms(policy: str, window_ms: int) -> float:
+    """One SLA penalty unit: 10 s, or a tenth of the instance's SLA window."""
+    return 10_000.0 if policy == "per_10s" else 0.1 * window_ms
+
+
 def penalty_units(inst: ProcessInstance, finish_ms: int, policy: str = "fraction") -> int:
     """Billed penalty units for one finished instance."""
     delay = max(0, finish_ms - inst.deadline_ms)
-    if delay == 0:
-        return 0
-    if policy == "per_10s":
-        unit = 10_000
-    else:
-        unit = 0.1 * (inst.deadline_ms - inst.arrival_ms)
-    return math.ceil(delay / unit)
+    return math.ceil(delay / penalty_unit_ms(policy, inst.deadline_ms - inst.arrival_ms))
 
 
 @dataclass
@@ -152,6 +151,7 @@ class Simulator:
         self.verified_plans = 0
         self._wakeup_at: int | None = None
         self.config = optimizer.OptimizerConfig.from_scenario(scenario)
+        self._models = {m.id: m for m in scenario.models}
 
     # -- setup -------------------------------------------------------------
 
@@ -192,12 +192,10 @@ class Simulator:
         sla = self.sc.sla
         if sla.planning_rate_per_s is not None:
             return sla.planning_rate_per_s / 1000.0
-        if sla.penalty_policy == "per_10s":
-            return 1.0 / 10_000.0
-        return 1.0 / (0.1 * window_ms)
+        return 1.0 / penalty_unit_ms(sla.penalty_policy, window_ms)
 
     def _create_instance(self, model_id: int):
-        model = self.sc.model_by_id(model_id)
+        model = self._models[model_id]
         iid = len(self.instances) + 1
         rng = np.random.default_rng(self._seedseq.spawn(1)[0])
         durations = []
@@ -377,6 +375,10 @@ class Simulator:
         solution = milp.solve(
             model.problem, gap_tol=self.config.gap_tol, time_limit_ms=self.config.time_limit_ms
         )
+        if solution.status == milp.INFEASIBLE:
+            # Postponing every step is feasible for any valid snapshot, so an
+            # infeasible round is an input or model fault, not a reason to wait.
+            raise InvariantError(f"round at {self.clock} ms ({self.approach}) is infeasible")
         if solution.values is None:
             # No incumbent within the limit: postpone everything, lease nothing.
             self.fallbacks += 1
@@ -410,9 +412,6 @@ class Simulator:
             self._wakeup_at = None
 
     def _schedule_wakeup(self, at_ms: int):
-        if not self._live_instances():
-            self._wakeup_at = None
-            return
         self._wakeup_at = at_ms
         self._push(at_ms, WAKEUP)
 

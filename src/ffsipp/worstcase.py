@@ -18,9 +18,7 @@ from .landscape import PENDING, ProcessInstance, ServiceType, StepState, VmType
 
 def max_startup_ms(vm_types: dict[str, VmType]) -> int:
     """Worst-case VM startup Delta over the current catalog."""
-    if not vm_types:
-        return 0
-    return max(vt.startup_ms for vt in vm_types.values())
+    return max((vt.startup_ms for vt in vm_types.values()), default=0)
 
 
 def step_coefficient_ms(step: StepState, services: dict[str, ServiceType], delta_ms: int) -> int:
@@ -116,7 +114,7 @@ def remaining_structure(
                 reductions[i] = coef(i)
                 loop_future[i] = future_ms
 
-    for node_id, branches in dec.and_blocks + dec.xor_blocks:
+    for node_id, branches in dec.blocks:
         branch_rows = []
         heads = False
         for branch in branches:

@@ -30,7 +30,7 @@ def vm_type(name, cores=1, cost=10.0, provider="private", startup_s=60, pool_lim
         id=name,
         provider=provider,
         cpu_supply=cores * 100.0,
-        ram_supply=float("inf"),
+        ram_supply=1024.0,
         btu_ms=300_000,
         cost_per_btu=cost,
         startup_ms=landscape.ms(startup_s),
@@ -78,7 +78,7 @@ def remaining_duration(inst, services, delta_ms, scheduled=None) -> int:
         return total - sum(scheduled.get(i, 0) for i in indices)
 
     e_i = path_value(dec.seq_steps)
-    for _, branches in dec.and_blocks + dec.xor_blocks:
+    for _, branches in dec.blocks:
         e_i += max(0, max(path_value(branch) for branch in branches))
     for node_id, body, reps in dec.loops:
         if not pending(body):

@@ -77,7 +77,7 @@ class TestWorkflowSemantics:
         inst.steps[0].status = DONE
         assert next_steps(inst) == {1, 2}
 
-    def test_xor_blocks_until_choice(self, abc_services):
+    def test_xor_waits_for_choice(self, abc_services):
         inst = instance("XOR(s|s)", abc_services, ["A", "B"])
         assert next_steps(inst) == set()
         assert pending_xor_choices(inst) == [0]
@@ -111,7 +111,12 @@ class TestDerivedQuantities:
         inst = instance("s,AND(s|s)", abc_services, ["A", "A", "C"])
         dec = enumerate_paths(inst.model)
         assert dec.seq_steps == [0]
-        assert dec.and_blocks[0][1] == [[1], [2]]
+        assert dec.blocks[0][1] == [[1], [2]]
+        # AND and XOR blocks share one list, in tree order.
+        mixed = instance("XOR(s|s),AND(s|s)", abc_services, ["A", "B", "A", "C"]).model
+        blocks = enumerate_paths(mixed).blocks
+        assert [mixed.nodes[node_id].kind for node_id, _ in blocks] == [XOR_BLOCK, AND_BLOCK]
+        assert blocks == [(1, [[0], [1]]), (4, [[2], [3]])]
 
     def test_average_makespan_composition(self, abc_services):
         seq = instance("s,s,s", abc_services, ["A", "B", "C"]).model
@@ -220,9 +225,20 @@ class TestParseScenario:
             (("vm_types", 0, "pool_limit"), True,
              r"^vm_types\[0\]\.pool_limit must be a number, got True$"),
             (("weights", "z"), float("nan"), r"^weights\.z must be a finite number, got nan$"),
+            (("solver", "time_limit_ms"), 0, r"^solver\.time_limit_ms must be >= 1, got 0$"),
+            (("solver", "btu_max"), 0, r"^solver\.btu_max must be >= 1, got 0$"),
+            (("solver", "gap"), -0.1, r"^solver\.gap must be >= 0, got -0\.1$"),
+            (("vm_types", 1, "ram"), -5, r"^vm_types\[1\]\.ram must be >= 0, got -5$"),
+            (("vm_types", 0, "startup_s"), -1, r"^vm_types\[0\]\.startup_s must be >= 0, got -1$"),
+            (("arrival", "interval_s"), -60, r"^arrival\.interval_s must be >= 0, got -60$"),
+            (("sla", "factr"), 2.5, r"^sla: unknown key 'factr'$"),
+            (("vm_types", 0, "core"), 2, r"^vm_types\[0\]: unknown key 'core'$"),
+            (("btu_second",), 300, r"^scenario: unknown key 'btu_second'$"),
         ],
         ids=["cpu", "arrival", "sla", "weights", "steps", "batch_models", "btu_seconds", "loop",
-             "fractional_int", "string", "bool", "nan"],
+             "fractional_int", "string", "bool", "nan", "time_limit_ms", "btu_max", "gap",
+             "negative_ram", "negative_startup", "negative_interval", "unknown_section_key",
+             "unknown_entry_key", "unknown_top_key"],
     )
     def test_mistyped_value_rejected(self, path, value, error):
         raw = yaml.safe_load(preset_text("smoke"))

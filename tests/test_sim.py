@@ -141,6 +141,21 @@ class TestEndToEnd:
         assert rep.verified_plans == rep.rounds - 1
         assert len(rep.records) == smoke_scenario.arrival.total_requests
 
+    def test_infeasible_round_is_an_error(self, smoke_scenario, monkeypatch):
+        # Postponing everything is always feasible, so an infeasible round
+        # must end the run instead of postponing it forever.
+        calls = []
+
+        def always_infeasible(problem, **kwargs):
+            calls.append(1)
+            if len(calls) > 3:
+                raise RuntimeError("the run kept postponing an infeasible round")
+            return milp.MilpSolution(milp.INFEASIBLE, None, None, None)
+
+        monkeypatch.setattr(milp, "solve", always_infeasible)
+        with pytest.raises(sim.InvariantError, match=r"^round at 0 ms \(ffsipp\) is infeasible$"):
+            sim.run(smoke_scenario, "ffsipp", 1)
+
 
 class TestRunningRecord:
     @pytest.mark.parametrize("approach", ["ffsipp", "sipp"])
