@@ -75,7 +75,7 @@ def plan_actions(cplan: ContainerPlan, cloud: dict[str, CloudVmView]) -> list[Ac
 
     A VM's containers that the plan no longer uses are stopped to free
     their resources. Stops normally come after deploys; when a VM needs the
-    freed capacity for its new deployments, its stops are hoisted ahead of
+    freed CPU or RAM for its new deployments, its stops are hoisted ahead of
     them.
     """
     for vm_id in [c.vm_id for c in cplan.containers] + list(cplan.lease_extensions):
@@ -112,12 +112,15 @@ def plan_actions(cplan: ContainerPlan, cloud: dict[str, CloudVmView]) -> list[Ac
                 vm_deploys.append(Action(RESIZE_CONTAINER, vm_id, svc, size))
         hoist = False
         if view and vm_stops and vm_deploys:
-            occupied = sum(cpu for cpu, _ in current.values())
-            added = sum(
-                planned[svc].cpu_size - current.get(svc, (0.0, 0.0))[0]
-                for svc in planned
+            # Per resource: what the VM holds once its containers have their
+            # planned sizes and before the unplanned ones stop.
+            sizes = {svc: (c.cpu_size, c.ram_size) for svc, c in planned.items()}
+            hoist = any(
+                sum(size[k] for size in current.values())
+                + sum(sizes[svc][k] - current.get(svc, (0.0, 0.0))[k] for svc in sizes)
+                > supply + 1e-9
+                for k, supply in enumerate((view.cpu_supply, view.ram_supply))
             )
-            hoist = occupied + added > view.cpu_supply + 1e-9
         if hoist:
             deploys.extend(vm_stops + vm_deploys)
         else:

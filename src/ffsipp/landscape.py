@@ -274,30 +274,15 @@ def advance_loops(inst: ProcessInstance) -> list[tuple[int, list[int]]]:
     simulator can resample durations for the new iteration.
     """
     restarted: list[tuple[int, list[int]]] = []
-    changed = True
-    while changed:
-        changed = False
-        for node in inst.model.nodes:
-            if node.kind != REPEAT_LOOP:
-                continue
-            _, body_done = _node_state(inst, node)
-            if not body_done:
-                continue
-            done_iters = inst.loop_iters_done[node.node_id] + 1
-            if done_iters >= inst.loop_planned[node.node_id]:
-                continue
-            inst.loop_iters_done[node.node_id] = done_iters
-            reset: list[int] = []
-            for sub in _iter_nodes(node):
-                if sub.kind == STEP:
-                    inst.steps[sub.step_index].status = PENDING
-                    reset.append(sub.step_index)
-                elif sub.kind == XOR_BLOCK:
-                    inst.xor_choices.pop(sub.node_id, None)
-                elif sub.kind == REPEAT_LOOP and sub is not node:
-                    inst.loop_iters_done[sub.node_id] = 0
-            restarted.append((node.node_id, reset))
-            changed = True
+    for node_id, body, _ in inst.model.paths.loops:
+        done_iters = inst.loop_iters_done[node_id] + 1
+        body_done = all(inst.steps[i].status == DONE for i in body)
+        if done_iters >= inst.loop_planned[node_id] or not body_done:
+            continue
+        inst.loop_iters_done[node_id] = done_iters
+        for i in body:
+            inst.steps[i].status = PENDING
+        restarted.append((node_id, list(body)))
     return restarted
 
 
@@ -305,8 +290,9 @@ def advance_loops(inst: ProcessInstance) -> list[tuple[int, list[int]]]:
 class PathDecomposition:
     """Structural positions of a model's steps.
 
-    Steps in AND/XOR branches and loop bodies appear only in their block
-    entry; every step occupies exactly one position.
+    Blocks and loops sit in the top-level sequence and hold only steps, so
+    every step occupies exactly one position: the sequence, one branch of
+    one block, or one loop body.
     """
 
     seq_steps: list[int]
@@ -316,9 +302,16 @@ class PathDecomposition:
 
 
 def enumerate_paths(model: ProcessModel) -> PathDecomposition:
+    """The model's decomposition; refuses a block or loop below the top level."""
     dec = PathDecomposition([], [], [])
 
     def flatten(node: WorkflowNode) -> list[int]:
+        for n in _iter_nodes(node):
+            if n.kind not in (STEP, SEQUENCE):
+                what = "loop" if n.kind == REPEAT_LOOP else "block"
+                raise ScenarioError(
+                    f"model {model.id}: a {what} inside a block or loop is not supported"
+                )
         return [n.step_index for n in _iter_nodes(node) if n.kind == STEP]
 
     def walk(node: WorkflowNode):
@@ -330,7 +323,7 @@ def enumerate_paths(model: ProcessModel) -> PathDecomposition:
         elif node.kind in (AND_BLOCK, XOR_BLOCK):
             dec.blocks.append((node.node_id, [flatten(c) for c in node.children]))
         elif node.kind == REPEAT_LOOP:
-            dec.loops.append((node.node_id, flatten(node), node.repetitions))
+            dec.loops.append((node.node_id, flatten(node.children[0]), node.repetitions))
 
     walk(model.root)
     return dec
@@ -562,6 +555,12 @@ def parse_scenario(text: str) -> Scenario:
         vm_types[vt.id] = vt
     if not vm_types:
         raise ScenarioError("no vm types")
+    largest_ram = max(vt.ram_supply for vt in vm_types.values())
+    for i, svc in enumerate(services.values()):
+        if svc.ram_demand > largest_ram:
+            raise ScenarioError(
+                f"services[{i}].ram must be <= {largest_ram:g}, got {svc.ram_demand:g}"
+            )
 
     model_entries = _entries(raw, "models", ("id", "structure"), ("steps",))
     if not model_entries:
@@ -575,10 +574,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"duplicate model id {mid}")
         seen_ids.add(mid)
         model = ProcessModel(id=mid, root=parse_structure(str(entry["structure"])))
-        loops = sum(node.kind == REPEAT_LOOP for node in model.nodes)
-        if loops != len(model.paths.loops):
-            # The worst case and the loop sampling see top-level loops only.
-            raise ScenarioError(f"model {mid}: a loop inside a block or loop is not supported")
+        model.paths  # refuses a block or loop below the top level
         explicit = entry.get("steps")
         if explicit is not None:
             if not isinstance(explicit, list):
@@ -617,7 +613,7 @@ def parse_scenario(text: str) -> Scenario:
         kind=kind,
         interval_ms=ms(_number("arrival.interval_s", interval_s, low=0)),
         batch_models=batch,
-        total_requests=_number("arrival.total_requests", requests, int),
+        total_requests=_number("arrival.total_requests", requests, int, low=1),
     )
 
     sla_raw = _section(raw, "sla", ("factor", "penalty_policy", "planning_rate_per_s"))
@@ -625,7 +621,9 @@ def parse_scenario(text: str) -> Scenario:
     sla = SlaSpec(
         factor=_number("sla.factor", sla_raw.get("factor", 1.5)),
         penalty_policy=str(sla_raw.get("penalty_policy", "fraction")),
-        planning_rate_per_s=None if rate is None else _number("sla.planning_rate_per_s", rate),
+        planning_rate_per_s=(
+            None if rate is None else _number("sla.planning_rate_per_s", rate, low=0)
+        ),
     )
     if sla.factor <= 1:
         raise ScenarioError("sla factor must exceed 1")
@@ -641,9 +639,7 @@ def parse_scenario(text: str) -> Scenario:
         z=_number("weights.z", w.get("z", 1.0)),
     )
 
-    # A solver section's `mn` (a big-M constant) is accepted and ignored: no
-    # row of the model is big-M.
-    s = _section(raw, "solver", ("gap", "time_limit_ms", "fresh_candidates", "btu_max", "mn"))
+    s = _section(raw, "solver", ("gap", "time_limit_ms", "fresh_candidates", "btu_max"))
     solver = SolverSpec(
         gap=_number("solver.gap", s.get("gap", 1e-6), low=0),
         time_limit_ms=_number("solver.time_limit_ms", s.get("time_limit_ms", 20000), int, low=1),

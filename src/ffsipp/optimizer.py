@@ -31,14 +31,14 @@ class ModelError(ValueError):
 
 @dataclass
 class VmSnapshot:
-    """One candidate VM: a live lease or an anonymous fresh instance."""
+    """One candidate VM: a live lease or an anonymous fresh instance, whose
+    id ``is_fresh_vm`` recognises."""
 
     id: str
     type_id: str
     ready_in_ms: int  # 0 when running, boot remainder otherwise
     lease_remaining_ms: int  # d
     cached_images: frozenset[str] = frozenset()
-    fresh: bool = False
     offered_service: str | None = None  # baseline: currently deployed type
     running_steps: list[tuple[int, int, int]] = field(default_factory=list)
     # (instance id, step index, remaining ms)
@@ -168,7 +168,6 @@ class FfsippModel:
                         type_id=vt.id,
                         ready_in_ms=vt.startup_ms,
                         lease_remaining_ms=0,
-                        fresh=True,
                     )
                 )
         return cands
@@ -205,13 +204,13 @@ class FfsippModel:
             g = p.add_var(f"g__{vm.id}", milp.BOOLEAN, 0, 1)
             self._y[vm.id], self._g[vm.id] = y, g
             y_by_type[vm.type_id].append(y)
-            beta = 0 if vm.fresh else 1
+            beta = 0 if is_fresh_vm(vm.id) else 1
             p.add_row((g, y), (1, -1), "<=", beta)
 
         # Symmetry breaking among anonymous fresh candidates of one type.
         by_type: dict[str, list[VmSnapshot]] = {}
         for vm in self.candidates:
-            if vm.fresh:
+            if is_fresh_vm(vm.id):
                 by_type.setdefault(vm.type_id, []).append(vm)
         for group in by_type.values():
             for a, b in zip(group, group[1:]):
@@ -284,7 +283,7 @@ class FfsippModel:
                 cfg.btu_max, math.ceil(max(0, horizon - vm.lease_remaining_ms) / vt.btu_ms)
             )
             p.upper[y] = need
-            if vm.fresh:
+            if is_fresh_vm(vm.id):
                 p.add_row((y, g), (1.0, -float(need)), "<=", 0)
 
         # BTU totals per type.

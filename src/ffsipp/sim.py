@@ -232,14 +232,12 @@ class Simulator:
         self._resolve_choices(inst)
 
     def _resolve_choices(self, inst: ProcessInstance):
-        """Pick branches for any XOR block that has just become enabled."""
+        """Pick branches for any XOR block that has just become enabled. A
+        branch holds only steps, so choosing one enables no further block."""
         rng = self._inst_rng[inst.id]
-        pending = pending_xor_choices(inst)
-        while pending:
-            for node_id in pending:
-                node = inst.model.nodes[node_id]
-                apply_xor_choice(inst, node_id, int(rng.integers(len(node.children))))
-            pending = pending_xor_choices(inst)
+        for node_id in pending_xor_choices(inst):
+            node = inst.model.nodes[node_id]
+            apply_xor_choice(inst, node_id, int(rng.integers(len(node.children))))
 
     # -- main loop ----------------------------------------------------------
 

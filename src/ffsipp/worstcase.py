@@ -2,7 +2,9 @@
 
 Every pending step is assumed to pay the full deployment overhead on a
 freshly started VM of the slowest-starting type; blocks contribute their
-longest branch and loops their maximum repetitions. Each round derives one
+longest branch and loops their maximum repetitions. Blocks and loops sit in
+the top-level sequence and hold only steps (``landscape.enumerate_paths``
+refuses anything deeper), so this worst case is exact. Each round derives one
 ``RemainingStructure`` per instance: e_i, the worst-case remaining
 enactment time, as an affine function of the round's placements.
 ``RemainingStructure.remaining_ms`` is the only rule that evaluates it;

@@ -18,6 +18,7 @@ from ffsipp.landscape import Weights
 from ffsipp.milp import BOOLEAN, CONTINUOUS, INTEGER, MilpProblem
 
 from .conftest import assert_highs_reads_back, instance, preset_text, remaining_duration, vm_type
+from .oracle import enumerate_oracle
 
 SEEDS = (1, 2, 3)
 
@@ -81,7 +82,7 @@ def test_solver_matches_oracle_on_random_problems():
     solved = 0
     for _ in range(200):
         problem = random_problem(rng)
-        oracle = milp.enumerate_oracle(problem)
+        oracle = enumerate_oracle(problem)
         solution = milp.solve(problem, gap_tol=1e-9)
         assert solution.status == oracle.status
         if oracle.status == milp.OPTIMAL:

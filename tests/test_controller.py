@@ -5,14 +5,14 @@ from ffsipp.controller import CloudVmView, plan_actions, transform
 from ffsipp.optimizer import Assignment, SchedulingPlan
 
 
-def assignment(iid, j, vm_id, service, cpu, occupancy_ms=100_000):
+def assignment(iid, j, vm_id, service, cpu, occupancy_ms=100_000, ram=0.0):
     return Assignment(
         instance_id=iid,
         step_index=j,
         vm_id=vm_id,
         service=service,
         cpu_demand=cpu,
-        ram_demand=0.0,
+        ram_demand=ram,
         occupancy_ms=occupancy_ms,
     )
 
@@ -100,6 +100,15 @@ class TestPlanActions:
     def test_stop_hoisted_when_capacity_needed(self):
         p = plan([assignment(1, 0, "vm1", "A", 80.0)])
         cloud = {"vm1": CloudVmView(100.0, float("inf"), {"B": (30.0, 0.0)})}
+        actions = plan_actions(transform(p), cloud)
+        kinds = [a.kind for a in actions]
+        assert kinds.index(controller.STOP_CONTAINER) < kinds.index(
+            controller.DEPLOY_CONTAINER
+        )
+
+    def test_stop_hoisted_when_ram_needed(self):
+        p = plan([assignment(1, 0, "vm1", "A", 10.0, ram=500.0)])
+        cloud = {"vm1": CloudVmView(100.0, 1024.0, {"B": (10.0, 800.0)})}
         actions = plan_actions(transform(p), cloud)
         kinds = [a.kind for a in actions]
         assert kinds.index(controller.STOP_CONTAINER) < kinds.index(

@@ -5,6 +5,7 @@ from ffsipp import landscape, worstcase
 from ffsipp.landscape import (
     AND_BLOCK,
     DONE,
+    PENDING,
     REPEAT_LOOP,
     SEQUENCE,
     SKIPPED,
@@ -96,6 +97,16 @@ class TestWorkflowSemantics:
         assert restarted and restarted[0][1] == [0]
         assert inst.steps[0].status != DONE
         assert inst.loop_iters_done[restarted[0][0]] == 1
+
+    def test_only_the_finished_loop_restarts(self, abc_services):
+        inst = instance("LOOP*2(s,s),LOOP*2(s)", abc_services, ["A", "B", "C"])
+        first, second = (node_id for node_id, _, _ in inst.model.paths.loops)
+        inst.steps[0].status = DONE
+        assert advance_loops(inst) == []
+        inst.steps[1].status = DONE
+        assert advance_loops(inst) == [(first, [0, 1])]
+        assert inst.loop_iters_done == {first: 1, second: 0}
+        assert [s.status for s in inst.steps] == [PENDING, PENDING, PENDING]
 
     def test_loop_respects_sampled_iterations(self, abc_services):
         inst = instance("LOOP*3(s)", abc_services, ["A"])
@@ -234,11 +245,18 @@ class TestParseScenario:
             (("sla", "factr"), 2.5, r"^sla: unknown key 'factr'$"),
             (("vm_types", 0, "core"), 2, r"^vm_types\[0\]: unknown key 'core'$"),
             (("btu_second",), 300, r"^scenario: unknown key 'btu_second'$"),
+            (("solver", "mn"), 1000000, r"^solver: unknown key 'mn'$"),
+            (("arrival", "total_requests"), -3, r"^arrival\.total_requests must be >= 1, got -3$"),
+            (("sla", "planning_rate_per_s"), -1,
+             r"^sla\.planning_rate_per_s must be >= 0, got -1$"),
+            (("services", 0, "ram"), 2000,
+             r"^services\[0\]\.ram must be <= 1024, got 2000$"),
         ],
         ids=["cpu", "arrival", "sla", "weights", "steps", "batch_models", "btu_seconds", "loop",
              "fractional_int", "string", "bool", "nan", "time_limit_ms", "btu_max", "gap",
              "negative_ram", "negative_startup", "negative_interval", "unknown_section_key",
-             "unknown_entry_key", "unknown_top_key"],
+             "unknown_entry_key", "unknown_top_key", "big_m", "no_requests",
+             "negative_planning_rate", "ram_fits_no_vm"],
     )
     def test_mistyped_value_rejected(self, path, value, error):
         raw = yaml.safe_load(preset_text("smoke"))
@@ -254,6 +272,25 @@ class TestParseScenario:
         # The worst case counts such a loop's steps once, not per repetition.
         text = preset_text("smoke").replace('"s,AND(s|s)"', '"s,AND(LOOP*3(s)|s)"')
         with pytest.raises(ScenarioError, match=r"^model 2: a loop inside a block or loop"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize(
+        "structure, what",
+        [
+            ("AND(s,AND(s|s)|s)", "block"),
+            ("AND(s,XOR(s|s)|s)", "block"),
+            ("XOR(s,XOR(s|s)|s)", "block"),
+            ("LOOP*2(XOR(s|s))", "block"),
+            ("LOOP*2(AND(s|s))", "block"),
+            ("s,AND(LOOP*3(s)|s)", "loop"),
+        ],
+    )
+    def test_nested_shape_rejected(self, structure, what):
+        # The worst case would count a nested block's branches in series.
+        text = preset_text("smoke").replace('"s,AND(s|s)"', f'"{structure}"')
+        with pytest.raises(
+            ScenarioError, match=rf"^model 2: a {what} inside a block or loop is not supported$"
+        ):
             parse_scenario(text)
 
     def test_dangling_service_rejected(self):

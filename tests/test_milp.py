@@ -8,13 +8,13 @@ from ffsipp.milp import (
     CONTINUOUS,
     INTEGER,
     MilpProblem,
-    enumerate_oracle,
     export_lp,
     solve,
     verify,
 )
 
 from .conftest import assert_highs_reads_back, preset_text
+from .oracle import enumerate_oracle
 
 
 def problem(variables, rows=()):

@@ -14,6 +14,7 @@ from ffsipp.optimizer import (
 )
 
 from .conftest import instance, vm_type
+from .oracle import enumerate_oracle
 
 WEIGHTS = Weights(dl_per_ms=1e-6, d_per_ms=1e-7, f_cpu=0.01, f_ram=0.0, z=1.0)
 
@@ -57,7 +58,7 @@ class TestSingleStep:
     def test_matches_oracle(self, abc_services):
         model = build(self.single_step_state(abc_services), config())
         _, solution = solve_plan(model)
-        oracle = milp.enumerate_oracle(model.problem)
+        oracle = enumerate_oracle(model.problem)
         assert solution.objective_value == pytest.approx(oracle.objective_value, abs=1e-6)
 
     def test_decoded_point_verifies(self, abc_services):

@@ -3,16 +3,7 @@ import copy
 from hypothesis import given, settings, strategies as hst
 
 from ffsipp import worstcase
-from ffsipp.landscape import (
-    DONE,
-    PENDING,
-    REPEAT_LOOP,
-    RUNNING,
-    SEQUENCE,
-    SKIPPED,
-    STEP,
-    WorkflowNode,
-)
+from ffsipp.landscape import DONE, PENDING, RUNNING, SKIPPED
 
 from .conftest import instance, remaining_duration, service, vm_type
 
@@ -98,40 +89,26 @@ class TestRemainingStructure:
 
 
 def _structures():
-    def extend(children):
-        branches = hst.lists(children, min_size=2, max_size=3)
-        return hst.one_of(
-            branches.map(",".join),
-            branches.map(lambda b: "AND(" + "|".join(b) + ")"),
-            branches.map(lambda b: "XOR(" + "|".join(b) + ")"),
-            hst.tuples(hst.integers(1, 3), children).map(lambda t: f"LOOP*{t[0]}({t[1]})"),
-        )
-
-    return hst.recursive(hst.just("s"), extend, max_leaves=8)
-
-
-def _nodes(node: WorkflowNode):
-    yield node
-    for child in node.children:
-        yield from _nodes(child)
-
-
-def _top_level_loops(node: WorkflowNode):
-    """Loops reached from the root through sequences only, with their steps."""
-    if node.kind == REPEAT_LOOP:
-        yield node, {n.step_index for n in _nodes(node) if n.kind == STEP}
-    elif node.kind == SEQUENCE:
-        for child in node.children:
-            yield from _top_level_loops(child)
+    """Every shape the parser accepts: a sequence of steps, blocks and loops
+    whose branches and bodies are sequences of steps."""
+    steps = hst.integers(1, 3).map(lambda n: ",".join(["s"] * n))
+    branches = hst.lists(steps, min_size=1, max_size=3).map("|".join)
+    item = hst.one_of(
+        hst.just("s"),
+        branches.map(lambda b: f"AND({b})"),
+        branches.map(lambda b: f"XOR({b})"),
+        hst.tuples(hst.integers(1, 3), steps).map(lambda t: f"LOOP*{t[0]}({t[1]})"),
+    )
+    return hst.lists(item, min_size=1, max_size=4).map(",".join)
 
 
 def _reference_deadline(inst, j, services) -> int:
     """Mark ``j`` done in its loop's last iteration and re-evaluate e_i."""
     after = copy.deepcopy(inst)
     after.steps[j].status = DONE
-    for loop, steps in _top_level_loops(after.model.root):
-        if j in steps:
-            after.loop_iters_done[loop.node_id] = loop.repetitions - 1
+    for node_id, body, reps in after.model.paths.loops:
+        if j in body:
+            after.loop_iters_done[node_id] = reps - 1
     own = worstcase.step_coefficient_ms(inst.steps[j], services, DELTA)
     return inst.deadline_ms - own - remaining_duration(after, services, DELTA)
 
@@ -142,9 +119,8 @@ def _instances(draw, services):
     for step in inst.steps:
         step.status = draw(hst.sampled_from((PENDING, PENDING, DONE, RUNNING, SKIPPED)))
         step.expected_ms = draw(hst.integers(1, 200)) * 1000
-    for node in _nodes(inst.model.root):
-        if node.kind == REPEAT_LOOP:
-            inst.loop_iters_done[node.node_id] = draw(hst.integers(0, node.repetitions - 1))
+    for node_id, _, reps in inst.model.paths.loops:
+        inst.loop_iters_done[node_id] = draw(hst.integers(0, reps - 1))
     pending = [j for j, s in enumerate(inst.steps) if s.status == PENDING]
     schedulable = set(draw(hst.lists(hst.sampled_from(pending), unique=True))) if pending else set()
     placed = {j for j in sorted(schedulable) if draw(hst.booleans())}
@@ -162,7 +138,6 @@ class TestStepDeadlines:
     @given(_instances(SERVICES))
     def test_deadline_matches_reevaluation(self, drawn):
         inst, schedulable, placed = drawn
-        assert all(inst.model.nodes[n.node_id] is n for n in _nodes(inst.model.root))
         before = copy.deepcopy(inst)
         rs = worstcase.remaining_structure(inst, self.SERVICES, DELTA, schedulable)
         assert inst == before
