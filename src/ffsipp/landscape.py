@@ -555,8 +555,13 @@ def parse_scenario(text: str) -> Scenario:
         vm_types[vt.id] = vt
     if not vm_types:
         raise ScenarioError("no vm types")
+    largest_cpu = max(vt.cpu_supply for vt in vm_types.values())
     largest_ram = max(vt.ram_supply for vt in vm_types.values())
     for i, svc in enumerate(services.values()):
+        if svc.cpu_demand > largest_cpu:
+            raise ScenarioError(
+                f"services[{i}].cpu must be <= {largest_cpu:g}, got {svc.cpu_demand:g}"
+            )
         if svc.ram_demand > largest_ram:
             raise ScenarioError(
                 f"services[{i}].ram must be <= {largest_ram:g}, got {svc.ram_demand:g}"

@@ -47,10 +47,15 @@ def sample_duration(service: landscape.ServiceType, rng: np.random.Generator) ->
     return int(round(max(mu / 10.0, draw)))
 
 
-def sample_cpu(service: landscape.ServiceType, rng: np.random.Generator) -> float:
+def sample_cpu(
+    service: landscape.ServiceType, rng: np.random.Generator, cap: float = math.inf
+) -> float:
+    """Normal(mu, mu/10) CPU share, truncated below at mu/10 and above at
+    ``cap``. The simulator caps at the largest VM type's supply, so that
+    every draw fits some VM type."""
     mu = service.cpu_demand
     draw = rng.normal(mu, mu / 10.0)
-    return max(mu / 10.0, draw)
+    return min(cap, max(mu / 10.0, draw))
 
 
 def arrival_pyramid(n: int) -> int:
@@ -152,6 +157,7 @@ class Simulator:
         self._wakeup_at: int | None = None
         self.config = optimizer.OptimizerConfig.from_scenario(scenario)
         self._models = {m.id: m for m in scenario.models}
+        self._cpu_cap = max(vt.cpu_supply for vt in scenario.vm_types.values())
 
     # -- setup -------------------------------------------------------------
 
@@ -203,7 +209,7 @@ class Simulator:
         for node in model.step_nodes:
             svc = self.sc.services[node.service]
             durations.append(sample_duration(svc, rng))
-            cpus.append(sample_cpu(svc, rng))
+            cpus.append(sample_cpu(svc, rng, self._cpu_cap))
         loop_iters = {}
         for node_id, _, reps in model.paths.loops:
             loop_iters[node_id] = int(rng.integers(1, reps + 1))
@@ -299,7 +305,7 @@ class Simulator:
             for idx in reset:
                 svc = self.sc.services[inst.steps[idx].service]
                 inst.steps[idx].expected_ms = sample_duration(svc, rng)
-                inst.steps[idx].cpu_demand = sample_cpu(svc, rng)
+                inst.steps[idx].cpu_demand = sample_cpu(svc, rng, self._cpu_cap)
         self._resolve_choices(inst)
 
         if inst.done:

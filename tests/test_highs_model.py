@@ -6,9 +6,12 @@ bounds, the integrality, the constraint matrix as CSC with sorted indices
 (int64 indices, float64 values), the row bounds and the options. A speed-only
 change to the model builder must reproduce every digest.
 
-The committed digests were recorded with the model builder that assembled a
-dense rows x vars array; regenerate them (only for a deliberate change of the
-model) with
+The digests were first recorded with the model builder that assembled a
+dense rows x vars array. The options are part of each digest, so switching
+feasibility jump off in ``milp.solve`` moved every one of them; with the
+options left out, every round matched the dense builder's until the sipp run's
+plans parted at round 59. Regenerate them (only for a deliberate change of the
+model or of the options) with
 
     PYTHONPATH=src python -m tests.test_highs_model > tests/data/highs_model_digests.json
 """

@@ -251,12 +251,14 @@ class TestParseScenario:
              r"^sla\.planning_rate_per_s must be >= 0, got -1$"),
             (("services", 0, "ram"), 2000,
              r"^services\[0\]\.ram must be <= 1024, got 2000$"),
+            (("services", 0, "cpu"), 250,
+             r"^services\[0\]\.cpu must be <= 200, got 250$"),
         ],
         ids=["cpu", "arrival", "sla", "weights", "steps", "batch_models", "btu_seconds", "loop",
              "fractional_int", "string", "bool", "nan", "time_limit_ms", "btu_max", "gap",
              "negative_ram", "negative_startup", "negative_interval", "unknown_section_key",
              "unknown_entry_key", "unknown_top_key", "big_m", "no_requests",
-             "negative_planning_rate", "ram_fits_no_vm"],
+             "negative_planning_rate", "ram_fits_no_vm", "cpu_fits_no_vm"],
     )
     def test_mistyped_value_rejected(self, path, value, error):
         raw = yaml.safe_load(preset_text("smoke"))

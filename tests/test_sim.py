@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ffsipp
-from ffsipp import controller, milp, sim
+from ffsipp import controller, landscape, milp, sim
 from ffsipp.landscape import RUNNING
 from ffsipp.sim import (
     Simulator,
@@ -48,6 +48,22 @@ class TestSampling:
         rng = np.random.default_rng(0)
         draws = [sample_cpu(svc, rng) for _ in range(500)]
         assert min(draws) >= 4.5
+
+    def test_cpu_capped_above(self):
+        svc = service("A", cpu=92.0)
+        rng = np.random.default_rng(0)
+        draws = [sample_cpu(svc, rng, 100.0) for _ in range(500)]
+        assert max(draws) == 100.0
+
+    def test_draw_above_every_vm_type_is_capped(self):
+        # Service A's mean fits p1, the only VM type, but about one draw in
+        # five lands above its 100%; seeds 1, 4 and 5 draw one for step 1/0.
+        text = preset_text("smoke").replace("cpu: 45", "cpu: 92")
+        text = "\n".join(line for line in text.splitlines() if "name: a2" not in line)
+        sc = landscape.parse_scenario(text)
+        for seed in range(1, 6):
+            report = sim.run(sc, sim.FFSIPP, seed)
+            assert len(report.records) == sc.arrival.total_requests
 
 
 class TestPenaltyUnits:
