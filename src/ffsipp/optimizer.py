@@ -9,6 +9,7 @@ flag, adding per-VM type-exclusivity variables.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import mul
 
@@ -114,6 +115,16 @@ class FfsippModel:
         self.config = config
         self.baseline = baseline
         self.delta_ms = worstcase.max_startup_ms(state.vm_types)
+        # instance -> its ready steps, each with the VM types it fits
+        self._ready: dict[int, dict[int, set[str]]] = {}
+        for inst in state.instances:
+            ready = self._ready[inst.id] = {}
+            for j in sorted(next_steps(inst)):
+                step = inst.steps[j]
+                ready[j] = {
+                    t for t, vt in state.vm_types.items()
+                    if _within(step.cpu_demand, step.ram_demand, vt)
+                }
         self.candidates = self._candidate_vms()
         self.problem = milp.MilpProblem()
         self._instances = {inst.id: inst for inst in state.instances}
@@ -125,7 +136,6 @@ class FfsippModel:
         self._vm_x: dict[str, list[tuple[int, Assignment]]] = {vm.id: [] for vm in self.candidates}
         self._y: dict[str, int] = {}
         self._g: dict[str, int] = {}
-        self._gamma: dict[str, int] = {}
         self._ep: dict[int, int] = {}
         self._remaining: dict[int, worstcase.RemainingStructure] = {}
         # Continuous helpers and the rows that bound each from below, in
@@ -153,12 +163,19 @@ class FfsippModel:
     # -- construction -----------------------------------------------------
 
     def _candidate_vms(self) -> list[VmSnapshot]:
+        """The fleet, then fresh copies of each type. With the symmetry rows,
+        a fresh VM beyond the ready steps that fit its type stays empty in
+        every optimum (an empty fresh VM only adds cost), so the copies are
+        capped at that count as well as at the pool's room."""
         cands = list(self.state.fleet)
         live_per_type: dict[str, int] = {}
         for vm in self.state.fleet:
             live_per_type[vm.type_id] = live_per_type.get(vm.type_id, 0) + 1
+        fitting_steps = Counter(
+            t for ready in self._ready.values() for types in ready.values() for t in types
+        )
         for vt in self.state.vm_types.values():
-            n = self.config.fresh_candidates
+            n = min(self.config.fresh_candidates, fitting_steps[vt.id])
             if vt.pool_limit is not None:
                 n = min(n, vt.pool_limit - live_per_type.get(vt.id, 0))
             for i in range(max(0, n)):
@@ -197,15 +214,15 @@ class FfsippModel:
         p = self.problem
         tau = state.now_ms
 
-        # Per-VM lease / usage variables.
-        y_by_type: dict[str, list[int]] = {vt: [] for vt in state.vm_types}
+        # Per-VM lease / usage variables. A leased VM's g - y <= 1 holds by
+        # the bounds, so only a fresh VM gets the row g <= y.
         for vm in self.candidates:
             y = p.add_var(f"y__{vm.id}", milp.INTEGER, 0, cfg.btu_max)
             g = p.add_var(f"g__{vm.id}", milp.BOOLEAN, 0, 1)
             self._y[vm.id], self._g[vm.id] = y, g
-            y_by_type[vm.type_id].append(y)
-            beta = 0 if is_fresh_vm(vm.id) else 1
-            p.add_row((g, y), (1, -1), "<=", beta)
+            self._term("leasing", y, self._vm_type(vm).cost_per_btu)
+            if is_fresh_vm(vm.id):
+                p.add_row((g, y), (1, -1), "<=", 0)
 
         # Symmetry breaking among anonymous fresh candidates of one type.
         by_type: dict[str, list[VmSnapshot]] = {}
@@ -217,19 +234,11 @@ class FfsippModel:
                 p.add_row((self._g[a.id], self._g[b.id]), (1, -1), ">=", 0)
 
         # Placement variables and per-instance rows.
-        capacities = [
-            (vm, self._vm_type(vm).cpu_supply + 1e-9, self._vm_type(vm).ram_supply + 1e-9)
-            for vm in self.candidates
-        ]
         for inst in state.instances:
             schedulable: dict[int, list[VmSnapshot]] = {}
-            for j in sorted(next_steps(inst)):
+            for j, types in self._ready[inst.id].items():
                 step = inst.steps[j]
-                fitting = [
-                    vm
-                    for vm, cpu, ram in capacities
-                    if step.cpu_demand <= cpu and step.ram_demand <= ram
-                ]
+                fitting = [vm for vm in self.candidates if vm.type_id in types]
                 if not fitting:
                     raise ModelError(
                         f"step {inst.id}/{j} ({step.service}, {step.cpu_demand}%) "
@@ -249,27 +258,34 @@ class FfsippModel:
         if self.baseline:
             self._baseline_rows()
 
-        # Capacity, free capacity, usage link per VM.
+        # Capacity, free capacity, usage link per VM. A capacity row with no
+        # placement term only restates that the running steps fit, which
+        # is checked here instead.
         for vm in self.candidates:
             vt = self._vm_type(vm)
             y, g = self._y[vm.id], self._g[vm.id]
             running = self._running.get(vm.id, [])
             run_cpu = sum((a.cpu_demand for a in running), 0.0)
             run_ram = sum((a.ram_demand for a in running), 0.0)
+            if not _within(run_cpu, run_ram, vt):
+                raise ModelError(
+                    f"{vm.id} already runs {run_cpu}% CPU and {run_ram} MB RAM, "
+                    f"over its supply of {vt.cpu_supply}% and {vt.ram_supply} MB"
+                )
             vm_x = self._vm_x[vm.id]
             cpu_cols = [col for col, a in vm_x if a.cpu_demand]
             cpu = [a.cpu_demand for _, a in vm_x if a.cpu_demand]
             ram_cols = [col for col, a in vm_x if a.ram_demand]
             ram = [a.ram_demand for _, a in vm_x if a.ram_demand]
-            p.add_row(cpu_cols, cpu, "<=", vt.cpu_supply - run_cpu)
-            p.add_row(ram_cols, ram, "<=", vt.ram_supply - run_ram)
+            if cpu_cols:
+                p.add_row(cpu_cols, cpu, "<=", vt.cpu_supply - run_cpu)
+            if ram_cols:
+                p.add_row(ram_cols, ram, "<=", vt.ram_supply - run_ram)
             for col, _ in vm_x:
                 p.add_row((col, g), (1.0, -1.0), "<=", 0)
 
-            fc = p.add_var(f"fC__{vm.id}", milp.CONTINUOUS, 0, math.inf)
-            fr = p.add_var(f"fR__{vm.id}", milp.CONTINUOUS, 0, math.inf)
-            self._free_row(fc, cpu_cols, cpu, g, vt.cpu_supply, run_cpu, w.f_cpu)
-            self._free_row(fr, ram_cols, ram, g, vt.ram_supply, run_ram, w.f_ram)
+            self._free_row(f"fC__{vm.id}", cpu_cols, cpu, g, vt.cpu_supply, run_cpu, w.f_cpu)
+            self._free_row(f"fR__{vm.id}", ram_cols, ram, g, vt.ram_supply, run_ram, w.f_ram)
 
             # Lease coverage for running steps.
             max_run = max((a.occupancy_ms for a in running), default=0)
@@ -286,18 +302,12 @@ class FfsippModel:
             if is_fresh_vm(vm.id):
                 p.add_row((y, g), (1.0, -float(need)), "<=", 0)
 
-        # BTU totals per type.
-        for vt in state.vm_types.values():
-            members = y_by_type[vt.id]
-            gamma = p.add_var(
-                f"gamma__{vt.id}", milp.INTEGER, 0, cfg.btu_max * max(1, len(members))
-            )
-            self._gamma[vt.id] = gamma
-            p.add_row([gamma] + members, [1.0] + [-1.0] * len(members), "=", 0)
-            self._term("leasing", gamma, vt.cost_per_btu)
-
-    def _free_row(self, f: int, cols, coefs, g: int, supply: float, run: float, weight: float):
-        """f >= supply*g - used  <=>  f + used - supply*g >= -running_load"""
+    def _free_row(self, name: str, cols, coefs, g: int, supply: float, run: float, weight: float):
+        """f >= supply*g - used  <=>  f + used - supply*g >= -running_load.
+        An unweighted f cannot change the answer, so it is left out."""
+        if not weight:
+            return
+        f = self.problem.add_var(name, milp.CONTINUOUS, 0, math.inf)
         if supply:
             cols, coefs = cols + [g], coefs + [-supply]
         self._helpers.append((f, [self.problem.add_row(cols + [f], coefs + [1.0], ">=", -run)]))
@@ -337,13 +347,14 @@ class FfsippModel:
                     self._term("deployment", col, w.z)
                 self._term("remaining_lease", col, w.d_per_ms * vm.lease_remaining_ms)
                 self._term("importance", col, importance)
-                # Lease coverage for this placement.
-                p.add_row(
-                    (col, self._y[vm.id]),
-                    (float(occ), -float(self._vm_type(vm).btu_ms)),
-                    "<=",
-                    vm.lease_remaining_ms,
-                )
+                # Lease coverage for a placement that outlasts the lease.
+                if occ > vm.lease_remaining_ms:
+                    p.add_row(
+                        (col, self._y[vm.id]),
+                        (float(occ), -float(self._vm_type(vm).btu_ms)),
+                        "<=",
+                        vm.lease_remaining_ms,
+                    )
             # At most one VM per step.
             if placed[j]:
                 p.add_row([col for col, _ in placed[j]], [1.0] * len(placed[j]), "<=", 1)
@@ -462,12 +473,13 @@ class FfsippModel:
             values[col] = floor
 
         assignments = [a for vm_x in self._vm_x.values() for col, a in vm_x if values[col] > 0.5]
-        leases = {
-            vm.id: int(round(values[self._y[vm.id]]))
-            for vm in self.candidates
-            if values[self._y[vm.id]] > 0.5
-        }
-        gamma = {vt: int(round(values[col])) for vt, col in self._gamma.items()}
+        leases = {}
+        gamma = dict.fromkeys(self.state.vm_types, 0)
+        for vm in self.candidates:
+            btus = int(values[self._y[vm.id]])
+            if btus:
+                leases[vm.id] = btus
+                gamma[vm.type_id] += btus
         penalties = {iid: values[col] for iid, col in self._ep.items()}
         placed: dict[int, list[int]] = {iid: [] for iid in self._remaining}
         for a in assignments:
@@ -509,6 +521,12 @@ class FfsippModel:
 
 
 BASELINE_DEPLOY_MS = 30_000
+
+
+def _within(cpu: float, ram: float, vt: VmType) -> bool:
+    """Whether a CPU and RAM load fits one VM of type ``vt``."""
+    return cpu <= vt.cpu_supply + 1e-9 and ram <= vt.ram_supply + 1e-9
+
 
 FRESH_PREFIX = "new_"
 

@@ -1,8 +1,14 @@
-import math
+import os
+import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import ffsipp
 from ffsipp import milp, optimizer
+from ffsipp.baseline import build_baseline
 from ffsipp.landscape import RUNNING, Weights
 from ffsipp.optimizer import (
     OptimizerConfig,
@@ -13,7 +19,7 @@ from ffsipp.optimizer import (
     next_wakeup,
 )
 
-from .conftest import instance, vm_type
+from .conftest import instance, service, vm_type
 from .oracle import enumerate_oracle
 
 WEIGHTS = Weights(dl_per_ms=1e-6, d_per_ms=1e-7, f_cpu=0.01, f_ram=0.0, z=1.0)
@@ -173,6 +179,95 @@ class TestSharingAndCapacity:
         types = {"p1": vm_type("p1", cores=1)}
         with pytest.raises(optimizer.ModelError):
             build(state([inst], services, types), config())
+
+
+class TestLiveModel:
+    """The round model holds only rows and columns that can change its answer."""
+
+    def snapshot(self, abc_services):
+        services = dict(abc_services, H=service("H", cpu=150.0, duration_s=60, ram=512.0))
+        # Instance 1 runs step 0 on vm1 and has step 1 ready; 2 and 3 each
+        # have one step that fits only the 2- and 4-core types.
+        running = instance("AND(s|s)", services, ["A", "A"], iid=1, deadline_ms=140_000)
+        running.steps[0].status = RUNNING
+        big = [instance("s", services, ["H"], iid=i, deadline_ms=150_000) for i in (2, 3)]
+        types = {
+            "p1": vm_type("p1", cores=1),
+            "p2": vm_type("p2", cores=2, cost=18.0, pool_limit=2),
+            "p4": vm_type("p4", cores=4, cost=30.0),
+        }
+        fleet = [
+            VmSnapshot(
+                id="vm1", type_id="p1", ready_in_ms=0, lease_remaining_ms=100_000,
+                cached_images=frozenset({"A"}), offered_service="A",
+                running_steps=[(1, 0, 50_000)],
+            ),
+            VmSnapshot(id="vm2", type_id="p2", ready_in_ms=0, lease_remaining_ms=20_000),
+        ]
+        return state([running] + big, services, types, fleet=fleet)
+
+    @pytest.mark.parametrize("baseline", [False, True], ids=["ffsipp", "sipp"])
+    @pytest.mark.parametrize("f_cpu, f_ram", [(0.01, 0.0), (0.0, 0.001)])
+    def test_only_live_rows_and_columns(self, abc_services, baseline, f_cpu, f_ram):
+        weights = Weights(dl_per_ms=1e-6, d_per_ms=1e-7, f_cpu=f_cpu, f_ram=f_ram, z=1.0)
+        cfg = config(weights=weights, fresh_candidates=2)
+        model = (build_baseline if baseline else build)(self.snapshot(abc_services), cfg)
+        p = model.problem
+        assert (np.diff(p.matrix().indptr) > 0).all(), "a row without a non-zero term"
+        helpers = [col for col, n in enumerate(p.names) if n.startswith(("fC__", "fR__"))]
+        assert helpers and all(p.cost[col] for col in helpers)
+        # p1 fits one ready step, p2 has room for one more VM in its pool,
+        # p4 is held at fresh_candidates.
+        fresh = {}
+        for vm in model.candidates:
+            if optimizer.is_fresh_vm(vm.id):
+                fresh[vm.type_id] = fresh.get(vm.type_id, 0) + 1
+        assert fresh == {"p1": 1, "p2": 1, "p4": 2}
+        plan, _ = solve_plan(model)
+        assert milp.verify(p, plan.milp_values) == []
+        assert plan.assignments
+        y_sum = dict.fromkeys(model.state.vm_types, 0)
+        for vm in model.candidates:
+            y_sum[vm.type_id] += plan.milp_values[p.names.index(f"y__{vm.id}")]
+        assert plan.gamma == y_sum and sum(y_sum.values()) > 0
+
+
+class TestOverfullVm:
+    def test_running_load_beyond_supply_rejected_under_optimize(self):
+        # Under python -O a bare assert is gone; the check must still raise.
+        code = """
+from ffsipp import optimizer
+from tests.conftest import instance, service, vm_type
+from tests.test_optimizer import config, state
+
+services = {"A": service("A", cpu=60.0, ram=600.0)}
+for j, (cpu, ram) in enumerate([(60.0, 0.0), (30.0, 600.0)]):
+    insts = [instance("s", services, ["A"], iid=i) for i in (1, 2)]
+    for inst in insts:
+        inst.steps[0].status = "running"
+        inst.steps[0].cpu_demand, inst.steps[0].ram_demand = cpu, ram
+    vm = optimizer.VmSnapshot(
+        id=f"vm{j}", type_id="p1", ready_in_ms=0, lease_remaining_ms=300_000,
+        running_steps=[(1, 0, 10_000), (2, 0, 10_000)],
+    )
+    st = state(insts, services, {"p1": vm_type("p1")}, fleet=[vm])
+    try:
+        optimizer.build(st, config())
+    except optimizer.ModelError as exc:
+        print("raised:", exc)
+"""
+        root = pathlib.Path(ffsipp.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, cwd=root,
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert proc.stdout.splitlines() == [
+            "raised: vm0 already runs 120.0% CPU and 0.0 MB RAM, "
+            "over its supply of 100.0% and 1024.0 MB",
+            "raised: vm1 already runs 60.0% CPU and 1200.0 MB RAM, "
+            "over its supply of 100.0% and 1024.0 MB",
+        ]
 
 
 class TestCachingIncentive:
