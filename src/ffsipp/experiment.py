@@ -57,6 +57,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown approaches: {sorted(unknown)}")
         if self.sla_factor is not None and self.sla_factor <= 1:
             raise ValueError("sla_factor must exceed 1")
+        negative = [s for s in self.seeds if s < 0]
+        if negative:
+            raise ValueError(f"seeds must be >= 0, got {negative}")
+        if self.max_workers is not None and self.max_workers < 1:
+            raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
 
 
 def load_scenario(config: ExperimentConfig) -> Scenario:

@@ -184,13 +184,9 @@ def make_instance(
         penalty_rate=penalty_rate,
         steps=steps,
     )
-    for node in model.nodes:
-        if node.kind == REPEAT_LOOP:
-            inst.loop_iters_done[node.node_id] = 0
-            planned = node.repetitions
-            if loop_iterations and node.node_id in loop_iterations:
-                planned = loop_iterations[node.node_id]
-            inst.loop_planned[node.node_id] = planned
+    for node_id, _, reps in model.paths.loops:
+        inst.loop_iters_done[node_id] = 0
+        inst.loop_planned[node_id] = (loop_iterations or {}).get(node_id, reps)
     return inst
 
 
@@ -204,67 +200,96 @@ def _iter_nodes(node: WorkflowNode):
 # Structural queries
 
 
-def _node_state(
-    inst: ProcessInstance, node: WorkflowNode, pending: list[int] | None = None
-) -> tuple[set[int], bool]:
-    """Return (ready step indices, node fully done). Enabled XOR blocks with
-    no chosen branch are appended to ``pending``, if given, in tree order."""
-    if node.kind == STEP:
-        st = inst.steps[node.step_index].status
-        if st in (DONE, SKIPPED):
-            return set(), True
-        if st == PENDING:
-            return {node.step_index}, False
-        return set(), False  # running
-    if node.kind == SEQUENCE or node.kind == REPEAT_LOOP:
-        for child in node.children:
-            ready, child_done = _node_state(inst, child, pending)
-            if not child_done:
-                return ready, False
-        return set(), True
-    if node.kind == AND_BLOCK:
-        ready: set[int] = set()
-        all_done = True
-        for child in node.children:
-            r, d = _node_state(inst, child, pending)
-            ready |= r
-            all_done = all_done and d
-        return ready, all_done  # blocking merge
-    if node.kind == XOR_BLOCK:
-        choice = inst.xor_choices.get(node.node_id)
-        if choice is None:
-            # Branch chosen by the simulator when the block is reached; until
-            # then the block exposes no ready steps.
-            if pending is not None:
-                pending.append(node.node_id)
-            return set(), False
-        return _node_state(inst, node.children[choice], pending)
-    raise AssertionError(node.kind)
+@dataclass
+class PathDecomposition:
+    """A model's top-level sequence in order, one (node_id, kind, step lists,
+    repetitions) item per entry: a lone step is one list of one step, an
+    AND/XOR block one list per branch, a loop one list (its body) repeated at
+    most ``repetitions`` times (1 for the others). Nothing sits deeper, so
+    every step occupies exactly one position."""
+
+    items: list[tuple[int, str, list[list[int]], int]]
+
+    @functools.cached_property
+    def seq_steps(self) -> list[int]:
+        return [lists[0][0] for _, kind, lists, _ in self.items if kind == STEP]
+
+    @functools.cached_property
+    def blocks(self) -> list[tuple[int, list[list[int]]]]:
+        """AND and XOR blocks in sequence order: (node_id, step lists per branch)."""
+        return [(n, lists) for n, kind, lists, _ in self.items if kind in (AND_BLOCK, XOR_BLOCK)]
+
+    @functools.cached_property
+    def loops(self) -> list[tuple[int, list[int], int]]:
+        """(node_id, body steps, maximum repetitions) per loop."""
+        return [(n, lists[0], reps) for n, kind, lists, reps in self.items if kind == REPEAT_LOOP]
+
+
+def enumerate_paths(model: ProcessModel) -> PathDecomposition:
+    """The model's decomposition; refuses a block or loop below the top level
+    and a loop the simulator cannot draw iterations for."""
+
+    def steps_of(node: WorkflowNode) -> list[int]:
+        inner = node.children if node.kind == SEQUENCE else [node]
+        for n in inner:
+            if n.kind != STEP:
+                what = "loop" if n.kind == REPEAT_LOOP else "block"
+                raise ScenarioError(
+                    f"model {model.id}: a {what} inside a block or loop is not supported"
+                )
+        return [n.step_index for n in inner]
+
+    items = []
+    for node in model.root.children if model.root.kind == SEQUENCE else [model.root]:
+        lists = [[node.step_index]] if node.kind == STEP else [steps_of(c) for c in node.children]
+        reps = node.repetitions or 1
+        if reps >= 2**63:  # the simulator draws iterations from [1, reps] as an int64
+            raise ScenarioError(f"model {model.id}: loop repetitions must be < 2**63, got {reps}")
+        items.append((node.node_id, node.kind, lists, reps))
+    return PathDecomposition(items)
+
+
+def _frontier(inst: ProcessInstance) -> tuple[list[list[int]], list[int]]:
+    """The step lists of the first top-level item with a step neither done
+    nor skipped or, if that item is an XOR block whose branch is not chosen
+    yet, its node id instead."""
+    for node_id, kind, lists, _ in inst.model.paths.items:
+        for steps in lists:
+            for i in steps:
+                if inst.steps[i].status not in (DONE, SKIPPED):
+                    if kind == XOR_BLOCK and node_id not in inst.xor_choices:
+                        return [], [node_id]
+                    return lists, []
+    return [], []
 
 
 def next_steps(inst: ProcessInstance) -> set[int]:
-    """Step indices whose structural predecessors are all done (J*)."""
-    ready, _ = _node_state(inst, inst.model.root)
+    """Step indices whose structural predecessors are all done (J*): the
+    pending head of each list of the first unfinished top-level item."""
+    ready = set()
+    for steps in _frontier(inst)[0]:
+        for i in steps:
+            if inst.steps[i].status != DONE:
+                if inst.steps[i].status == PENDING:
+                    ready.add(i)
+                break
     return ready
 
 
 def pending_xor_choices(inst: ProcessInstance) -> list[int]:
-    """Enabled XOR blocks whose branch has not been chosen yet, in tree order."""
-    pending: list[int] = []
-    _node_state(inst, inst.model.root, pending)
-    return pending
+    """Enabled XOR blocks whose branch has not been chosen yet: at most one,
+    in sequence order."""
+    return _frontier(inst)[1]
 
 
 def apply_xor_choice(inst: ProcessInstance, node_id: int, branch: int):
     """Record a branch choice and mark the other branches' steps skipped."""
-    node = inst.model.nodes[node_id]
     inst.xor_choices[node_id] = branch
-    for i, child in enumerate(node.children):
-        if i == branch:
-            continue
-        for sub in _iter_nodes(child):
-            if sub.kind == STEP:
-                inst.steps[sub.step_index].status = SKIPPED
+    (branches,) = [lists for nid, lists in inst.model.paths.blocks if nid == node_id]
+    for b, steps in enumerate(branches):
+        if b != branch:
+            for i in steps:
+                inst.steps[i].status = SKIPPED
 
 
 def advance_loops(inst: ProcessInstance) -> list[tuple[int, list[int]]]:
@@ -286,67 +311,30 @@ def advance_loops(inst: ProcessInstance) -> list[tuple[int, list[int]]]:
     return restarted
 
 
-@dataclass
-class PathDecomposition:
-    """Structural positions of a model's steps.
-
-    Blocks and loops sit in the top-level sequence and hold only steps, so
-    every step occupies exactly one position: the sequence, one branch of
-    one block, or one loop body.
-    """
-
-    seq_steps: list[int]
-    # AND and XOR blocks in tree order: (node_id, step lists per branch)
-    blocks: list[tuple[int, list[list[int]]]]
-    loops: list[tuple[int, list[int], int]]  # (node_id, body steps, re)
-
-
-def enumerate_paths(model: ProcessModel) -> PathDecomposition:
-    """The model's decomposition; refuses a block or loop below the top level."""
-    dec = PathDecomposition([], [], [])
-
-    def flatten(node: WorkflowNode) -> list[int]:
-        for n in _iter_nodes(node):
-            if n.kind not in (STEP, SEQUENCE):
-                what = "loop" if n.kind == REPEAT_LOOP else "block"
-                raise ScenarioError(
-                    f"model {model.id}: a {what} inside a block or loop is not supported"
-                )
-        return [n.step_index for n in _iter_nodes(node) if n.kind == STEP]
-
-    def walk(node: WorkflowNode):
-        if node.kind == STEP:
-            dec.seq_steps.append(node.step_index)
-        elif node.kind == SEQUENCE:
-            for child in node.children:
-                walk(child)
-        elif node.kind in (AND_BLOCK, XOR_BLOCK):
-            dec.blocks.append((node.node_id, [flatten(c) for c in node.children]))
-        elif node.kind == REPEAT_LOOP:
-            dec.loops.append((node.node_id, flatten(node.children[0]), node.repetitions))
-
-    walk(model.root)
-    return dec
-
-
-def _critical_path(node: WorkflowNode, services: dict[str, ServiceType]) -> tuple[float, int]:
+def _critical_path(model: ProcessModel, services: dict[str, ServiceType]) -> tuple[float, int]:
     """(mean service seconds, deployment overhead ms) along the path with the
-    longest mean service time: sequences sum, AND/XOR take the longest
-    branch, loops multiply by their maximum repetitions."""
-    if node.kind == STEP:
-        svc = services[node.service]
-        return svc.duration_ms / 1000.0, svc.image_pull_ms + svc.container_start_ms
-    parts = [_critical_path(c, services) for c in node.children]
-    if node.kind in (AND_BLOCK, XOR_BLOCK):
-        return max(parts, key=lambda p: p[0])
-    reps = node.repetitions if node.kind == REPEAT_LOOP else 1
-    return reps * sum(p[0] for p in parts), reps * sum(p[1] for p in parts)
+    longest mean service time: the sequence sums, AND/XOR take the (first)
+    longest branch, loops multiply by their maximum repetitions."""
+    secs, overhead = 0, 0
+    for _, _, lists, reps in model.paths.items:
+        best = None
+        for steps in lists:
+            branch_secs, branch_overhead = 0, 0
+            for i in steps:
+                svc = services[model.step_nodes[i].service]
+                branch_secs += svc.duration_ms / 1000.0
+                branch_overhead += svc.image_pull_ms + svc.container_start_ms
+            if best is None or branch_secs > best[0]:
+                best = branch_secs, branch_overhead
+        secs += reps * best[0]
+        overhead += reps * best[1]
+    return secs, overhead
 
 
 def average_makespan(model: ProcessModel, services: dict[str, ServiceType]) -> float:
     """Service-time-only makespan in seconds using mean durations; VM and
     container overheads are excluded."""
-    return _critical_path(model.root, services)[0]
+    return _critical_path(model, services)[0]
 
 
 def critical_path_overhead_ms(
@@ -354,7 +342,7 @@ def critical_path_overhead_ms(
 ) -> int:
     """Expected one-off deployment overheads along the makespan-critical path:
     one VM startup for the instance plus pull + container start per step."""
-    return startup_ms + _critical_path(model.root, services)[1]
+    return startup_ms + _critical_path(model, services)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +592,14 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(f"unknown arrival kind {kind!r}")
     batch = arr.get("batch_models")
     if batch is not None:
+        if kind != "constant":
+            raise ScenarioError(f"arrival.batch_models needs kind 'constant', got {kind!r}")
         if not isinstance(batch, list) or not all(isinstance(g, list) for g in batch):
             raise ScenarioError(f"arrival.batch_models must be a list of lists, got {batch!r}")
         batch = tuple(tuple(_number("arrival.batch_models", m, int) for m in g) for g in batch)
-        for group in batch:
+        for i, group in enumerate(batch):
+            if not group:
+                raise ScenarioError(f"arrival.batch_models[{i}] must name at least one model")
             for mid in group:
                 if mid not in seen_ids:
                     raise ScenarioError(f"arrival references unknown model {mid}")

@@ -4,7 +4,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as hst
 from scipy import sparse
 
 from ffsipp import landscape, milp, worstcase
@@ -87,6 +87,53 @@ def remaining_duration(inst, services, delta_ms, scheduled=None) -> int:
         future = max(0, reps - inst.loop_iters_done.get(node_id, 0) - 1)
         e_i += max(0, path_value(body)) + future * full
     return e_i
+
+
+def frontier(inst) -> tuple[set[int], list[int]]:
+    """Reference for (``next_steps``, ``pending_xor_choices``), rule by rule.
+
+    A step is ready iff it is pending, every step of every earlier top-level
+    item is done or skipped, every earlier step of its own list is done, and
+    its XOR block, if any, has a choice. An XOR block is pending iff it has
+    no choice, some step of it is neither done nor skipped, and every step
+    of every earlier top-level item is done or skipped.
+    """
+    items = inst.model.paths.items
+
+    def finished(lists):
+        return all(inst.steps[i].status in (landscape.DONE, landscape.SKIPPED)
+                   for steps in lists for i in steps)
+
+    ready, pending = set(), []
+    for k, (node_id, kind, lists, _) in enumerate(items):
+        earlier_finished = all(finished(earlier) for _, _, earlier, _ in items[:k])
+        chosen = kind != landscape.XOR_BLOCK or node_id in inst.xor_choices
+        if earlier_finished and not chosen and not finished(lists):
+            pending.append(node_id)
+        for steps in lists:
+            for pos, i in enumerate(steps):
+                if (
+                    inst.steps[i].status == landscape.PENDING
+                    and earlier_finished
+                    and all(inst.steps[h].status == landscape.DONE for h in steps[:pos])
+                    and chosen
+                ):
+                    ready.add(i)
+    return ready, pending
+
+
+def structures():
+    """Every shape the parser accepts: a sequence of steps, blocks and loops
+    whose branches and bodies are sequences of steps."""
+    steps = hst.integers(1, 3).map(lambda n: ",".join(["s"] * n))
+    branches = hst.lists(steps, min_size=1, max_size=3).map("|".join)
+    item = hst.one_of(
+        hst.just("s"),
+        branches.map(lambda b: f"AND({b})"),
+        branches.map(lambda b: f"XOR({b})"),
+        hst.tuples(hst.integers(1, 3), steps).map(lambda t: f"LOOP*{t[0]}({t[1]})"),
+    )
+    return hst.lists(item, min_size=1, max_size=4).map(",".join)
 
 
 @pytest.fixture

@@ -50,6 +50,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"repeated approaches: \['sipp'\]"):
             ExperimentConfig(scenario_path="x.yaml", approaches=("sipp", "ffsipp", "sipp"))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seeds must be >= 0, got \[-1\]$"):
+            ExperimentConfig(scenario_path="x.yaml", seeds=(1, -1))
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match=rf"^max_workers must be >= 1, got {workers}$"):
+            ExperimentConfig(scenario_path="x.yaml", max_workers=workers)
+
 
 class TestLoadScenario:
     def test_directory_does_not_shadow_preset(self, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as hst
 
 from ffsipp import landscape, worstcase
 from ffsipp.landscape import (
@@ -7,6 +8,7 @@ from ffsipp.landscape import (
     DONE,
     PENDING,
     REPEAT_LOOP,
+    RUNNING,
     SEQUENCE,
     SKIPPED,
     STEP,
@@ -23,7 +25,7 @@ from ffsipp.landscape import (
     pending_xor_choices,
 )
 
-from .conftest import instance, preset_text
+from .conftest import frontier, instance, preset_text, service, structures
 
 
 class TestParseStructure:
@@ -86,9 +88,15 @@ class TestWorkflowSemantics:
         assert next_steps(inst) == {1}
         assert inst.steps[0].status == SKIPPED
 
-    def test_pending_xor_choices_in_tree_order(self, abc_services):
-        inst = instance("AND(XOR(s|s)|XOR(s|s))", abc_services)
-        assert pending_xor_choices(inst) == [1, 4]
+    def test_pending_xor_choices_in_sequence_order(self, abc_services):
+        inst = instance("XOR(s|s),XOR(s|s)", abc_services)
+        assert pending_xor_choices(inst) == [1]
+        apply_xor_choice(inst, 1, 0)
+        assert pending_xor_choices(inst) == []
+        assert next_steps(inst) == {0}
+        inst.steps[0].status = DONE
+        assert pending_xor_choices(inst) == [4]
+        assert next_steps(inst) == set()
 
     def test_loop_restarts_body(self, abc_services):
         inst = instance("LOOP*3(s)", abc_services, ["A"])
@@ -117,13 +125,35 @@ class TestWorkflowSemantics:
         assert inst.done
 
 
+@hst.composite
+def _progressed(draw, services):
+    """An accepted shape with random step statuses and some XOR branches chosen."""
+    inst = instance(draw(structures()), services)
+    for step in inst.steps:
+        step.status = draw(hst.sampled_from((PENDING, RUNNING, DONE, DONE, SKIPPED)))
+    for node_id, kind, branches, _ in inst.model.paths.items:
+        if kind == XOR_BLOCK and draw(hst.booleans()):
+            apply_xor_choice(inst, node_id, draw(hst.integers(0, len(branches) - 1)))
+    return inst
+
+
+class TestFrontier:
+    SERVICES = {"A": service("A"), "B": service("B")}
+
+    @settings(max_examples=300)
+    @given(_progressed(SERVICES))
+    def test_matches_reference(self, inst):
+        assert (next_steps(inst), pending_xor_choices(inst)) == frontier(inst)
+
+
 class TestDerivedQuantities:
     def test_path_decomposition(self, abc_services):
         inst = instance("s,AND(s|s)", abc_services, ["A", "A", "C"])
         dec = enumerate_paths(inst.model)
+        assert dec.items == [(1, STEP, [[0]], 1), (2, AND_BLOCK, [[1], [2]], 1)]
         assert dec.seq_steps == [0]
         assert dec.blocks[0][1] == [[1], [2]]
-        # AND and XOR blocks share one list, in tree order.
+        # AND and XOR blocks share one list, in sequence order.
         mixed = instance("XOR(s|s),AND(s|s)", abc_services, ["A", "B", "A", "C"]).model
         blocks = enumerate_paths(mixed).blocks
         assert [mixed.nodes[node_id].kind for node_id, _ in blocks] == [XOR_BLOCK, AND_BLOCK]
@@ -253,12 +283,19 @@ class TestParseScenario:
              r"^services\[0\]\.ram must be <= 1024, got 2000$"),
             (("services", 0, "cpu"), 250,
              r"^services\[0\]\.cpu must be <= 200, got 250$"),
+            (("arrival", "batch_models"), [[1], []],
+             r"^arrival\.batch_models\[1\] must name at least one model$"),
+            (("arrival", "kind"), "pyramid",
+             r"^arrival\.batch_models needs kind 'constant', got 'pyramid'$"),
+            (("models", 0, "structure"), "s,LOOP*99999999999999999999(s)",
+             r"^model 1: loop repetitions must be < 2\*\*63, got 99999999999999999999$"),
         ],
         ids=["cpu", "arrival", "sla", "weights", "steps", "batch_models", "btu_seconds", "loop",
              "fractional_int", "string", "bool", "nan", "time_limit_ms", "btu_max", "gap",
              "negative_ram", "negative_startup", "negative_interval", "unknown_section_key",
              "unknown_entry_key", "unknown_top_key", "big_m", "no_requests",
-             "negative_planning_rate", "ram_fits_no_vm", "cpu_fits_no_vm"],
+             "negative_planning_rate", "ram_fits_no_vm", "cpu_fits_no_vm", "empty_batch",
+             "pyramid_batch", "undrawable_loop"],
     )
     def test_mistyped_value_rejected(self, path, value, error):
         raw = yaml.safe_load(preset_text("smoke"))

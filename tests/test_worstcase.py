@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as hst
 from ffsipp import worstcase
 from ffsipp.landscape import DONE, PENDING, RUNNING, SKIPPED
 
-from .conftest import instance, remaining_duration, service, vm_type
+from .conftest import instance, remaining_duration, service, structures, vm_type
 
 DELTA = 60_000
 
@@ -88,20 +88,6 @@ class TestRemainingStructure:
 # -- step deadlines against a from-scratch re-evaluation ---------------------
 
 
-def _structures():
-    """Every shape the parser accepts: a sequence of steps, blocks and loops
-    whose branches and bodies are sequences of steps."""
-    steps = hst.integers(1, 3).map(lambda n: ",".join(["s"] * n))
-    branches = hst.lists(steps, min_size=1, max_size=3).map("|".join)
-    item = hst.one_of(
-        hst.just("s"),
-        branches.map(lambda b: f"AND({b})"),
-        branches.map(lambda b: f"XOR({b})"),
-        hst.tuples(hst.integers(1, 3), steps).map(lambda t: f"LOOP*{t[0]}({t[1]})"),
-    )
-    return hst.lists(item, min_size=1, max_size=4).map(",".join)
-
-
 def _reference_deadline(inst, j, services) -> int:
     """Mark ``j`` done in its loop's last iteration and re-evaluate e_i."""
     after = copy.deepcopy(inst)
@@ -115,7 +101,7 @@ def _reference_deadline(inst, j, services) -> int:
 
 @hst.composite
 def _instances(draw, services):
-    inst = instance(draw(_structures()), services)
+    inst = instance(draw(structures()), services)
     for step in inst.steps:
         step.status = draw(hst.sampled_from((PENDING, PENDING, DONE, RUNNING, SKIPPED)))
         step.expected_ms = draw(hst.integers(1, 200)) * 1000
