@@ -10,6 +10,13 @@ from . import experiment
 from .landscape import ScenarioError
 
 
+def _seeds(ctx, param, value: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in value.split(",") if s.strip())
+    except ValueError:
+        raise click.BadParameter(f"expected comma-separated whole numbers, got {value!r}") from None
+
+
 @click.group()
 def main():
     """Cost-optimal scheduling of elastic processes onto leased VMs."""
@@ -23,7 +30,9 @@ def main():
     show_default=True,
     help="Comma-separated approaches to run.",
 )
-@click.option("--seeds", default="1,2,3", show_default=True, help="Comma-separated seeds.")
+@click.option(
+    "--seeds", default="1,2,3", show_default=True, callback=_seeds, help="Comma-separated seeds."
+)
 @click.option("--out", "out_dir", required=True, help="Output directory for reports.")
 @click.option("--dump-lp", "dump_lp_dir", default=None, help="Directory for LP model dumps.")
 @click.option("--sla-factor", type=float, default=None, help="Override the SLA factor.")
@@ -34,7 +43,7 @@ def run_cmd(scenario, approach, seeds, out_dir, dump_lp_dir, sla_factor, workers
         config = experiment.ExperimentConfig(
             scenario_path=scenario,
             approaches=tuple(a.strip() for a in approach.split(",") if a.strip()),
-            seeds=tuple(int(s) for s in seeds.split(",") if s.strip()),
+            seeds=seeds,
             out_dir=out_dir,
             sla_factor=sla_factor,
             dump_lp_dir=dump_lp_dir,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import math
 import statistics
 from importlib import resources
 from concurrent.futures import ProcessPoolExecutor
@@ -55,8 +56,11 @@ class ExperimentConfig:
         unknown = set(self.approaches) - {sim.FFSIPP, sim.SIPP}
         if unknown:
             raise ValueError(f"unknown approaches: {sorted(unknown)}")
-        if self.sla_factor is not None and self.sla_factor <= 1:
-            raise ValueError("sla_factor must exceed 1")
+        if self.sla_factor is not None:
+            if not math.isfinite(self.sla_factor):
+                raise ValueError(f"sla_factor must be a finite number, got {self.sla_factor}")
+            if self.sla_factor <= 1:
+                raise ValueError("sla_factor must exceed 1")
         negative = [s for s in self.seeds if s < 0]
         if negative:
             raise ValueError(f"seeds must be >= 0, got {negative}")

@@ -566,7 +566,11 @@ def parse_scenario(text: str) -> Scenario:
         if mid in seen_ids:
             raise ScenarioError(f"duplicate model id {mid}")
         seen_ids.add(mid)
-        model = ProcessModel(id=mid, root=parse_structure(str(entry["structure"])))
+        try:
+            root = parse_structure(str(entry["structure"]))
+        except ScenarioError as exc:
+            raise ScenarioError(f"{where}.structure: {exc}") from None
+        model = ProcessModel(id=mid, root=root)
         model.paths  # refuses a block or loop below the top level
         explicit = entry.get("steps")
         if explicit is not None:

@@ -179,11 +179,16 @@ def solve(
     option to HiGHS unchanged and warns that it does not know it; the
     warning is silenced here.
 
+    The returned point rounds cleanly: if rounding its integer columns puts
+    a row beyond ``FEAS_TOL``, the model is solved once more with
+    ``mip_feasibility_tolerance=1e-9`` and that answer is returned.
+
     The status is OPTIMAL only when the incumbent meets its dual bound (see
     ``OPTIMAL_GAP``); an incumbent accepted by the relative gap alone is
     GAP_LIMIT, and one left by the time limit is TIME_LIMIT."""
     c = np.array(problem.cost, dtype=np.float64)
-    integrality = problem.integral().astype(np.uint8)
+    integral = problem.integral()
+    integrality = integral.astype(np.uint8)
     bounds = optimize.Bounds(
         np.array(problem.lower, dtype=np.float64), np.array(problem.upper, dtype=np.float64)
     )
@@ -202,13 +207,34 @@ def solve(
     }
     if time_limit_ms is not None:
         options["time_limit"] = time_limit_ms / 1000.0
-    with warnings.catch_warnings():
-        warnings.filterwarnings(
-            "ignore", message="Unrecognized options detected", category=RuntimeWarning
-        )
-        res = optimize.milp(
-            c, constraints=constraints, integrality=integrality, bounds=bounds, options=options
-        )
+
+    def run():
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", message="Unrecognized options detected", category=RuntimeWarning
+            )
+            return optimize.milp(
+                c,
+                constraints=constraints,
+                integrality=integrality,
+                bounds=bounds,
+                options=options,
+            )
+
+    res = run()
+    if res.x is not None and constraints:
+        # HiGHS accepts integrality residues up to its
+        # mip_feasibility_tolerance (1e-6); rounded, such a residue can put a
+        # row with large coefficients beyond FEAS_TOL. Then solve once more
+        # with a tighter tolerance. The residues are tested first, so a clean
+        # answer costs no matrix product.
+        ints = res.x[integral]
+        if (ints != np.round(ints)).any():
+            (con,) = constraints
+            lhs = con.A @ np.where(integral, np.round(res.x), res.x)
+            if ((lhs > con.ub + FEAS_TOL) | (lhs < con.lb - FEAS_TOL)).any():
+                options["mip_feasibility_tolerance"] = 1e-9
+                res = run()
     if res.status == 2:
         return MilpSolution(INFEASIBLE, None, None, None)
     if res.status == 3:

@@ -135,7 +135,7 @@ class FfsippModel:
         # VM -> its placement columns, in creation order
         self._vm_x: dict[str, list[tuple[int, Assignment]]] = {vm.id: [] for vm in self.candidates}
         self._y: dict[str, int] = {}
-        self._g: dict[str, int] = {}
+        self._g: dict[str, int] = {}  # a one-BTU fresh VM's use flag is its y
         self._ep: dict[int, int] = {}
         self._remaining: dict[int, worstcase.RemainingStructure] = {}
         # Continuous helpers and the rows that bound each from below, in
@@ -214,15 +214,52 @@ class FfsippModel:
         p = self.problem
         tau = state.now_ms
 
-        # Per-VM lease / usage variables. A leased VM's g - y <= 1 holds by
-        # the bounds, so only a fresh VM gets the row g <= y.
+        # Placements first: each VM's longest placement or running step
+        # fixes the BTUs it can need beyond its lease.
+        schedulable: dict[int, dict[int, list[tuple[VmSnapshot, int]]]] = {}
+        horizon = {
+            vm.id: max((a.occupancy_ms for a in self._running.get(vm.id, ())), default=0)
+            for vm in self.candidates
+        }
+        for inst in state.instances:
+            steps = schedulable[inst.id] = {}
+            for j, types in self._ready[inst.id].items():
+                step = inst.steps[j]
+                fitting = [vm for vm in self.candidates if vm.type_id in types]
+                if not fitting:
+                    raise ModelError(
+                        f"step {inst.id}/{j} ({step.service}, {step.cpu_demand}%) "
+                        f"exceeds every VM type's supply"
+                    )
+                # Baseline: a VM keeps its single offered type for its whole
+                # lease; only a VM that never hosted a container may still
+                # pick one.
+                steps[j] = [
+                    (vm, self._occupancy_ms(inst, j, vm))
+                    for vm in fitting
+                    if not self.baseline or vm.offered_service in (None, step.service)
+                ]
+                for vm, occ in steps[j]:
+                    horizon[vm.id] = max(horizon[vm.id], occ)
+
+        # Per-VM lease / usage variables. y is capped at that need: more
+        # BTUs only add cost. A fresh VM that one BTU covers (judged before
+        # the btu_max cap) would get g <= y <= 1*g, so its y is its own use
+        # flag; any other fresh VM gets g <= y here and y <= need*g below.
+        # A leased VM's g - y <= 1 holds by the bounds.
+        need: dict[str, int] = {}
         for vm in self.candidates:
-            y = p.add_var(f"y__{vm.id}", milp.INTEGER, 0, cfg.btu_max)
-            g = p.add_var(f"g__{vm.id}", milp.BOOLEAN, 0, 1)
-            self._y[vm.id], self._g[vm.id] = y, g
-            self._term("leasing", y, self._vm_type(vm).cost_per_btu)
-            if is_fresh_vm(vm.id):
-                p.add_row((g, y), (1, -1), "<=", 0)
+            vt = self._vm_type(vm)
+            btus = math.ceil(max(0, horizon[vm.id] - vm.lease_remaining_ms) / vt.btu_ms)
+            need[vm.id] = min(cfg.btu_max, btus)
+            y = self._y[vm.id] = p.add_var(f"y__{vm.id}", milp.INTEGER, 0, need[vm.id])
+            self._term("leasing", y, vt.cost_per_btu)
+            if is_fresh_vm(vm.id) and btus <= 1:
+                self._g[vm.id] = y
+            else:
+                g = self._g[vm.id] = p.add_var(f"g__{vm.id}", milp.BOOLEAN, 0, 1)
+                if is_fresh_vm(vm.id):
+                    p.add_row((g, y), (1, -1), "<=", 0)
 
         # Symmetry breaking among anonymous fresh candidates of one type.
         by_type: dict[str, list[VmSnapshot]] = {}
@@ -235,24 +272,7 @@ class FfsippModel:
 
         # Placement variables and per-instance rows.
         for inst in state.instances:
-            schedulable: dict[int, list[VmSnapshot]] = {}
-            for j, types in self._ready[inst.id].items():
-                step = inst.steps[j]
-                fitting = [vm for vm in self.candidates if vm.type_id in types]
-                if not fitting:
-                    raise ModelError(
-                        f"step {inst.id}/{j} ({step.service}, {step.cpu_demand}%) "
-                        f"exceeds every VM type's supply"
-                    )
-                # Baseline: a VM keeps its single offered type for its whole
-                # lease; only a VM that never hosted a container may still
-                # pick one.
-                schedulable[j] = [
-                    vm
-                    for vm in fitting
-                    if not self.baseline or vm.offered_service in (None, step.service)
-                ]
-            self._instance_rows(inst, schedulable, tau)
+            self._instance_rows(inst, schedulable[inst.id], tau)
 
         # Baseline type exclusivity.
         if self.baseline:
@@ -292,15 +312,8 @@ class FfsippModel:
             if max_run > vm.lease_remaining_ms:
                 p.add_row((y,), (float(vt.btu_ms),), ">=", max_run - vm.lease_remaining_ms)
 
-            # Extra BTUs beyond what any placement could consume only add
-            # cost, so cap y at the worst single-step coverage need.
-            horizon = max([max_run] + [a.occupancy_ms for _, a in vm_x])
-            need = min(
-                cfg.btu_max, math.ceil(max(0, horizon - vm.lease_remaining_ms) / vt.btu_ms)
-            )
-            p.upper[y] = need
-            if is_fresh_vm(vm.id):
-                p.add_row((y, g), (1.0, -float(need)), "<=", 0)
+            if is_fresh_vm(vm.id) and g != y:
+                p.add_row((y, g), (1.0, -float(need[vm.id])), "<=", 0)
 
     def _free_row(self, name: str, cols, coefs, g: int, supply: float, run: float, weight: float):
         """f >= supply*g - used  <=>  f + used - supply*g >= -running_load.
@@ -327,9 +340,8 @@ class FfsippModel:
             step = inst.steps[j]
             importance = w.dl_per_ms * (rs.step_deadline_ms[j] - tau)
             placed[j] = []
-            for vm in cands:
+            for vm, occ in cands:
                 col = p.add_var(f"x__{inst.id}__{j}__{vm.id}", milp.BOOLEAN, 0, 1)
-                occ = self._occupancy_ms(inst, j, vm)
                 a = Assignment(
                     instance_id=inst.id,
                     step_index=j,
@@ -347,10 +359,13 @@ class FfsippModel:
                     self._term("deployment", col, w.z)
                 self._term("remaining_lease", col, w.d_per_ms * vm.lease_remaining_ms)
                 self._term("importance", col, importance)
-                # Lease coverage for a placement that outlasts the lease.
-                if occ > vm.lease_remaining_ms:
+                # Lease coverage for a placement that outlasts the lease. On
+                # a VM whose y is its use flag, occ <= btu_ms, so x <= y
+                # already covers it.
+                y = self._y[vm.id]
+                if occ > vm.lease_remaining_ms and self._g[vm.id] != y:
                     p.add_row(
-                        (col, self._y[vm.id]),
+                        (col, y),
                         (float(occ), -float(self._vm_type(vm).btu_ms)),
                         "<=",
                         vm.lease_remaining_ms,

@@ -45,6 +45,17 @@ class TestRunCommand:
         assert result.exit_code != 0
         assert "services[0]: missing key 'duration_s'" in result.output
 
+    def test_bad_seed_names_the_option(self, tmp_path):
+        result = run_cli(
+            "run", "--scenario", "smoke", "--seeds", "1,x", "--out", str(tmp_path / "out"),
+        )
+        assert result.exit_code == 2
+        assert (
+            "Invalid value for '--seeds': expected comma-separated whole numbers, got '1,x'"
+            in result.output
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_dump_lp_writes_models(self, tmp_path):
         out = tmp_path / "out"
         lp = tmp_path / "lp"

@@ -14,8 +14,13 @@ helpers, capacity rows without a placement, the per-type BTU totals,
 ``g - y <= 1`` for leased VMs, lease-coverage rows of placements that end
 within the lease, and fresh VMs beyond the ready steps that fit their type.
 The options digest moved in the same change, since ``milp.solve`` stopped
-passing ``presolve``, which is HiGHS's default. Regenerate them (only for a
-deliberate change of the model or of the options) with
+passing ``presolve``, which is HiGHS's default. The model digests were
+re-pinned again, with the options digest unchanged, when a fresh VM that one
+BTU covers lost its use flag ``g``: its lease count ``y`` serves as the flag,
+so its ``g <= y`` and ``y <= need*g`` rows and its placements'
+lease-coverage rows went, and its link, free-capacity and symmetry rows read
+``y``. Regenerate them (only for a deliberate change of the model or of the
+options) with
 
     PYTHONPATH=src python -m tests.test_highs_model > tests/data/highs_model_digests.json
 """

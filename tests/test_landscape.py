@@ -259,7 +259,8 @@ class TestParseScenario:
             (("models", 0, "steps"), 3, r"^models\[0\]\.steps must be a list, got 3$"),
             (("arrival", "batch_models"), 1, r"^arrival\.batch_models must be a list of lists"),
             (("btu_seconds",), "x", r"^btu_seconds must be a number, got 'x'$"),
-            (("models", 0, "structure"), "LOOP*(s)", r"^bad workflow structure near '\*\(s\)'$"),
+            (("models", 0, "structure"), "LOOP*(s)",
+             r"^models\[0\]\.structure: bad workflow structure near '\*\(s\)'$"),
             (("solver", "fresh_candidates"), 2.7,
              r"^solver\.fresh_candidates must be a whole number, got 2\.7$"),
             (("services", 0, "cpu"), "45", r"^services\[0\]\.cpu must be a number, got '45'$"),
@@ -289,13 +290,17 @@ class TestParseScenario:
              r"^arrival\.batch_models needs kind 'constant', got 'pyramid'$"),
             (("models", 0, "structure"), "s,LOOP*99999999999999999999(s)",
              r"^model 1: loop repetitions must be < 2\*\*63, got 99999999999999999999$"),
+            (("models", 1, "structure"), "s,LOOP*0(s)",
+             r"^models\[1\]\.structure: repeat loop needs positive repetitions$"),
+            (("models", 1, "structure"), "s,(s)",
+             r"^models\[1\]\.structure: bad workflow structure at token '\('$"),
         ],
         ids=["cpu", "arrival", "sla", "weights", "steps", "batch_models", "btu_seconds", "loop",
              "fractional_int", "string", "bool", "nan", "time_limit_ms", "btu_max", "gap",
              "negative_ram", "negative_startup", "negative_interval", "unknown_section_key",
              "unknown_entry_key", "unknown_top_key", "big_m", "no_requests",
              "negative_planning_rate", "ram_fits_no_vm", "cpu_fits_no_vm", "empty_batch",
-             "pyramid_batch", "undrawable_loop"],
+             "pyramid_batch", "undrawable_loop", "zero_loop", "bare_parenthesis"],
     )
     def test_mistyped_value_rejected(self, path, value, error):
         raw = yaml.safe_load(preset_text("smoke"))

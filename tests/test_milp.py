@@ -1,7 +1,9 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
+from scipy import optimize
 
 from ffsipp import landscape, milp, sim
 from ffsipp.milp import (
@@ -77,34 +79,65 @@ class TestSolve:
     def test_gap_limited_incumbent_is_not_optimal(self, monkeypatch):
         # A scheduling round (constant_strict_intense, ffsipp, seed 1, round
         # 7) on which HiGHS stops at a 1e-3 gap with an incumbent above its
-        # dual bound. The simulation is stopped when it hands that round to
-        # milp.solve.
-        rounds = []
-
-        class Stop(Exception):
-            pass
-
-        def recording(problem, **options):
-            rounds.append(problem)
-            if len(rounds) == 7:
-                raise Stop
-            return solve(problem, **options)
-
-        monkeypatch.setattr(milp, "solve", recording)
-        scenario = landscape.parse_scenario(preset_text("constant_strict_intense"))
-        with pytest.raises(Stop):
-            sim.run(scenario, sim.FFSIPP, 1)
-        prob = rounds[-1]
+        # dual bound.
+        prob = simulated_round(monkeypatch, "constant_strict_intense", 7)
         loose = solve(prob, gap_tol=1e-3)
         tight = solve(prob, gap_tol=1e-9)
         assert loose.objective_value - loose.bound > 1e-9 * abs(loose.objective_value)
         assert loose.status == milp.GAP_LIMIT
         # the incumbent the simulation itself got in this round
-        assert loose.objective_value == pytest.approx(21368.993305518445, abs=1e-6)
+        assert loose.objective_value == pytest.approx(22094.63933813243, abs=1e-6)
         assert verify(prob, loose.values) == []
         assert tight.status == milp.OPTIMAL
         assert tight.objective_value - tight.bound <= 1e-9 * abs(tight.objective_value)
         assert loose.bound - 1e-6 <= tight.objective_value <= loose.objective_value + 1e-6
+
+    def test_answer_rounds_cleanly(self, monkeypatch):
+        # A scheduling round (pyramid_strict_intense, ffsipp, seed 1, round
+        # 448) whose first HiGHS answer holds a placement at 1 - 8.5e-7 with
+        # CPU demand 147: rounded, it puts a capacity row beyond FEAS_TOL, so
+        # solve asks HiGHS again with a tighter integrality tolerance.
+        prob = simulated_round(monkeypatch, "pyramid_strict_intense", 448)
+        original, answers = optimize.milp, []
+
+        def recording(*args, **kwargs):
+            answers.append(original(*args, **kwargs))
+            return answers[-1]
+
+        monkeypatch.setattr(optimize, "milp", recording)
+        sol = solve(prob)
+        assert len(answers) == 2
+        assert [v.kind for v in verify(prob, rounded(prob, answers[0].x))] == ["constraint"]
+        assert sol.values is answers[1].x
+        assert verify(prob, rounded(prob, sol.values)) == []
+        assert sol.objective_value == pytest.approx(answers[0].fun, rel=1e-3)
+
+
+def rounded(prob, values):
+    """``values`` with every integer column rounded, the way decode does."""
+    return np.where(prob.integral(), np.round(values), values)
+
+
+def simulated_round(monkeypatch, preset, n):
+    """The problem of round ``n`` (from 1) of ffsipp's seed-1 simulation of
+    ``preset``; the simulation is stopped when it hands that round to
+    milp.solve."""
+    rounds = []
+
+    class Stop(Exception):
+        pass
+
+    def recording(problem, **options):
+        rounds.append(problem)
+        if len(rounds) == n:
+            raise Stop
+        return solve(problem, **options)
+
+    monkeypatch.setattr(milp, "solve", recording)
+    scenario = landscape.parse_scenario(preset_text(preset))
+    with pytest.raises(Stop):
+        sim.run(scenario, sim.FFSIPP, 1)
+    return rounds[-1]
 
 
 class TestVerify:

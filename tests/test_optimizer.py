@@ -232,6 +232,87 @@ class TestLiveModel:
         assert plan.gamma == y_sum and sum(y_sum.values()) > 0
 
 
+class TestOneColumnRule:
+    """A fresh VM whose every placement ends within one BTU has no use flag
+    of its own: its lease count y is one, and x <= y covers its lease."""
+
+    def services(self, abc_services):
+        # L runs 400 s: 492 s on a fresh VM, which two BTUs of 300 s cover.
+        return dict(abc_services, L=service("L", cpu=150.0, duration_s=400))
+
+    def rows_with(self, model, name):
+        """Every row that has column ``name``, as ({column: coef}, relation, rhs)."""
+        p = model.problem
+        col = p.names.index(name)
+        out = []
+        for row in range(p.num_rows):
+            cols, coefs = p.row_terms(row)
+            if col in cols:
+                terms = {p.names[k]: c for k, c in zip(cols, coefs)}
+                out.append((terms, *p.row_relation(row)))
+        return out
+
+    def test_one_btu_fresh_vm_has_one_column(self, abc_services):
+        inst = instance("s", abc_services, ["A"], deadline_ms=133_000)
+        model = build(state([inst], abc_services, {"p1": vm_type("p1")}), config())
+        p = model.problem
+        assert "g__new_p1_0" not in p.names
+        assert p.upper[p.names.index("y__new_p1_0")] == 1
+        x = "x__1__0__new_p1_0"
+        assert self.rows_with(model, "y__new_p1_0") == [
+            ({x: 1.0, "y__new_p1_0": -1.0}, "<=", 0),
+            ({x: 45.0, "y__new_p1_0": -100.0, "fC__new_p1_0": 1.0}, ">=", 0),
+        ]
+        plan, _ = solve_plan(model)
+        assert plan.lease_extensions == {"new_p1_0": 1}
+
+    def test_longer_step_keeps_use_flag_and_coverage(self, abc_services):
+        services = self.services(abc_services)
+        inst = instance("s", services, ["L"], deadline_ms=492_000)
+        model = build(state([inst], services, {"p2": vm_type("p2", cores=2)}), config())
+        x, y, g = "x__1__0__new_p2_0", "y__new_p2_0", "g__new_p2_0"
+        assert model.problem.upper[model.problem.names.index(y)] == 2
+        rows = self.rows_with(model, y)
+        assert ({g: 1, y: -1}, "<=", 0) in rows
+        assert ({y: 1.0, g: -2.0}, "<=", 0) in rows
+        assert ({x: 492_000.0, y: -300_000.0}, "<=", 0) in rows
+        assert ({x: 1.0, g: -1.0}, "<=", 0) in self.rows_with(model, g)
+        plan, _ = solve_plan(model)
+        assert [a.vm_id for a in plan.assignments] == ["new_p2_0"]
+        assert plan.lease_extensions["new_p2_0"] >= 2
+
+    def test_rule_judged_before_btu_max(self, abc_services):
+        # One BTU cannot hold the 492 s step, so with btu_max=1 no fresh VM
+        # may take it, however late the instance runs.
+        services = self.services(abc_services)
+        inst = instance("s", services, ["L"], deadline_ms=492_000)
+        types = {"p2": vm_type("p2", cores=2)}
+        model = build(state([inst], services, types), config(btu_max=1))
+        plan, _ = solve_plan(model)
+        assert plan.assignments == []
+        assert plan.penalties_ms[inst.id] > 0
+        assert milp.verify(model.problem, plan.milp_values) == []
+
+    @pytest.mark.parametrize("baseline", [False, True], ids=["ffsipp", "sipp"])
+    @pytest.mark.parametrize("deadline_ms", [492_000, 900_000])
+    def test_matches_oracle(self, abc_services, baseline, deadline_ms):
+        # A fits both types, L only p2: one BTU covers new_p1_0, and
+        # new_p2_0 needs two.
+        services = self.services(abc_services)
+        insts = [
+            instance("s", services, ["A"], iid=1, deadline_ms=deadline_ms),
+            instance("s", services, ["L"], iid=2, deadline_ms=deadline_ms),
+        ]
+        types = {"p1": vm_type("p1"), "p2": vm_type("p2", cores=2, cost=18.0)}
+        model = (build_baseline if baseline else build)(state(insts, services, types), config())
+        assert "g__new_p1_0" not in model.problem.names
+        assert "g__new_p2_0" in model.problem.names
+        plan, solution = solve_plan(model)
+        oracle = enumerate_oracle(model.problem)
+        assert solution.objective_value == pytest.approx(oracle.objective_value, abs=1e-6)
+        assert milp.verify(model.problem, plan.milp_values) == []
+
+
 class TestOverfullVm:
     def test_running_load_beyond_supply_rejected_under_optimize(self):
         # Under python -O a bare assert is gone; the check must still raise.
