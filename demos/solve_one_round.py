@@ -40,7 +40,7 @@ def main() -> None:
             f"step {a.step_index} ({a.service}) -> {a.vm_id}, "
             f"occupies {a.occupancy_ms} ms"
         )
-    print("leases:", plan.gamma)
+    print("leases:", plan.lease_extensions)
 
     cplan = controller.transform(plan)
     for action in controller.plan_actions(cplan, cloud={}):

@@ -65,6 +65,8 @@ def report_cmd(in_dir):
         rendered = experiment.report(in_dir)
     except (FileNotFoundError, ValueError) as exc:
         raise click.ClickException(str(exc))
+    except OSError as exc:
+        raise click.ClickException(f"cannot write outputs: {exc}")
     click.echo(rendered, nl=False)
 
 

@@ -114,14 +114,8 @@ def run_experiment(config: ExperimentConfig) -> dict[tuple[str, int], sim.Metric
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(config, a, s) for a in config.approaches for s in config.seeds]
-    reports: dict[tuple[str, int], sim.MetricsReport] = {}
-    if len(jobs) == 1:
-        a, s, rep = _run_one(jobs[0])
-        reports[(a, s)] = rep
-    else:
-        with ProcessPoolExecutor(max_workers=config.max_workers) as pool:
-            for a, s, rep in pool.map(_run_one, jobs):
-                reports[(a, s)] = rep
+    with ProcessPoolExecutor(max_workers=config.max_workers) as pool:
+        reports = {(a, s): rep for a, s, rep in pool.map(_run_one, jobs)}
 
     stem = Path(config.scenario_path).stem
     sla = sla_label(scenario.sla.factor)
@@ -195,13 +189,25 @@ def render_aggregate(entries: list[dict]) -> str:
 
 def read_metrics(in_dir: str) -> list[dict]:
     path = Path(in_dir) / "metrics.csv"
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(f"no metrics.csv in {in_dir}")
     text = path.read_text()
     first = text.splitlines()[0] if text else ""
     if first != METRICS_HEADER:
         raise ValueError(f"unexpected metrics header: {first!r}")
-    return list(csv.DictReader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    rows = []
+    for fields in reader:
+        if not fields:  # a blank line
+            continue
+        if len(fields) != len(header):
+            raise ValueError(
+                f"{path}, line {reader.line_num}: {len(fields)} fields, "
+                f"the header has {len(header)}"
+            )
+        rows.append(dict(zip(header, fields)))
+    return rows
 
 
 def report(in_dir: str) -> str:

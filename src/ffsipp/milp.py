@@ -8,6 +8,8 @@ is write-only here (the tests read it back with HiGHS's own LP reader).
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -177,7 +179,10 @@ def solve(
     Feasibility jump costs about 9 ms per solve whatever the model's size,
     and the round models close at the root without it. scipy passes that
     option to HiGHS unchanged and warns that it does not know it; the
-    warning is silenced here.
+    warning is silenced here. HiGHS also prints some diagnostics straight
+    to file descriptor 1, past scipy's ``disp=False``; the descriptor points
+    at the null device during the call, so no such line reaches a stdout
+    that carries results.
 
     The returned point rounds cleanly: if rounding its integer columns puts
     a row beyond ``FEAS_TOL``, the model is solved once more with
@@ -209,17 +214,26 @@ def solve(
         options["time_limit"] = time_limit_ms / 1000.0
 
     def run():
-        with warnings.catch_warnings():
-            warnings.filterwarnings(
-                "ignore", message="Unrecognized options detected", category=RuntimeWarning
-            )
-            return optimize.milp(
-                c,
-                constraints=constraints,
-                integrality=integrality,
-                bounds=bounds,
-                options=options,
-            )
+        sys.stdout.flush()
+        saved = os.dup(1)
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.close(null)
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings(
+                    "ignore", message="Unrecognized options detected", category=RuntimeWarning
+                )
+                return optimize.milp(
+                    c,
+                    constraints=constraints,
+                    integrality=integrality,
+                    bounds=bounds,
+                    options=options,
+                )
+        finally:
+            os.dup2(saved, 1)
+            os.close(saved)
 
     res = run()
     if res.x is not None and constraints:

@@ -91,7 +91,6 @@ class SchedulingPlan:
     assignments: list[Assignment]
     running: list[Assignment]
     lease_extensions: dict[str, int]  # vm id -> BTUs to lease/extend
-    gamma: dict[str, int]  # vm type -> total BTUs this round
     penalties_ms: dict[int, float]  # instance -> planned worst-case delay e^p
     remaining_ms: dict[int, int]  # instance -> worst-case remaining time e_i
     objective_terms: dict[str, float]
@@ -489,12 +488,10 @@ class FfsippModel:
 
         assignments = [a for vm_x in self._vm_x.values() for col, a in vm_x if values[col] > 0.5]
         leases = {}
-        gamma = dict.fromkeys(self.state.vm_types, 0)
         for vm in self.candidates:
             btus = int(values[self._y[vm.id]])
             if btus:
                 leases[vm.id] = btus
-                gamma[vm.type_id] += btus
         penalties = {iid: values[col] for iid, col in self._ep.items()}
         placed: dict[int, list[int]] = {iid: [] for iid in self._remaining}
         for a in assignments:
@@ -510,7 +507,6 @@ class FfsippModel:
             assignments=assignments,
             running=[a for on_vm in self._running.values() for a in on_vm],
             lease_extensions=leases,
-            gamma=gamma,
             penalties_ms=penalties,
             remaining_ms=remaining,
             objective_terms=terms,

@@ -28,8 +28,9 @@ def load_scenario(name: str) -> landscape.Scenario:
 
 
 @pytest.fixture(scope="session")
-def full_runs():
-    """All simulated runs the banded checks draw from, computed once."""
+def full_runs(tmp_path_factory):
+    """All simulated runs the banded checks draw from, computed once by the
+    experiment runner's pool (one worker per core, its default)."""
     matrix = {
         "constant_strict_intense": ("ffsipp", "sipp"),
         "constant_lenient_intense": ("ffsipp",),
@@ -38,10 +39,14 @@ def full_runs():
     }
     out = {}
     for name, approaches in matrix.items():
-        scenario = load_scenario(name)
-        for approach in approaches:
-            for seed in SEEDS:
-                out[(name, approach, seed)] = sim.run(scenario, approach, seed)
+        config = experiment.ExperimentConfig(
+            scenario_path=name,
+            approaches=approaches,
+            seeds=SEEDS,
+            out_dir=str(tmp_path_factory.mktemp(name)),
+        )
+        for (approach, seed), report in experiment.run_experiment(config).items():
+            out[(name, approach, seed)] = report
     return out
 
 

@@ -39,7 +39,7 @@ class TestTypeExclusivity:
         model = build_baseline(state(insts, abc_services, types), config(fresh_candidates=2))
         plan, _ = solve_plan(model)
         assert len({a.vm_id for a in plan.assignments}) == 1
-        assert sum(plan.gamma.values()) == 1
+        assert sum(plan.lease_extensions.values()) == 1
 
 
 class TestTypeLocking:

@@ -83,3 +83,28 @@ class TestReportCommand:
     def test_report_without_metrics_fails(self, tmp_path):
         result = run_cli("report", "--in", str(tmp_path))
         assert result.exit_code != 0
+
+    def test_metrics_directory_is_no_metrics_file(self, tmp_path):
+        (tmp_path / "metrics.csv").mkdir()
+        result = run_cli("report", "--in", str(tmp_path))
+        assert result.exit_code != 0
+        assert f"no metrics.csv in {tmp_path}" in result.output
+
+    def test_short_row_names_its_line(self, tmp_path):
+        (tmp_path / "metrics.csv").write_text(
+            METRICS_HEADER + "\nr,ffsipp,constant,strict,1,100.00,30.00\n"
+        )
+        result = run_cli("report", "--in", str(tmp_path))
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code != 0
+        assert "metrics.csv, line 2: 7 fields, the header has 10" in result.output
+
+    def test_unwritable_aggregate_fails_cleanly(self, tmp_path):
+        (tmp_path / "metrics.csv").write_text(
+            METRICS_HEADER + "\nr,ffsipp,constant,strict,1,100.00,30.00,100.00,0.00,100.00\n"
+        )
+        (tmp_path / "aggregate.csv").mkdir()
+        result = run_cli("report", "--in", str(tmp_path))
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code != 0
+        assert "cannot write outputs: " in result.output

@@ -17,12 +17,11 @@ def assignment(iid, j, vm_id, service, cpu, occupancy_ms=100_000, ram=0.0):
     )
 
 
-def plan(assignments, running=(), lease_extensions=None, gamma=None):
+def plan(assignments, running=(), lease_extensions=None):
     return SchedulingPlan(
         assignments=list(assignments),
         running=list(running),
         lease_extensions=lease_extensions or {},
-        gamma=gamma or {},
         penalties_ms={},
         remaining_ms={},
         objective_terms={},

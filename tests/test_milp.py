@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 
 import numpy as np
@@ -53,6 +54,20 @@ class TestSolve:
             warnings.simplefilter("error")
             sol = solve(knapsack(), time_limit_ms=1000)
         assert sol.status == milp.OPTIMAL
+
+    def test_highs_output_does_not_reach_stdout(self, capfd, monkeypatch):
+        # HiGHS can write to descriptor 1 itself, past scipy's disp=False.
+        original = optimize.milp
+
+        def noisy(*args, **kwargs):
+            os.write(1, b"HiGHS diagnostic\n")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "milp", noisy)
+        print("before")
+        assert solve(knapsack()).status == milp.OPTIMAL
+        print("after")
+        assert capfd.readouterr().out == "before\nafter\n"
 
     def test_matches_oracle(self):
         assert solve(knapsack()).objective_value == pytest.approx(

@@ -57,7 +57,7 @@ class TestSingleStep:
         model = build(self.single_step_state(abc_services), config())
         plan, _ = solve_plan(model)
         assert len(plan.assignments) == 1
-        assert plan.gamma == {"p1": 1}
+        assert plan.lease_extensions == {"new_p1_0": 1}
         assert plan.objective_terms["leasing"] == pytest.approx(10.0)
         assert all(p == pytest.approx(0.0) for p in plan.penalties_ms.values())
 
@@ -159,7 +159,7 @@ class TestSharingAndCapacity:
         plan, _ = solve_plan(model)
         assert len(plan.assignments) == 2
         assert len({a.vm_id for a in plan.assignments}) == 1
-        assert sum(plan.gamma.values()) == 1
+        assert sum(plan.lease_extensions.values()) == 1
 
     def test_capacity_forces_second_vm(self, abc_services):
         insts = [
@@ -226,10 +226,9 @@ class TestLiveModel:
         plan, _ = solve_plan(model)
         assert milp.verify(p, plan.milp_values) == []
         assert plan.assignments
-        y_sum = dict.fromkeys(model.state.vm_types, 0)
-        for vm in model.candidates:
-            y_sum[vm.type_id] += plan.milp_values[p.names.index(f"y__{vm.id}")]
-        assert plan.gamma == y_sum and sum(y_sum.values()) > 0
+        y = {vm.id: plan.milp_values[p.names.index(f"y__{vm.id}")] for vm in model.candidates}
+        assert plan.lease_extensions == {vm_id: btus for vm_id, btus in y.items() if btus}
+        assert plan.lease_extensions
 
 
 class TestOneColumnRule:
