@@ -1,7 +1,8 @@
 """Generic mixed-integer linear programs: model, solver, verifier, LP export.
 
 A ``MilpProblem`` addresses columns and rows by integer index, in creation
-order. ``solve`` hands its arrays to scipy's HiGHS-backed MILP solver.
+order. ``solve`` hands its arrays, through ``run_highs``, to HiGHS by
+scipy's bundled binding.
 ``export_lp`` writes a problem as LP text for external solvers; the format
 is write-only here (the tests read it back with HiGHS's own LP reader).
 """
@@ -10,11 +11,14 @@ from __future__ import annotations
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import sparse
+
+# scipy's bundled binding of HiGHS. It is private API, so the scipy version
+# is pinned in pyproject.toml and a test holds it to scipy.optimize.milp.
+from scipy.optimize._highspy import _core
 
 FEAS_TOL = 1e-6
 # A solve whose incumbent lies further than this (relative) above its dual
@@ -33,6 +37,11 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 TIME_LIMIT = "time_limit"
 GAP_LIMIT = "gap_limit"
+
+_MODEL = _core.HighsModelStatus
+_LIMITS = frozenset((_MODEL.kTimeLimit, _MODEL.kIterationLimit, _MODEL.kSolutionLimit))
+_INTEGER_COL = _core.HighsVarType.kInteger
+_CONTINUOUS_COL = _core.HighsVarType.kContinuous
 
 
 class MilpProblem:
@@ -167,22 +176,77 @@ class Violation:
     kind: str  # "constraint" | "bound" | "integrality"
 
 
+def run_highs(
+    problem: MilpProblem, options: dict
+) -> tuple[_core.HighsModelStatus, _core.HighsInfo, np.ndarray | None]:
+    """Hand ``problem`` to a fresh HiGHS instance, set ``options`` on it by
+    name and run it. Returns HiGHS's model status, its info and the point
+    (one value per column), or ``None`` for the point when HiGHS holds no
+    feasible one.
+
+    This is the only code that calls HiGHS. It uses scipy's bundled binding,
+    which takes the CSR matrix row-wise as it is. HiGHS can print diagnostics
+    straight to file descriptor 1, past ``output_flag``; the descriptor points
+    at the null device during the call, so no such line reaches a stdout that
+    carries results."""
+    if not problem.num_vars:
+        raise ValueError("model has no columns")
+    if not all(map(math.isfinite, problem.cost)):
+        raise ValueError("model has a non-finite cost")
+    a = problem.matrix()
+    lp = _core.HighsLp()
+    lp.num_col_ = problem.num_vars
+    lp.num_row_ = problem.num_rows
+    lp.col_cost_ = problem.cost
+    lp.col_lower_ = problem.lower
+    lp.col_upper_ = problem.upper
+    lp.row_lower_ = problem.row_lower
+    lp.row_upper_ = problem.row_upper
+    lp.integrality_ = [_INTEGER_COL if i else _CONTINUOUS_COL for i in problem.integral().tolist()]
+    matrix = lp.a_matrix_
+    matrix.format_ = _core.MatrixFormat.kRowwise
+    matrix.num_col_ = problem.num_vars
+    matrix.num_row_ = problem.num_rows
+    matrix.start_ = a.indptr
+    matrix.index_ = a.indices
+    matrix.value_ = a.data
+    highs = _core._Highs()
+    sys.stdout.flush()
+    saved = os.dup(1)
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, 1)
+    os.close(null)
+    try:
+        for name, value in options.items():
+            if highs.setOptionValue(name, value) == _core.HighsStatus.kError:
+                raise ValueError(f"HiGHS refused option {name}={value!r}")
+        if highs.passModel(lp) == _core.HighsStatus.kError:
+            raise ValueError("HiGHS refused the model")
+        if highs.run() == _core.HighsStatus.kError:
+            raise ValueError(
+                f"HiGHS failed: {highs.modelStatusToString(highs.getModelStatus())}"
+            )
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+    info = highs.getInfo()
+    x = None
+    if info.primal_solution_status == _core.kSolutionStatusFeasible:
+        x = np.array(highs.getSolution().col_value)
+    return highs.getModelStatus(), info, x
+
+
 def solve(
     problem: MilpProblem, gap_tol: float = 1e-9, time_limit_ms: int | None = None
 ) -> MilpSolution:
     """Solve to within ``gap_tol`` of optimality. Deterministic for fixed
     inputs, unless the wall-clock ``time_limit_ms`` stops the solve.
 
-    HiGHS runs with ``mip_rel_gap=gap_tol``, ``time_limit`` (when given)
-    and ``mip_heuristic_run_feasibility_jump=False``; presolve is HiGHS's
-    MIP default.
-    Feasibility jump costs about 9 ms per solve whatever the model's size,
-    and the round models close at the root without it. scipy passes that
-    option to HiGHS unchanged and warns that it does not know it; the
-    warning is silenced here. HiGHS also prints some diagnostics straight
-    to file descriptor 1, past scipy's ``disp=False``; the descriptor points
-    at the null device during the call, so no such line reaches a stdout
-    that carries results.
+    ``run_highs`` calls HiGHS with ``output_flag=False``,
+    ``mip_rel_gap=gap_tol``, ``time_limit`` (when given) and
+    ``mip_heuristic_run_feasibility_jump=False``; presolve is HiGHS's MIP
+    default. Feasibility jump costs about 9 ms per solve whatever the model's
+    size, and the round models close at the root without it.
 
     The returned point rounds cleanly: if rounding its integer columns puts
     a row beyond ``FEAS_TOL``, the model is solved once more with
@@ -190,80 +254,51 @@ def solve(
 
     The status is OPTIMAL only when the incumbent meets its dual bound (see
     ``OPTIMAL_GAP``); an incumbent accepted by the relative gap alone is
-    GAP_LIMIT, and one left by the time limit is TIME_LIMIT."""
-    c = np.array(problem.cost, dtype=np.float64)
-    integral = problem.integral()
-    integrality = integral.astype(np.uint8)
-    bounds = optimize.Bounds(
-        np.array(problem.lower, dtype=np.float64), np.array(problem.upper, dtype=np.float64)
-    )
-    constraints = []
-    if problem.num_rows:
-        constraints = [
-            optimize.LinearConstraint(
-                problem.matrix(),
-                np.array(problem.row_lower, dtype=np.float64),
-                np.array(problem.row_upper, dtype=np.float64),
-            )
-        ]
+    GAP_LIMIT, and one left by a time, iteration or solution limit is
+    TIME_LIMIT. An infeasible model is INFEASIBLE; an unbounded one, or any
+    other HiGHS model status, raises ``ValueError``. A model without integer
+    columns has no dual ``bound``."""
     options = {
+        "output_flag": False,
         "mip_rel_gap": gap_tol,
         "mip_heuristic_run_feasibility_jump": False,
     }
     if time_limit_ms is not None:
         options["time_limit"] = time_limit_ms / 1000.0
-
-    def run():
-        sys.stdout.flush()
-        saved = os.dup(1)
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, 1)
-        os.close(null)
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings(
-                    "ignore", message="Unrecognized options detected", category=RuntimeWarning
-                )
-                return optimize.milp(
-                    c,
-                    constraints=constraints,
-                    integrality=integrality,
-                    bounds=bounds,
-                    options=options,
-                )
-        finally:
-            os.dup2(saved, 1)
-            os.close(saved)
-
-    res = run()
-    if res.x is not None and constraints:
+    status, info, x = run_highs(problem, options)
+    integral = problem.integral()
+    if x is not None and problem.num_rows:
         # HiGHS accepts integrality residues up to its
         # mip_feasibility_tolerance (1e-6); rounded, such a residue can put a
         # row with large coefficients beyond FEAS_TOL. Then solve once more
         # with a tighter tolerance. The residues are tested first, so a clean
         # answer costs no matrix product.
-        ints = res.x[integral]
+        ints = x[integral]
         if (ints != np.round(ints)).any():
-            (con,) = constraints
-            lhs = con.A @ np.where(integral, np.round(res.x), res.x)
-            if ((lhs > con.ub + FEAS_TOL) | (lhs < con.lb - FEAS_TOL)).any():
+            lhs = problem.matrix() @ np.where(integral, np.round(x), x)
+            if (
+                (lhs > np.array(problem.row_upper) + FEAS_TOL)
+                | (lhs < np.array(problem.row_lower) - FEAS_TOL)
+            ).any():
                 options["mip_feasibility_tolerance"] = 1e-9
-                res = run()
-    if res.status == 2:
+                status, info, x = run_highs(problem, options)
+    if status == _MODEL.kInfeasible:
         return MilpSolution(INFEASIBLE, None, None, None)
-    if res.status == 3:
+    if status == _MODEL.kUnbounded:
         raise ValueError("unbounded model")
-    if res.x is None:  # stopped at a limit without an incumbent
+    if status != _MODEL.kOptimal and status not in _LIMITS:
+        raise ValueError(f"HiGHS stopped with model status {status.name}")
+    if x is None:  # stopped at a limit without an incumbent
         return MilpSolution(TIME_LIMIT, None, None, None)
-    objective = float(res.fun)
-    bound = float(res.mip_dual_bound) if res.mip_dual_bound is not None else None
-    if res.status != 0:  # stopped at a limit with an incumbent
+    objective = float(info.objective_function_value)
+    bound = float(info.mip_dual_bound) if integral.any() else None
+    if status != _MODEL.kOptimal:  # stopped at a limit with an incumbent
         status = TIME_LIMIT
     elif bound is not None and objective - bound > OPTIMAL_GAP * max(1.0, abs(objective)):
         status = GAP_LIMIT  # HiGHS stopped at mip_rel_gap, not at a proven optimum
     else:
         status = OPTIMAL
-    return MilpSolution(status, res.x, objective, bound)
+    return MilpSolution(status, x, objective, bound)
 
 
 def verify(problem: MilpProblem, values) -> list[Violation]:

@@ -1,12 +1,12 @@
 """The model handed to HiGHS is pinned round by round.
 
-Every call of ``scipy.optimize.milp`` during a short simulation is reduced to
-one sha256 over the model it receives: the objective ``c``, the column
-bounds, the integrality, the constraint matrix as CSC with sorted indices
-(int64 indices, float64 values) and the row bounds. The options are hashed
-apart, into one digest that every call must match, so a change of the
-solver's options alone moves that one digest and leaves the models' alone.
-A speed-only change to the model builder must reproduce every digest.
+Every model passed to HiGHS during a short simulation is reduced to one
+sha256: the objective ``c``, the column bounds, the integrality, the
+constraint matrix as CSC with sorted indices (int64 indices, float64 values)
+and the row bounds. The options set on HiGHS are hashed apart, into one
+digest that every call must match, so a change of the solver's options alone
+moves that one digest and leaves the models' alone. A speed-only change to
+the model builder must reproduce every digest.
 
 The model digests were re-pinned when the builder stopped emitting rows and
 columns that cannot change a round's answer: unweighted free-capacity
@@ -19,8 +19,10 @@ re-pinned again, with the options digest unchanged, when a fresh VM that one
 BTU covers lost its use flag ``g``: its lease count ``y`` serves as the flag,
 so its ``g <= y`` and ``y <= need*g`` rows and its placements'
 lease-coverage rows went, and its link, free-capacity and symmetry rows read
-``y``. Regenerate them (only for a deliberate change of the model or of the
-options) with
+``y``. The options digest alone moved when ``milp.solve`` stopped calling
+``scipy.optimize.milp`` for scipy's HiGHS binding, since ``output_flag=False``
+joined the options; every model digest held. Regenerate them (only for a
+deliberate change of the model or of the options) with
 
     PYTHONPATH=src python -m tests.test_highs_model > tests/data/highs_model_digests.json
 """
@@ -31,6 +33,7 @@ import pathlib
 
 import numpy as np
 from scipy import optimize, sparse
+from scipy.optimize._highspy import _core
 
 from ffsipp import landscape, sim
 
@@ -77,25 +80,46 @@ def round_digests() -> dict:
     round order."""
     scenario = landscape.parse_scenario(preset_text(PRESET))
     scenario.arrival = dataclasses.replace(scenario.arrival, total_requests=REQUESTS)
-    original = optimize.milp
+    original = _core._Highs
     options_seen = set()
     out = {}
     for approach in (sim.FFSIPP, sim.SIPP):
         digests = out.setdefault(approach, [])
 
-        def capture(c, *, integrality=None, bounds=None, constraints=None, options=None):
-            options_seen.add(options_digest(options))
-            digests.append(model_digest(c, integrality, bounds, constraints))
-            return original(
-                c, integrality=integrality, bounds=bounds, constraints=constraints,
-                options=options,
-            )
+        class Capture(original):
+            def __init__(self):
+                super().__init__()
+                self.options = {}
 
-        optimize.milp = capture
+            def setOptionValue(self, name, value):
+                self.options[name] = value
+                return super().setOptionValue(name, value)
+
+            def passModel(self, lp):
+                options_seen.add(options_digest(self.options))
+                matrix = lp.a_matrix_
+                if matrix.format_ != _core.MatrixFormat.kRowwise:
+                    raise ValueError(f"expected a row-wise matrix, got {matrix.format_}")
+                a = sparse.csr_array(
+                    (matrix.value_, matrix.index_, matrix.start_),
+                    shape=(lp.num_row_, lp.num_col_),
+                )
+                constraints = []
+                if lp.num_row_:
+                    constraints = [optimize.LinearConstraint(a, lp.row_lower_, lp.row_upper_)]
+                digests.append(model_digest(
+                    lp.col_cost_,
+                    [int(kind) for kind in lp.integrality_],
+                    optimize.Bounds(lp.col_lower_, lp.col_upper_),
+                    constraints,
+                ))
+                return super().passModel(lp)
+
+        _core._Highs = Capture
         try:
             sim.run(scenario, approach, SEED)
         finally:
-            optimize.milp = original
+            _core._Highs = original
     if len(options_seen) != 1:
         raise ValueError(f"HiGHS calls received {len(options_seen)} different option sets")
     out["options"] = options_seen.pop()

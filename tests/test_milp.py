@@ -1,10 +1,12 @@
 import math
 import os
+import types
 import warnings
 
 import numpy as np
 import pytest
 from scipy import optimize
+from scipy.optimize._highspy import _core
 
 from ffsipp import landscape, milp, sim
 from ffsipp.milp import (
@@ -49,25 +51,65 @@ class TestSolve:
         assert sol.values[0] == pytest.approx(1.0)
 
     def test_no_warning(self):
-        # scipy warns about HiGHS options it does not know, and solve sets one.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve(knapsack(), time_limit_ms=1000)
         assert sol.status == milp.OPTIMAL
 
     def test_highs_output_does_not_reach_stdout(self, capfd, monkeypatch):
-        # HiGHS can write to descriptor 1 itself, past scipy's disp=False.
-        original = optimize.milp
+        # HiGHS can write to descriptor 1 itself, past output_flag=False.
+        class Noisy(_core._Highs):
+            def run(self):
+                os.write(1, b"HiGHS diagnostic\n")
+                return super().run()
 
-        def noisy(*args, **kwargs):
-            os.write(1, b"HiGHS diagnostic\n")
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(optimize, "milp", noisy)
+        monkeypatch.setattr(_core, "_Highs", Noisy)
         print("before")
         assert solve(knapsack()).status == milp.OPTIMAL
         print("after")
         assert capfd.readouterr().out == "before\nafter\n"
+
+    @pytest.mark.parametrize("call", ["passModel", "run"])
+    def test_highs_error_raises(self, monkeypatch, call):
+        class Failing(_core._Highs):
+            pass
+
+        setattr(Failing, call, lambda self, *args: _core.HighsStatus.kError)
+        monkeypatch.setattr(_core, "_Highs", Failing)
+        with pytest.raises(ValueError, match="HiGHS"):
+            solve(knapsack())
+
+    def test_model_without_columns_raises(self):
+        with pytest.raises(ValueError, match="no columns"):
+            solve(MilpProblem())
+
+    @pytest.mark.parametrize("cost", [math.inf, math.nan])
+    def test_non_finite_cost_raises(self, cost):
+        prob = knapsack()
+        prob.cost[1] = cost
+        with pytest.raises(ValueError, match="non-finite cost"):
+            solve(prob)
+
+    @pytest.mark.parametrize("status", ["kTimeLimit", "kIterationLimit", "kSolutionLimit"])
+    def test_limits_are_time_limit(self, monkeypatch, status):
+        status = getattr(_core.HighsModelStatus, status)
+        info = types.SimpleNamespace(objective_function_value=10.0, mip_dual_bound=5.0)
+        answers = iter([(status, info, np.array([1.0, 0.0])), (status, info, None)])
+        monkeypatch.setattr(milp, "run_highs", lambda problem, options: next(answers))
+        with_incumbent = solve(knapsack())
+        assert (with_incumbent.status, with_incumbent.objective_value) == (milp.TIME_LIMIT, 10.0)
+        assert with_incumbent.bound == 5.0
+        assert solve(knapsack()) == milp.MilpSolution(milp.TIME_LIMIT, None, None, None)
+
+    @pytest.mark.parametrize("status", ["kSolveError", "kUnboundedOrInfeasible"])
+    def test_solver_failure_is_not_a_time_limit(self, monkeypatch, status):
+        # scipy.optimize.milp reported these as its status 4, which solve
+        # took for a time limit without an incumbent.
+        status = getattr(_core.HighsModelStatus, status)
+        info = types.SimpleNamespace(objective_function_value=_core.kHighsInf, mip_dual_bound=0.0)
+        monkeypatch.setattr(milp, "run_highs", lambda problem, options: (status, info, None))
+        with pytest.raises(ValueError, match=status.name):
+            solve(knapsack())
 
     def test_matches_oracle(self):
         assert solve(knapsack()).objective_value == pytest.approx(
@@ -81,6 +123,8 @@ class TestSolve:
         )
         sol = solve(prob)
         assert sol.objective_value == pytest.approx(-8.0)
+        # a model without integer columns has no dual bound
+        assert (sol.status, sol.bound) == (milp.OPTIMAL, None)
 
     def test_infeasible(self):
         prob = problem([("x", BOOLEAN, 0, 1, 1.0)], [({"x": 1.0}, ">=", 2.0)])
@@ -113,19 +157,57 @@ class TestSolve:
         # CPU demand 147: rounded, it puts a capacity row beyond FEAS_TOL, so
         # solve asks HiGHS again with a tighter integrality tolerance.
         prob = simulated_round(monkeypatch, "pyramid_strict_intense", 448)
-        original, answers = optimize.milp, []
+        original, answers = milp.run_highs, []
 
-        def recording(*args, **kwargs):
-            answers.append(original(*args, **kwargs))
+        def recording(problem, options):
+            answers.append(original(problem, options))
             return answers[-1]
 
-        monkeypatch.setattr(optimize, "milp", recording)
+        monkeypatch.setattr(milp, "run_highs", recording)
         sol = solve(prob)
         assert len(answers) == 2
-        assert [v.kind for v in verify(prob, rounded(prob, answers[0].x))] == ["constraint"]
-        assert sol.values is answers[1].x
+        (_, first, first_x), (_, _, second_x) = answers
+        assert [v.kind for v in verify(prob, rounded(prob, first_x))] == ["constraint"]
+        assert sol.values is second_x
         assert verify(prob, rounded(prob, sol.values)) == []
-        assert sol.objective_value == pytest.approx(answers[0].fun, rel=1e-3)
+        assert sol.objective_value == pytest.approx(first.objective_function_value, rel=1e-3)
+
+
+def test_binding_matches_scipy_milp(smoke_scenario, monkeypatch):
+    # solve calls scipy's private HiGHS binding; on every round of the smoke
+    # preset it must return the rounded integer point that the public
+    # scipy.optimize.milp returns with the same options.
+    original, rounds = milp.solve, []
+
+    def recording(problem, **options):
+        rounds.append((problem, options))
+        return original(problem, **options)
+
+    monkeypatch.setattr(milp, "solve", recording)
+    for approach in (sim.FFSIPP, sim.SIPP):
+        sim.run(smoke_scenario, approach, 1)
+    assert rounds
+    for problem, options in rounds:
+        integral = problem.integral()
+        with warnings.catch_warnings():
+            # scipy passes options it does not know to HiGHS, with a warning
+            warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
+            public = optimize.milp(
+                problem.cost,
+                integrality=integral,
+                bounds=optimize.Bounds(problem.lower, problem.upper),
+                constraints=optimize.LinearConstraint(
+                    problem.matrix(), problem.row_lower, problem.row_upper
+                ),
+                options={
+                    "mip_rel_gap": options["gap_tol"],
+                    "mip_heuristic_run_feasibility_jump": False,
+                    "time_limit": options["time_limit_ms"] / 1000.0,
+                },
+            )
+        assert public.status == 0
+        mine = original(problem, **options)
+        assert np.array_equal(np.round(mine.values[integral]), np.round(public.x[integral]))
 
 
 def rounded(prob, values):
