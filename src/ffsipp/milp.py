@@ -213,10 +213,12 @@ def run_highs(
     highs = _core._Highs()
     sys.stdout.flush()
     saved = os.dup(1)
-    null = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(null, 1)
-    os.close(null)
     try:
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, 1)
+        finally:
+            os.close(null)
         for name, value in options.items():
             if highs.setOptionValue(name, value) == _core.HighsStatus.kError:
                 raise ValueError(f"HiGHS refused option {name}={value!r}")

@@ -139,7 +139,7 @@ class FfsippModel:
         self._remaining: dict[int, worstcase.RemainingStructure] = {}
         # Continuous helpers and the rows that bound each from below, in
         # creation order: an instance's block remainders precede its e^p,
-        # which reads them. Decode re-derives each at its floor.
+        # which reads them. Decode and postponed set each at its floor.
         self._helpers: list[tuple[int, list[int]]] = []
         # Leased VM -> its running steps (occupancy = remainder), in fleet
         # order; instance -> its longest running remainder.
@@ -470,21 +470,8 @@ class FfsippModel:
             )
         # + 0.0 turns a rounded -0.0 into 0.0
         values = np.where(integral, rounded + 0.0, x).tolist()
-
-        # Re-derive continuous helpers at their floors, read off the model's
-        # own rows, so the decoded point is exactly feasible. A helper's
-        # coefficient ``a`` is +1 on its ``>=`` rows and -1 on its ``<=``
-        # rows, so ``a`` is also its inverse.
-        p = self.problem
         for col, rows in self._helpers:
-            floor = 0.0
-            for row in rows:
-                relation, bound = p.row_relation(row)
-                a = 1.0 if relation == ">=" else -1.0
-                cols, coefs = p.row_terms(row)
-                others = [(-c * a) * values[k] for k, c in zip(cols, coefs) if k != col]
-                floor = max(floor, 0.0 + sum(others) + a * bound)
-            values[col] = floor
+            values[col] = self._floor(col, rows, values)
 
         assignments = [a for vm_x in self._vm_x.values() for col, a in vm_x if values[col] > 0.5]
         leases = {}
@@ -513,6 +500,52 @@ class FfsippModel:
             objective_value=total,
             milp_values=values,
         )
+
+    def _floor(self, col: int, rows: list[int], values: list[float]) -> float:
+        """The least value of helper ``col`` that its rows allow, given the
+        other columns' ``values``; read off the model's own rows, so a point
+        with every helper at its floor is exactly feasible on those rows. A
+        helper's coefficient ``a`` is +1 on its ``>=`` rows and -1 on its
+        ``<=`` rows, so ``a`` is also its inverse."""
+        p = self.problem
+        floor = 0.0
+        for row in rows:
+            relation, bound = p.row_relation(row)
+            a = 1.0 if relation == ">=" else -1.0
+            cols, coefs = p.row_terms(row)
+            others = [(-c * a) * values[k] for k, c in zip(cols, coefs) if k != col]
+            floor = max(floor, 0.0 + sum(others) + a * bound)
+        return floor
+
+    def postponed(self) -> milp.MilpSolution | None:
+        """The answer that places nothing and leases nothing, certified
+        optimal without a solver, or ``None`` when that cannot be shown.
+
+        With every cost at least 0 and every lower bound 0, no point costs
+        less than 0. The point with every integer column at 0 and every
+        helper at its floor costs exactly 0 when no helper with a positive
+        cost has a positive floor; if it also passes ``milp.verify``, 0 is a
+        proven bound that this point attains. As every placement and lease
+        column costs more than 0, each of them is 0 in every optimum, so
+        any exact solver's plan is this one.
+        """
+        p = self.problem
+        cost = p.cost
+        if any(p.lower) or not all(0.0 <= c < math.inf for c in cost):
+            return None
+        if not all(cost[y] > 0.0 for y in self._y.values()):
+            return None
+        if not all(cost[col] > 0.0 for vm_x in self._vm_x.values() for col, _ in vm_x):
+            return None
+        values = [0.0] * p.num_vars
+        for col, rows in self._helpers:
+            floor = self._floor(col, rows, values)
+            if floor and cost[col]:
+                return None
+            values[col] = floor
+        if milp.verify(p, values):
+            return None
+        return milp.MilpSolution(milp.OPTIMAL, np.array(values), 0.0, 0.0)
 
     @staticmethod
     def _check_objective(total: float, solution: milp.MilpSolution):

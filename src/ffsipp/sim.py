@@ -128,6 +128,7 @@ class MetricsReport:
     rounds: int
     fallbacks: int
     verified_plans: int
+    rounds_without_highs: int  # decided by FfsippModel.postponed alone
 
 
 class Simulator:
@@ -154,6 +155,7 @@ class Simulator:
         self.rounds = 0
         self.fallbacks = 0
         self.verified_plans = 0
+        self.rounds_without_highs = 0
         self._wakeup_at: int | None = None
         self.config = optimizer.OptimizerConfig.from_scenario(scenario)
         self._models = {m.id: m for m in scenario.models}
@@ -376,9 +378,13 @@ class Simulator:
             path.mkdir(parents=True, exist_ok=True)
             name = f"{self.approach}_seed{self.seed}_round{self.rounds:04d}.lp"
             (path / name).write_text(milp.export_lp(model.problem))
-        solution = milp.solve(
-            model.problem, gap_tol=self.config.gap_tol, time_limit_ms=self.config.time_limit_ms
-        )
+        solution = model.postponed()
+        if solution is None:
+            solution = milp.solve(
+                model.problem, gap_tol=self.config.gap_tol, time_limit_ms=self.config.time_limit_ms
+            )
+        else:
+            self.rounds_without_highs += 1
         if solution.status == milp.INFEASIBLE:
             # Postponing every step is feasible for any valid snapshot, so an
             # infeasible round is an input or model fault, not a reason to wait.
@@ -524,6 +530,7 @@ class Simulator:
             rounds=self.rounds,
             fallbacks=self.fallbacks,
             verified_plans=self.verified_plans,
+            rounds_without_highs=self.rounds_without_highs,
         )
 
 

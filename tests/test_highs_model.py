@@ -1,12 +1,14 @@
-"""The model handed to HiGHS is pinned round by round.
+"""The round model is pinned round by round.
 
-Every model passed to HiGHS during a short simulation is reduced to one
-sha256: the objective ``c``, the column bounds, the integrality, the
-constraint matrix as CSC with sorted indices (int64 indices, float64 values)
-and the row bounds. The options set on HiGHS are hashed apart, into one
-digest that every call must match, so a change of the solver's options alone
-moves that one digest and leaves the models' alone. A speed-only change to
-the model builder must reproduce every digest.
+Every model built during a short simulation is reduced to one sha256: the
+objective ``c``, the column bounds, the integrality, the constraint matrix as
+CSC with sorted indices (int64 indices, float64 values) and the row bounds.
+Every round's model is hashed, also in a round that ``FfsippModel.postponed``
+decides without HiGHS; the test pins how many rounds do so. The options set
+on HiGHS, in the rounds that still call it, are hashed apart, into one digest
+that every call must match, so a change of the solver's options alone moves
+that one digest and leaves the models' alone. A speed-only change to the
+model builder must reproduce every digest.
 
 The model digests were re-pinned when the builder stopped emitting rows and
 columns that cannot change a round's answer: unweighted free-capacity
@@ -21,8 +23,11 @@ so its ``g <= y`` and ``y <= need*g`` rows and its placements'
 lease-coverage rows went, and its link, free-capacity and symmetry rows read
 ``y``. The options digest alone moved when ``milp.solve`` stopped calling
 ``scipy.optimize.milp`` for scipy's HiGHS binding, since ``output_flag=False``
-joined the options; every model digest held. Regenerate them (only for a
-deliberate change of the model or of the options) with
+joined the options; every model digest held. Until HiGHS was skipped in
+rounds that need no solver, the digests were taken from the models passed
+to HiGHS, which then were every round's; hashed from the built models, the
+file held byte for byte. Regenerate them (only for a deliberate change of
+the model or of the options) with
 
     PYTHONPATH=src python -m tests.test_highs_model > tests/data/highs_model_digests.json
 """
@@ -35,7 +40,7 @@ import numpy as np
 from scipy import optimize, sparse
 from scipy.optimize._highspy import _core
 
-from ffsipp import landscape, sim
+from ffsipp import baseline, landscape, optimizer, sim
 
 from .conftest import preset_text
 
@@ -74,67 +79,81 @@ def model_digest(c, integrality, bounds, constraints) -> str:
     return h.hexdigest()
 
 
-def round_digests() -> dict:
+# Rounds of the run above that ``FfsippModel.postponed`` decides without HiGHS.
+ROUNDS_WITHOUT_HIGHS = {sim.FFSIPP: 27, sim.SIPP: 17}
+
+
+def round_digests() -> tuple[dict, dict]:
     """The digest of the options every HiGHS call received, under
-    ``"options"``, and the model digest of every call, per approach, in
-    round order."""
+    ``"options"``, and the model digest of every round's built model, per
+    approach, in round order; then, per approach, how many rounds skipped
+    HiGHS."""
     scenario = landscape.parse_scenario(preset_text(PRESET))
     scenario.arrival = dataclasses.replace(scenario.arrival, total_requests=REQUESTS)
     original = _core._Highs
     options_seen = set()
-    out = {}
-    for approach in (sim.FFSIPP, sim.SIPP):
-        digests = out.setdefault(approach, [])
 
-        class Capture(original):
-            def __init__(self):
-                super().__init__()
-                self.options = {}
+    class Capture(original):
+        def __init__(self):
+            super().__init__()
+            self.options = {}
 
-            def setOptionValue(self, name, value):
-                self.options[name] = value
-                return super().setOptionValue(name, value)
+        def setOptionValue(self, name, value):
+            self.options[name] = value
+            return super().setOptionValue(name, value)
 
-            def passModel(self, lp):
-                options_seen.add(options_digest(self.options))
-                matrix = lp.a_matrix_
-                if matrix.format_ != _core.MatrixFormat.kRowwise:
-                    raise ValueError(f"expected a row-wise matrix, got {matrix.format_}")
-                a = sparse.csr_array(
-                    (matrix.value_, matrix.index_, matrix.start_),
-                    shape=(lp.num_row_, lp.num_col_),
-                )
-                constraints = []
-                if lp.num_row_:
-                    constraints = [optimize.LinearConstraint(a, lp.row_lower_, lp.row_upper_)]
-                digests.append(model_digest(
-                    lp.col_cost_,
-                    [int(kind) for kind in lp.integrality_],
-                    optimize.Bounds(lp.col_lower_, lp.col_upper_),
-                    constraints,
-                ))
-                return super().passModel(lp)
+        def passModel(self, lp):
+            options_seen.add(options_digest(self.options))
+            return super().passModel(lp)
 
-        _core._Highs = Capture
-        try:
-            sim.run(scenario, approach, SEED)
-        finally:
-            _core._Highs = original
+    out = {sim.FFSIPP: [], sim.SIPP: []}
+
+    def recording(build):
+        def built(state, config):
+            model = build(state, config)
+            problem = model.problem
+            constraints = []
+            if problem.num_rows:
+                constraints = [optimize.LinearConstraint(
+                    problem.matrix(), problem.row_lower, problem.row_upper
+                )]
+            out[sim.SIPP if model.baseline else sim.FFSIPP].append(model_digest(
+                problem.cost,
+                problem.integral().astype(np.int64),
+                optimize.Bounds(problem.lower, problem.upper),
+                constraints,
+            ))
+            return model
+
+        return built
+
+    builders = [(optimizer, "build"), (baseline, "build_baseline")]
+    saved = [getattr(module, name) for module, name in builders]
+    _core._Highs = Capture
+    for (module, name), build in zip(builders, saved):
+        setattr(module, name, recording(build))
+    try:
+        skipped = {a: sim.run(scenario, a, SEED).rounds_without_highs for a in out}
+    finally:
+        _core._Highs = original
+        for (module, name), build in zip(builders, saved):
+            setattr(module, name, build)
     if len(options_seen) != 1:
         raise ValueError(f"HiGHS calls received {len(options_seen)} different option sets")
     out["options"] = options_seen.pop()
-    return out
+    return out, skipped
 
 
 def test_every_round_hands_highs_the_recorded_model():
     expected = json.loads(DIGESTS.read_text())
-    got = round_digests()
+    got, skipped = round_digests()
     assert got["options"] == expected["options"], "options"
     for approach in (sim.FFSIPP, sim.SIPP):
         assert len(got[approach]) == len(expected[approach]), approach
         for k, (mine, recorded) in enumerate(zip(got[approach], expected[approach])):
             assert mine == recorded, f"{approach} round {k + 1}"
+    assert skipped == ROUNDS_WITHOUT_HIGHS
 
 
 if __name__ == "__main__":
-    print(json.dumps(round_digests(), indent=1))
+    print(json.dumps(round_digests()[0], indent=1))

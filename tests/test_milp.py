@@ -8,7 +8,7 @@ import pytest
 from scipy import optimize
 from scipy.optimize._highspy import _core
 
-from ffsipp import landscape, milp, sim
+from ffsipp import baseline, landscape, milp, optimizer, sim
 from ffsipp.milp import (
     BOOLEAN,
     CONTINUOUS,
@@ -68,6 +68,21 @@ class TestSolve:
         assert solve(knapsack()).status == milp.OPTIMAL
         print("after")
         assert capfd.readouterr().out == "before\nafter\n"
+
+    def test_failed_redirect_leaks_no_descriptor(self, monkeypatch):
+        # Opening the null device can fail (EMFILE, for one); descriptor 1
+        # must then be left as it was and its saved copy closed.
+        def no_descriptors(*args, **kwargs):
+            raise OSError(24, "Too many open files")
+
+        before, stdout = sorted(os.listdir("/proc/self/fd")), os.fstat(1)
+        monkeypatch.setattr(os, "open", no_descriptors)
+        with pytest.raises(OSError, match="Too many open files"):
+            solve(knapsack())
+        monkeypatch.undo()
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        after = os.fstat(1)
+        assert (after.st_dev, after.st_ino) == (stdout.st_dev, stdout.st_ino)
 
     @pytest.mark.parametrize("call", ["passModel", "run"])
     def test_highs_error_raises(self, monkeypatch, call):
@@ -217,20 +232,22 @@ def rounded(prob, values):
 
 def simulated_round(monkeypatch, preset, n):
     """The problem of round ``n`` (from 1) of ffsipp's seed-1 simulation of
-    ``preset``; the simulation is stopped when it hands that round to
-    milp.solve."""
+    ``preset``; the simulation is stopped when it builds that round's
+    model. Rounds count model builds, whether or not HiGHS solves them."""
     rounds = []
 
     class Stop(Exception):
         pass
 
-    def recording(problem, **options):
-        rounds.append(problem)
+    def recording(state, config):
+        model = build(state, config)
+        rounds.append(model.problem)
         if len(rounds) == n:
             raise Stop
-        return solve(problem, **options)
+        return model
 
-    monkeypatch.setattr(milp, "solve", recording)
+    build = optimizer.build
+    monkeypatch.setattr(optimizer, "build", recording)
     scenario = landscape.parse_scenario(preset_text(preset))
     with pytest.raises(Stop):
         sim.run(scenario, sim.FFSIPP, 1)
@@ -296,20 +313,23 @@ class TestLpFormat:
             assert section in text
 
     def test_dumped_round_replays_the_simulated_solve(self, smoke_scenario, tmp_path, monkeypatch):
-        # Each dump, read by HiGHS, is the problem the simulation solved.
-        original = milp.solve
-        solved = []
+        # Each dump, read by HiGHS, is the problem its round built, whether
+        # HiGHS solved that round or not.
+        built = []
+        for module, name in ((optimizer, "build"), (baseline, "build_baseline")):
+            def recording(state, config, original=getattr(module, name)):
+                model = original(state, config)
+                built.append(model.problem)
+                return model
 
-        def recording(problem, **options):
-            solved.append(problem)
-            return original(problem, **options)
-
-        monkeypatch.setattr(milp, "solve", recording)
-        for approach in (sim.FFSIPP, sim.SIPP):
+            monkeypatch.setattr(module, name, recording)
+        reports = [
             sim.run(smoke_scenario, approach, 1, dump_lp_dir=tmp_path / approach)
+            for approach in (sim.FFSIPP, sim.SIPP)
+        ]
         dumps = sorted((tmp_path / sim.FFSIPP).glob("*.lp")) + sorted(
             (tmp_path / sim.SIPP).glob("*.lp")
         )
-        assert len(dumps) == len(solved) > 0
-        for path, in_sim in zip(dumps, solved):
+        assert len(dumps) == len(built) == sum(r.rounds for r in reports) > 0
+        for path, in_sim in zip(dumps, built):
             assert_highs_reads_back(in_sim, path.read_text())

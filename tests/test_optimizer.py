@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import ffsipp
-from ffsipp import milp, optimizer
+from ffsipp import landscape, milp, optimizer, sim
 from ffsipp.baseline import build_baseline
 from ffsipp.landscape import RUNNING, Weights
 from ffsipp.optimizer import (
@@ -19,7 +20,7 @@ from ffsipp.optimizer import (
     next_wakeup,
 )
 
-from .conftest import instance, service, vm_type
+from .conftest import instance, preset_text, service, vm_type
 from .oracle import enumerate_oracle
 
 WEIGHTS = Weights(dl_per_ms=1e-6, d_per_ms=1e-7, f_cpu=0.01, f_ram=0.0, z=1.0)
@@ -146,6 +147,91 @@ class TestPenalties:
         values = plan.milp_values
         xcols = [i for i, n in enumerate(model.problem.names) if n.startswith("x__")]
         assert sum(values[i] for i in xcols) == 1.0
+
+
+class TestPostponed:
+    """``postponed`` certifies the plan that places and leases nothing, or
+    leaves the round to HiGHS."""
+
+    TYPES = {"p1": vm_type("p1")}
+
+    @pytest.mark.parametrize("builder", [build, build_baseline], ids=["ffsipp", "sipp"])
+    def test_slack_deadline_postpones(self, abc_services, builder):
+        inst = instance("s,s", abc_services, ["A", "A"], deadline_ms=900_000)
+        model = builder(state([inst], abc_services, self.TYPES), config())
+        solution = model.postponed()
+        assert solution.status == milp.OPTIMAL
+        assert solution.objective_value == solution.bound == 0.0
+        plan = model.decode(solution)
+        assert plan.assignments == [] and plan.lease_extensions == {}
+        assert plan.penalties_ms == {inst.id: 0.0}
+        assert milp.verify(model.problem, plan.milp_values) == []
+
+    def test_late_if_postponed(self, abc_services):
+        inst = instance("s", abc_services, ["A"], deadline_ms=100_000)
+        model = build(state([inst], abc_services, self.TYPES), config())
+        assert model.postponed() is None
+        assert solve_plan(model)[0].assignments
+
+    def test_running_step_outlasts_lease(self, abc_services):
+        inst = instance("s,s", abc_services, ["A", "A"], deadline_ms=900_000)
+        inst.steps[0].status = RUNNING
+        vm = VmSnapshot(
+            id="vm1", type_id="p1", ready_in_ms=0, lease_remaining_ms=10_000,
+            cached_images=frozenset({"A"}), running_steps=[(inst.id, 0, 30_000)],
+        )
+        model = build(state([inst], abc_services, self.TYPES, fleet=[vm]), config())
+        assert model.postponed() is None
+        plan, _ = solve_plan(model)
+        assert plan.assignments == [] and plan.lease_extensions == {"vm1": 1}
+
+    def test_overdue_step(self, abc_services):
+        # Overdue by 2,000 s, the step's importance outweighs its deployment.
+        inst = instance("s", abc_services, ["A"], deadline_ms=100_000)
+        model = build(state([inst], abc_services, self.TYPES, now_ms=2_100_000), config())
+        assert min(model.problem.cost) < 0
+        assert model.postponed() is None
+
+    def test_zero_cost_placement(self, abc_services):
+        # A free placement ties with postponing, so HiGHS must pick.
+        weights = Weights(dl_per_ms=0.0, d_per_ms=1e-7, f_cpu=0.01, f_ram=0.0, z=1.0)
+        inst = instance("s", abc_services, ["A"], deadline_ms=900_000)
+        vm = VmSnapshot(
+            id="vm1", type_id="p1", ready_in_ms=0, lease_remaining_ms=0,
+            cached_images=frozenset({"A"}),
+        )
+        model = build(state([inst], abc_services, self.TYPES, fleet=[vm]), config(weights=weights))
+        x = model.problem.names.index(f"x__{inst.id}__0__vm1")
+        assert model.problem.cost[x] == 0.0
+        assert model.postponed() is None
+
+    @pytest.mark.parametrize("preset, requests", [("smoke", None), ("constant_lenient_light", 10)])
+    def test_matches_highs_on_simulated_rounds(self, preset, requests, monkeypatch):
+        # Whenever the certificate fires, HiGHS proves the same optimum and
+        # its answer decodes to the same plan and wake-up.
+        postponed, fired = optimizer.FfsippModel.postponed, []
+
+        def checked(model):
+            solution = postponed(model)
+            if solution is not None:
+                cfg = model.config
+                highs = milp.solve(model.problem, cfg.gap_tol, cfg.time_limit_ms)
+                assert highs.status == milp.OPTIMAL
+                assert abs(highs.objective_value) <= 1e-9
+                mine, theirs = model.decode(solution), model.decode(highs)
+                for name in ("assignments", "lease_extensions", "penalties_ms", "remaining_ms"):
+                    assert getattr(mine, name) == getattr(theirs, name), name
+                assert next_wakeup(mine, model.state, cfg) == next_wakeup(theirs, model.state, cfg)
+                fired.append(model.baseline)
+            return solution
+
+        monkeypatch.setattr(optimizer.FfsippModel, "postponed", checked)
+        scenario = landscape.parse_scenario(preset_text(preset))
+        if requests:
+            scenario.arrival = dataclasses.replace(scenario.arrival, total_requests=requests)
+        for approach in (sim.FFSIPP, sim.SIPP):
+            sim.run(scenario, approach, 1)
+        assert set(fired) == {False, True}
 
 
 class TestSharingAndCapacity:

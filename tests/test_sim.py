@@ -144,13 +144,13 @@ class TestEndToEnd:
     def test_round_without_incumbent_falls_back(self, smoke_scenario, monkeypatch):
         solve, calls = milp.solve, []
 
-        def no_incumbent_in_round_3(problem, **kwargs):
+        def no_incumbent_in_third_solve(problem, **kwargs):
             calls.append(1)
             if len(calls) == 3:
                 return milp.MilpSolution(milp.TIME_LIMIT, None, None, None)
             return solve(problem, **kwargs)
 
-        monkeypatch.setattr(milp, "solve", no_incumbent_in_round_3)
+        monkeypatch.setattr(milp, "solve", no_incumbent_in_third_solve)
         rep = sim.run(smoke_scenario, "ffsipp", 1)
         assert rep.fallbacks == 1
         assert sum("\tfallback_postpone\t" in line for line in rep.audit_log) == 1
@@ -159,8 +159,10 @@ class TestEndToEnd:
 
     def test_infeasible_round_is_an_error(self, smoke_scenario, monkeypatch):
         # Postponing everything is always feasible, so an infeasible round
-        # must end the run instead of postponing it forever.
-        calls = []
+        # must end the run instead of postponing it forever. Rounds that
+        # FfsippModel.postponed decides never reach milp.solve, so the error
+        # names the first round that does.
+        calls, round_start, clocks = [], Simulator._round, []
 
         def always_infeasible(problem, **kwargs):
             calls.append(1)
@@ -168,9 +170,27 @@ class TestEndToEnd:
                 raise RuntimeError("the run kept postponing an infeasible round")
             return milp.MilpSolution(milp.INFEASIBLE, None, None, None)
 
+        def clocked_round(self):
+            clocks.append(self.clock)
+            return round_start(self)
+
         monkeypatch.setattr(milp, "solve", always_infeasible)
-        with pytest.raises(sim.InvariantError, match=r"^round at 0 ms \(ffsipp\) is infeasible$"):
+        monkeypatch.setattr(Simulator, "_round", clocked_round)
+        with pytest.raises(sim.InvariantError) as raised:
             sim.run(smoke_scenario, "ffsipp", 1)
+        assert len(calls) == 1 and len(clocks) > 1
+        assert str(raised.value) == f"round at {clocks[-1]} ms (ffsipp) is infeasible"
+
+    def test_rounds_without_highs_are_counted(self, smoke_scenario, monkeypatch):
+        solve, calls = milp.solve, []
+
+        def counted(problem, **kwargs):
+            calls.append(1)
+            return solve(problem, **kwargs)
+
+        monkeypatch.setattr(milp, "solve", counted)
+        rep = sim.run(smoke_scenario, "ffsipp", 1)
+        assert 0 < rep.rounds_without_highs == rep.rounds - len(calls)
 
 
 class TestRunningRecord:
