@@ -4,11 +4,13 @@ Every model built during a short simulation is reduced to one sha256: the
 objective ``c``, the column bounds, the integrality, the constraint matrix as
 CSC with sorted indices (int64 indices, float64 values) and the row bounds.
 Every round's model is hashed, also in a round that ``FfsippModel.postponed``
-decides without HiGHS; the test pins how many rounds do so. The options set
-on HiGHS, in the rounds that still call it, are hashed apart, into one digest
-that every call must match, so a change of the solver's options alone moves
-that one digest and leaves the models' alone. A speed-only change to the
-model builder must reproduce every digest.
+decides without HiGHS; the test pins how many rounds do so. In the rounds
+that still call HiGHS, the ``HighsLp`` it receives must carry its matrix
+row-wise and hash to that round's built model, and every round either
+reaches HiGHS or is counted as skipped. The options set on HiGHS are hashed
+apart, into one digest that every call must match, so a change of the
+solver's options alone moves that one digest and leaves the models' alone.
+A speed-only change to the model builder must reproduce every digest.
 
 The model digests were re-pinned when the builder stopped emitting rows and
 columns that cannot change a round's answer: unweighted free-capacity
@@ -87,7 +89,9 @@ def round_digests() -> tuple[dict, dict]:
     """The digest of the options every HiGHS call received, under
     ``"options"``, and the model digest of every round's built model, per
     approach, in round order; then, per approach, how many rounds skipped
-    HiGHS."""
+    HiGHS. Raises ``ValueError`` if HiGHS receives a matrix that is not
+    row-wise, or a model other than its round's built one, or if a round
+    neither reaches HiGHS nor counts as skipped."""
     scenario = landscape.parse_scenario(preset_text(PRESET))
     scenario.arrival = dataclasses.replace(scenario.arrival, total_requests=REQUESTS)
     original = _core._Highs
@@ -104,9 +108,28 @@ def round_digests() -> tuple[dict, dict]:
 
         def passModel(self, lp):
             options_seen.add(options_digest(self.options))
+            matrix = lp.a_matrix_
+            if matrix.format_ != _core.MatrixFormat.kRowwise:
+                raise ValueError(f"expected a row-wise matrix, got {matrix.format_}")
+            a = sparse.csr_array(
+                (matrix.value_, matrix.index_, matrix.start_),
+                shape=(lp.num_row_, lp.num_col_),
+            )
+            constraints = []
+            if lp.num_row_:
+                constraints = [optimize.LinearConstraint(a, lp.row_lower_, lp.row_upper_)]
+            approach, k = built_last[-1]
+            passed.append((approach, k, model_digest(
+                lp.col_cost_,
+                [int(kind) for kind in lp.integrality_],
+                optimize.Bounds(lp.col_lower_, lp.col_upper_),
+                constraints,
+            )))
             return super().passModel(lp)
 
     out = {sim.FFSIPP: [], sim.SIPP: []}
+    built_last = []  # (approach, round index) of the latest built model
+    passed = []  # (approach, round index, digest) of every model HiGHS received
 
     def recording(build):
         def built(state, config):
@@ -117,7 +140,9 @@ def round_digests() -> tuple[dict, dict]:
                 constraints = [optimize.LinearConstraint(
                     problem.matrix(), problem.row_lower, problem.row_upper
                 )]
-            out[sim.SIPP if model.baseline else sim.FFSIPP].append(model_digest(
+            approach = sim.SIPP if model.baseline else sim.FFSIPP
+            built_last.append((approach, len(out[approach])))
+            out[approach].append(model_digest(
                 problem.cost,
                 problem.integral().astype(np.int64),
                 optimize.Bounds(problem.lower, problem.upper),
@@ -140,6 +165,16 @@ def round_digests() -> tuple[dict, dict]:
             setattr(module, name, build)
     if len(options_seen) != 1:
         raise ValueError(f"HiGHS calls received {len(options_seen)} different option sets")
+    for approach, k, digest in passed:
+        if digest != out[approach][k]:
+            raise ValueError(f"{approach} round {k + 1}: HiGHS received another model than built")
+    for approach, rounds in out.items():
+        solved = {k for a, k, _ in passed if a == approach}
+        if len(solved) + skipped[approach] != len(rounds):
+            raise ValueError(
+                f"{approach}: {len(solved)} rounds reached HiGHS and {skipped[approach]}"
+                f" skipped it, of {len(rounds)}"
+            )
     out["options"] = options_seen.pop()
     return out, skipped
 
