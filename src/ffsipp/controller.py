@@ -63,20 +63,25 @@ class Action:
 
 @dataclass
 class CloudVmView:
-    """What the action planner needs to know about one live VM."""
+    """One live VM as the benchmark describes it. ``plan_actions`` reads
+    only the keys of ``containers``; the supplies and sizes are kept because
+    the benchmark builds this view."""
 
     cpu_supply: float
     ram_supply: float
     containers: dict[str, tuple[float, float]]  # service -> current size
 
 
-def plan_actions(cplan: ContainerPlan, cloud: dict[str, CloudVmView]) -> list[Action]:
+def plan_actions(cplan: ContainerPlan, cloud: dict) -> list[Action]:
     """Concrete enactment: lease/extend, deploy/resize, stop, invoke.
 
-    A VM's containers that the plan no longer uses are stopped to free
-    their resources. Stops normally come after deploys; when a VM needs the
-    freed CPU or RAM for its new deployments, its stops are hoisted ahead of
-    them.
+    ``cloud`` maps each live VM's id to a value whose ``containers`` is
+    keyed by the services deployed there. A finished invocation releases its
+    share at once and the plan keeps every running invocation in its
+    container, so a deployed container already has its planned size unless
+    it gains invocations: it is resized exactly then. A planned container
+    that is not deployed yet is deployed, and a deployed one that the plan
+    does not use is stopped after the deploys.
     """
     for vm_id in [c.vm_id for c in cplan.containers] + list(cplan.lease_extensions):
         if not is_fresh_vm(vm_id) and vm_id not in cloud:
@@ -94,46 +99,19 @@ def plan_actions(cplan: ContainerPlan, cloud: dict[str, CloudVmView]) -> list[Ac
     deploys: list[Action] = []
     stops: list[Action] = []
     invokes: list[Action] = []
-    planned_vms = sorted(set(by_vm) | set(cloud))
-    for vm_id in planned_vms:
+    for vm_id in sorted(set(by_vm) | set(cloud)):
         planned = {c.service: c for c in by_vm.get(vm_id, [])}
-        view = cloud.get(vm_id)
-        current = dict(view.containers) if view else {}
-        vm_stops = [
+        current = cloud[vm_id].containers if vm_id in cloud else {}
+        stops.extend(
             Action(STOP_CONTAINER, vm_id, svc) for svc in sorted(set(current) - set(planned))
-        ]
-        vm_deploys: list[Action] = []
+        )
         for svc in sorted(planned):
             c = planned[svc]
             size = {"cpu": c.cpu_size, "ram": c.ram_size}
             if svc not in current:
-                vm_deploys.append(Action(DEPLOY_CONTAINER, vm_id, svc, size))
-            elif current[svc] != (c.cpu_size, c.ram_size):
-                vm_deploys.append(Action(RESIZE_CONTAINER, vm_id, svc, size))
-        hoist = False
-        if view and vm_stops and vm_deploys:
-            # Per resource: what the VM holds once its containers have their
-            # planned sizes and before the unplanned ones stop.
-            sizes = {svc: (c.cpu_size, c.ram_size) for svc, c in planned.items()}
-            hoist = any(
-                sum(size[k] for size in current.values())
-                + sum(sizes[svc][k] - current.get(svc, (0.0, 0.0))[k] for svc in sizes)
-                > supply + 1e-9
-                for k, supply in enumerate((view.cpu_supply, view.ram_supply))
-            )
-        if hoist:
-            deploys.extend(vm_stops + vm_deploys)
-        else:
-            deploys.extend(vm_deploys)
-            stops.extend(vm_stops)
-        for svc in sorted(planned):
-            for iid, j in planned[svc].new_invocations:
-                invokes.append(
-                    Action(
-                        INVOKE_SERVICE,
-                        vm_id,
-                        svc,
-                        {"instance": iid, "step": j},
-                    )
-                )
+                deploys.append(Action(DEPLOY_CONTAINER, vm_id, svc, size))
+            elif c.new_invocations:
+                deploys.append(Action(RESIZE_CONTAINER, vm_id, svc, size))
+            for iid, j in c.new_invocations:
+                invokes.append(Action(INVOKE_SERVICE, vm_id, svc, {"instance": iid, "step": j}))
     return leases + deploys + stops + invokes

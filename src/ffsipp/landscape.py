@@ -44,6 +44,8 @@ class ServiceType:
     container_start_ms: int
 
     def __post_init__(self):
+        if self.cpu_demand < 0 or self.ram_demand < 0:
+            raise ScenarioError(f"service {self.id}: negative cpu or ram demand")
         if self.cpu_demand <= 0 and self.ram_demand <= 0:
             raise ScenarioError(f"service {self.id}: needs cpu or ram demand")
         if self.duration_ms <= 0:
@@ -504,8 +506,8 @@ def parse_scenario(text: str) -> Scenario:
     ):
         svc = ServiceType(
             id=str(entry["name"]),
-            cpu_demand=_number(f"{where}.cpu", entry.get("cpu", 0.0)),
-            ram_demand=_number(f"{where}.ram", entry.get("ram", 0.0)),
+            cpu_demand=_number(f"{where}.cpu", entry.get("cpu", 0.0), low=0),
+            ram_demand=_number(f"{where}.ram", entry.get("ram", 0.0), low=0),
             duration_ms=ms(_number(f"{where}.duration_s", entry["duration_s"])),
             image_pull_ms=ms(_number(f"{where}.pull_s", entry.get("pull_s", 30))),
             container_start_ms=ms(_number(f"{where}.start_s", entry.get("start_s", 2))),

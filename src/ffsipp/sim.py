@@ -275,7 +275,7 @@ class Simulator:
             # Deadline risk between rounds is covered by the armed wake-up.
             if round_needed and self._has_schedulable():
                 self._round()
-            # After a round's actions every VM's containers have exactly the
+            # The containers that a round deploys or resizes take their
             # planned sizes, so this also checks the round's transformation.
             self._assert_capacity()
             self._record_usage()
@@ -401,17 +401,7 @@ class Simulator:
             raise InvariantError(f"decoded plan violates its model: {violations[:3]}")
         self.verified_plans += 1
         cplan = controller.transform(plan)
-        cloud = {
-            vm.id: controller.CloudVmView(
-                cpu_supply=self.sc.vm_types[vm.type_id].cpu_supply,
-                ram_supply=self.sc.vm_types[vm.type_id].ram_supply,
-                containers={
-                    svc: (c.cpu_size, c.ram_size) for svc, c in vm.containers.items()
-                },
-            )
-            for vm in self.vms.values()
-        }
-        actions = controller.plan_actions(cplan, cloud)
+        actions = controller.plan_actions(cplan, self.vms)
         self._apply_actions(actions, plan)
         # A wakeup is only useful while some ready step stays unscheduled
         # (every placed step is running now); otherwise the next

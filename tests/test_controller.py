@@ -87,8 +87,9 @@ class TestPlanActions:
         ]
 
     def test_unplanned_container_stopped(self):
+        # A container whose invocations have all finished holds nothing.
         p = plan([assignment(1, 0, "vm1", "A", 45.0)])
-        cloud = {"vm1": CloudVmView(100.0, float("inf"), {"B": (30.0, 0.0)})}
+        cloud = {"vm1": CloudVmView(100.0, float("inf"), {"B": (0.0, 0.0)})}
         actions = plan_actions(transform(p), cloud)
         kinds = [a.kind for a in actions]
         assert controller.STOP_CONTAINER in kinds
@@ -96,23 +97,14 @@ class TestPlanActions:
             controller.STOP_CONTAINER
         )
 
-    def test_stop_hoisted_when_capacity_needed(self):
-        p = plan([assignment(1, 0, "vm1", "A", 80.0)])
-        cloud = {"vm1": CloudVmView(100.0, float("inf"), {"B": (30.0, 0.0)})}
-        actions = plan_actions(transform(p), cloud)
-        kinds = [a.kind for a in actions]
-        assert kinds.index(controller.STOP_CONTAINER) < kinds.index(
-            controller.DEPLOY_CONTAINER
-        )
-
-    def test_stop_hoisted_when_ram_needed(self):
-        p = plan([assignment(1, 0, "vm1", "A", 10.0, ram=500.0)])
-        cloud = {"vm1": CloudVmView(100.0, 1024.0, {"B": (10.0, 800.0)})}
-        actions = plan_actions(transform(p), cloud)
-        kinds = [a.kind for a in actions]
-        assert kinds.index(controller.STOP_CONTAINER) < kinds.index(
-            controller.DEPLOY_CONTAINER
-        )
+    def test_container_without_new_invocations_untouched(self):
+        # The recorded size is the planned one up to float residue: a
+        # container that gains no invocation needs no action.
+        running = [assignment(1, 0, "vm1", "A", 0.1), assignment(2, 0, "vm1", "A", 0.2)]
+        cplan = transform(plan([], running=running))
+        assert cplan.containers[0].cpu_size != 0.3
+        cloud = {"vm1": CloudVmView(100.0, float("inf"), {"A": (0.3, 0.0)})}
+        assert plan_actions(cplan, cloud) == []
 
     def test_unknown_vm_rejected(self):
         for p in (

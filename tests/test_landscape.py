@@ -284,6 +284,8 @@ class TestParseScenario:
              r"^services\[0\]\.ram must be <= 1024, got 2000$"),
             (("services", 0, "cpu"), 250,
              r"^services\[0\]\.cpu must be <= 200, got 250$"),
+            (("services", 0, "cpu"), -45, r"^services\[0\]\.cpu must be >= 0, got -45$"),
+            (("services", 0, "ram"), -5, r"^services\[0\]\.ram must be >= 0, got -5$"),
             (("arrival", "batch_models"), [[1], []],
              r"^arrival\.batch_models\[1\] must name at least one model$"),
             (("arrival", "kind"), "pyramid",
@@ -299,8 +301,9 @@ class TestParseScenario:
              "fractional_int", "string", "bool", "nan", "time_limit_ms", "btu_max", "gap",
              "negative_ram", "negative_startup", "negative_interval", "unknown_section_key",
              "unknown_entry_key", "unknown_top_key", "big_m", "no_requests",
-             "negative_planning_rate", "ram_fits_no_vm", "cpu_fits_no_vm", "empty_batch",
-             "pyramid_batch", "undrawable_loop", "zero_loop", "bare_parenthesis"],
+             "negative_planning_rate", "ram_fits_no_vm", "cpu_fits_no_vm", "negative_cpu_demand",
+             "negative_ram_demand", "empty_batch", "pyramid_batch", "undrawable_loop", "zero_loop",
+             "bare_parenthesis"],
     )
     def test_mistyped_value_rejected(self, path, value, error):
         raw = yaml.safe_load(preset_text("smoke"))
@@ -336,6 +339,11 @@ class TestParseScenario:
             ScenarioError, match=rf"^model 2: a {what} inside a block or loop is not supported$"
         ):
             parse_scenario(text)
+
+    @pytest.mark.parametrize("cpu, ram", [(-45.0, 10.0), (45.0, -5.0)])
+    def test_service_with_negative_demand_rejected(self, cpu, ram):
+        with pytest.raises(ScenarioError, match=r"^service A: negative cpu or ram demand$"):
+            service("A", cpu=cpu, ram=ram)
 
     def test_dangling_service_rejected(self):
         text = preset_text("smoke").replace(

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -215,6 +216,45 @@ class TestRunningRecord:
         monkeypatch.setattr(Simulator, "_snapshot", checked_snapshot)
         sim.run(smoke_scenario, approach, 1)
         assert any(listed_per_round), "no round saw a running step"
+
+    @pytest.mark.parametrize("approach", ["ffsipp", "sipp"])
+    @pytest.mark.parametrize("preset, requests", [("smoke", None), ("constant_lenient_light", 10)])
+    def test_containers_hold_exactly_their_running_invocations(
+        self, preset, requests, approach, monkeypatch
+    ):
+        # plan_actions resizes only a container that gains invocations; this
+        # is the fact that makes that enough.
+        round_, checked = Simulator._round, []
+
+        def check(self):
+            for vm in self.vms.values():
+                for cont in vm.containers.values():
+                    steps = [self.instances[iid].steps[j] for iid, j in cont.invocations]
+                    assert cont.cpu_size == pytest.approx(
+                        sum(s.cpu_demand for s in steps), rel=0, abs=1e-9
+                    )
+                    assert cont.ram_size == pytest.approx(
+                        sum(s.ram_demand for s in steps), rel=0, abs=1e-9
+                    )
+                    checked.append(len(steps))
+
+        def checked_round(self):
+            check(self)
+            round_(self)
+            check(self)
+
+        monkeypatch.setattr(Simulator, "_round", checked_round)
+        scenario = landscape.parse_scenario(preset_text(preset))
+        if requests:
+            scenario.arrival = dataclasses.replace(scenario.arrival, total_requests=requests)
+        report = sim.run(scenario, approach, 1)
+        assert any(checked), "no round saw a running invocation"
+        lines = [line.split("\t") for line in report.audit_log]
+
+        def targets(action):
+            return {(t, target) for t, kind, target, _ in lines if kind == action}
+
+        assert targets(controller.RESIZE_CONTAINER) <= targets(controller.INVOKE_SERVICE)
 
     @pytest.mark.parametrize("corruption", ["late", "other_vm"])
     def test_finish_must_match_the_record(self, smoke_scenario, monkeypatch, corruption):
