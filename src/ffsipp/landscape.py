@@ -504,13 +504,20 @@ def parse_scenario(text: str) -> Scenario:
     for where, entry in _entries(
         raw, "services", ("name", "duration_s"), ("cpu", "ram", "pull_s", "start_s")
     ):
+        cpu = _number(f"{where}.cpu", entry.get("cpu", 0.0), low=0)
+        ram = _number(f"{where}.ram", entry.get("ram", 0.0), low=0)
+        if cpu <= 0 and ram <= 0:
+            raise ScenarioError(f"{where}.cpu or {where}.ram must be > 0, got {cpu:g} and {ram:g}")
+        duration_s = _number(f"{where}.duration_s", entry["duration_s"])
+        if ms(duration_s) <= 0:
+            raise ScenarioError(f"{where}.duration_s must be at least 1 ms, got {duration_s:g}")
         svc = ServiceType(
             id=str(entry["name"]),
-            cpu_demand=_number(f"{where}.cpu", entry.get("cpu", 0.0), low=0),
-            ram_demand=_number(f"{where}.ram", entry.get("ram", 0.0), low=0),
-            duration_ms=ms(_number(f"{where}.duration_s", entry["duration_s"])),
-            image_pull_ms=ms(_number(f"{where}.pull_s", entry.get("pull_s", 30))),
-            container_start_ms=ms(_number(f"{where}.start_s", entry.get("start_s", 2))),
+            cpu_demand=cpu,
+            ram_demand=ram,
+            duration_ms=ms(duration_s),
+            image_pull_ms=ms(_number(f"{where}.pull_s", entry.get("pull_s", 30), low=0)),
+            container_start_ms=ms(_number(f"{where}.start_s", entry.get("start_s", 2), low=0)),
         )
         if svc.id in services:
             raise ScenarioError(f"duplicate service {svc.id}")

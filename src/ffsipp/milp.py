@@ -2,7 +2,8 @@
 
 A ``MilpProblem`` addresses columns and rows by integer index, in creation
 order. ``solve`` hands its arrays, through ``run_highs``, to HiGHS by
-scipy's bundled binding.
+scipy's bundled binding: NumPy arrays, the matrix row-wise, passed as they
+are to one HiGHS instance per thread.
 ``export_lp`` writes a problem as LP text for external solvers; the format
 is write-only here (the tests read it back with HiGHS's own LP reader).
 """
@@ -11,13 +12,14 @@ from __future__ import annotations
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-# scipy's bundled binding of HiGHS. It is private API, so the scipy version
-# is pinned in pyproject.toml and a test holds it to scipy.optimize.milp.
+# scipy's bundled binding of HiGHS. It is private API, so pyproject.toml
+# bounds scipy to the series it was tested on, and a test holds it to
+# scipy.optimize.milp.
 from scipy.optimize._highspy import _core
 
 FEAS_TOL = 1e-6
@@ -40,8 +42,24 @@ GAP_LIMIT = "gap_limit"
 
 _MODEL = _core.HighsModelStatus
 _LIMITS = frozenset((_MODEL.kTimeLimit, _MODEL.kIterationLimit, _MODEL.kSolutionLimit))
-_INTEGER_COL = _core.HighsVarType.kInteger
-_CONTINUOUS_COL = _core.HighsVarType.kContinuous
+_ROWWISE = int(_core.MatrixFormat.kRowwise)
+_MINIMIZE = int(_core.ObjSense.kMinimize)
+_INTEGER_COL = int(_core.HighsVarType.kInteger)
+_CONTINUOUS_COL = int(_core.HighsVarType.kContinuous)
+
+
+@dataclass(frozen=True)
+class Assembled:
+    """A ``MilpProblem``'s columns' integrality and its constraint matrix,
+    rows by columns, as CSR arrays without explicit zeros: the form HiGHS
+    takes them in."""
+
+    integral: np.ndarray  # bool mask of the integer columns
+    integrality: np.ndarray  # int32 HiGHS variable type per column
+    start: np.ndarray  # int32 row starts
+    index: np.ndarray  # int32 column of each term
+    value: np.ndarray  # float64 coefficient of each term
+    row: np.ndarray  # row of each term, for row sums by np.bincount
 
 
 class MilpProblem:
@@ -101,7 +119,7 @@ class MilpProblem:
     def add_row(self, cols, coefs, relation: str, rhs: float) -> int:
         """Append the row ``sum(coefs[k] * x[cols[k]]) relation rhs`` and
         return its index. A column appears at most once per row. Terms are
-        kept as given, zero coefficients too, for the LP text; ``matrix``
+        kept as given, zero coefficients too, for the LP text; ``assembled``
         drops the zeros."""
         if relation == "<=":
             self.row_lower.append(_NEG_INF)
@@ -121,29 +139,36 @@ class MilpProblem:
 
     def integral(self) -> np.ndarray:
         """Mask of the columns with an integer domain (shared: do not modify)."""
-        return self._assembled()[0]
+        return self.assembled().integral
 
-    def matrix(self) -> sparse.csr_array:
-        """The constraint matrix, rows by columns, without explicit zeros
-        (shared: do not modify)."""
-        return self._assembled()[1]
+    def activity(self, x: np.ndarray) -> np.ndarray:
+        """``A @ x``: each row's terms summed in the order they were added."""
+        a = self.assembled()
+        return np.bincount(a.row, weights=a.value * x[a.index], minlength=self.num_rows)
 
-    def _assembled(self) -> tuple[np.ndarray, sparse.csr_array]:
+    def assembled(self) -> Assembled:
+        """The integrality and matrix arrays, made once per model (shared: do
+        not modify). Costs and bounds are not among them: callers set a
+        column's cost after adding it, so they are read on each use."""
         # Columns and rows are append-only, so their counts identify them.
         key = (len(self.names), len(self.row_lower), len(self.data))
         if self._cache is None or self._cache[0] != key:
             integral = np.array([d != CONTINUOUS for d in self.domains], dtype=bool)
-            a = sparse.csr_array(
-                (
-                    np.array(self.data, dtype=np.float64),
-                    np.array(self.indices, dtype=np.int64),
-                    np.array(self.indptr, dtype=np.int64),
-                ),
-                shape=(self.num_rows, self.num_vars),
-            )
-            a.eliminate_zeros()
-            self._cache = (key, integral, a)
-        return self._cache[1], self._cache[2]
+            value = np.array(self.data, dtype=np.float64)
+            keep = value != 0.0
+            row = np.repeat(np.arange(self.num_rows), np.diff(self.indptr))[keep]
+            # kept[k]: how many of the first k terms are kept
+            kept = np.zeros(len(value) + 1, dtype=np.int32)
+            np.cumsum(keep, out=kept[1:])
+            self._cache = (key, Assembled(
+                integral=integral,
+                integrality=np.where(integral, _INTEGER_COL, _CONTINUOUS_COL).astype(np.int32),
+                start=kept[self.indptr],
+                index=np.array(self.indices, dtype=np.int32)[keep],
+                value=value[keep],
+                row=row,
+            ))
+        return self._cache[1]
 
     def row_relation(self, row: int) -> tuple[str, float]:
         """The row as ``relation, rhs``, the way ``add_row`` took it."""
@@ -176,41 +201,39 @@ class Violation:
     kind: str  # "constraint" | "bound" | "integrality"
 
 
+_thread = threading.local()
+
+
+def _highs() -> _core._Highs:
+    """The calling thread's HiGHS instance, made on its first call. scipy's
+    binding releases the GIL while HiGHS runs, so threads must not share one."""
+    highs = getattr(_thread, "highs", None)
+    if highs is None:
+        highs = _thread.highs = _core._Highs()
+    return highs
+
+
 def run_highs(
     problem: MilpProblem, options: dict
 ) -> tuple[_core.HighsModelStatus, _core.HighsInfo, np.ndarray | None]:
-    """Hand ``problem`` to a fresh HiGHS instance, set ``options`` on it by
-    name and run it. Returns HiGHS's model status, its info and the point
-    (one value per column), or ``None`` for the point when HiGHS holds no
-    feasible one.
+    """Hand ``problem`` to this thread's HiGHS instance, with its options
+    reset to HiGHS's defaults and then ``options`` set by name, and run it.
+    Returns HiGHS's model status, its info and the point (one value per
+    column), or ``None`` for the point when HiGHS holds no feasible one.
 
     This is the only code that calls HiGHS. It uses scipy's bundled binding,
-    which takes the CSR matrix row-wise as it is. HiGHS can print diagnostics
-    straight to file descriptor 1, past ``output_flag``; the descriptor points
-    at the null device during the call, so no such line reaches a stdout that
-    carries results."""
+    which takes the problem's arrays as they are: float64 costs and bounds,
+    the int32 CSR matrix row-wise and int32 integrality. HiGHS can print
+    diagnostics straight to file descriptor 1, past ``output_flag``; the
+    descriptor points at the null device during the call, so no such line
+    reaches a stdout that carries results."""
     if not problem.num_vars:
         raise ValueError("model has no columns")
-    if not all(map(math.isfinite, problem.cost)):
+    cost = np.array(problem.cost, dtype=np.float64)
+    if not np.isfinite(cost).all():
         raise ValueError("model has a non-finite cost")
-    a = problem.matrix()
-    lp = _core.HighsLp()
-    lp.num_col_ = problem.num_vars
-    lp.num_row_ = problem.num_rows
-    lp.col_cost_ = problem.cost
-    lp.col_lower_ = problem.lower
-    lp.col_upper_ = problem.upper
-    lp.row_lower_ = problem.row_lower
-    lp.row_upper_ = problem.row_upper
-    lp.integrality_ = [_INTEGER_COL if i else _CONTINUOUS_COL for i in problem.integral().tolist()]
-    matrix = lp.a_matrix_
-    matrix.format_ = _core.MatrixFormat.kRowwise
-    matrix.num_col_ = problem.num_vars
-    matrix.num_row_ = problem.num_rows
-    matrix.start_ = a.indptr
-    matrix.index_ = a.indices
-    matrix.value_ = a.data
-    highs = _core._Highs()
+    a = problem.assembled()
+    highs = _highs()
     sys.stdout.flush()
     saved = os.dup(1)
     try:
@@ -219,10 +242,20 @@ def run_highs(
             os.dup2(null, 1)
         finally:
             os.close(null)
+        highs.resetOptions()
         for name, value in options.items():
             if highs.setOptionValue(name, value) == _core.HighsStatus.kError:
                 raise ValueError(f"HiGHS refused option {name}={value!r}")
-        if highs.passModel(lp) == _core.HighsStatus.kError:
+        status = highs.passModel(
+            problem.num_vars, problem.num_rows, len(a.value), _ROWWISE, _MINIMIZE, 0.0,
+            cost,
+            np.array(problem.lower, dtype=np.float64),
+            np.array(problem.upper, dtype=np.float64),
+            np.array(problem.row_lower, dtype=np.float64),
+            np.array(problem.row_upper, dtype=np.float64),
+            a.start, a.index, a.value, a.integrality,
+        )
+        if status == _core.HighsStatus.kError:
             raise ValueError("HiGHS refused the model")
         if highs.run() == _core.HighsStatus.kError:
             raise ValueError(
@@ -277,7 +310,7 @@ def solve(
         # answer costs no matrix product.
         ints = x[integral]
         if (ints != np.round(ints)).any():
-            lhs = problem.matrix() @ np.where(integral, np.round(x), x)
+            lhs = problem.activity(np.where(integral, np.round(x), x))
             if (
                 (lhs > np.array(problem.row_upper) + FEAS_TOL)
                 | (lhs < np.array(problem.row_lower) - FEAS_TOL)
@@ -324,7 +357,7 @@ def verify(problem: MilpProblem, values) -> list[Violation]:
         if bad_int[i]:
             out.append(Violation(None, name, float(residue[i]), "integrality"))
     if problem.num_rows:
-        lhs = problem.matrix() @ x
+        lhs = problem.activity(x)
         slack = np.maximum(
             lhs - np.array(problem.row_upper, dtype=np.float64),
             np.array(problem.row_lower, dtype=np.float64) - lhs,

@@ -141,6 +141,9 @@ class FfsippModel:
         # creation order: an instance's block remainders precede its e^p,
         # which reads them. Decode and postponed set each at its floor.
         self._helpers: list[tuple[int, list[int]]] = []
+        # The answer postponed certified: its helpers are at their floors and
+        # its point passed milp.verify, so decode takes it as it is.
+        self._certified: milp.MilpSolution | None = None
         # Leased VM -> its running steps (occupancy = remainder), in fleet
         # order; instance -> its longest running remainder.
         self._running: dict[str, list[Assignment]] = {}
@@ -453,25 +456,30 @@ class FfsippModel:
         helper carries a non-negative objective weight, so a gap-limited
         incumbent whose helpers sit above their floors repairs to a point
         no worse than itself. The plan reports this repaired objective,
-        bracketed by the solver's bound and incumbent objective.
+        bracketed by the solver's bound and incumbent objective. The answer
+        ``postponed`` returned is taken as it is: its helpers are already at
+        their floors.
         """
         if solution.status not in (milp.OPTIMAL, milp.GAP_LIMIT, milp.TIME_LIMIT):
             raise ValueError(f"cannot decode a {solution.status} solution")
         if solution.values is None:
             raise ValueError("solution carries no values")
         x = np.asarray(solution.values, dtype=np.float64)
-        integral = self.problem.integral()
-        rounded = np.round(x)
-        unroundable = integral & (np.abs(x - rounded) > 1e-6)
-        if unroundable.any():
-            col = int(np.argmax(unroundable))
-            raise ValueError(
-                f"unroundable integrality residue on {self.problem.names[col]}: {x[col]}"
-            )
-        # + 0.0 turns a rounded -0.0 into 0.0
-        values = np.where(integral, rounded + 0.0, x).tolist()
-        for col, rows in self._helpers:
-            values[col] = self._floor(col, rows, values)
+        if solution is self._certified:
+            values = x.tolist()
+        else:
+            integral = self.problem.integral()
+            rounded = np.round(x)
+            unroundable = integral & (np.abs(x - rounded) > 1e-6)
+            if unroundable.any():
+                col = int(np.argmax(unroundable))
+                raise ValueError(
+                    f"unroundable integrality residue on {self.problem.names[col]}: {x[col]}"
+                )
+            # + 0.0 turns a rounded -0.0 into 0.0
+            values = np.where(integral, rounded + 0.0, x).tolist()
+            for col, rows in self._helpers:
+                values[col] = self._floor(col, rows, values)
 
         assignments = [a for vm_x in self._vm_x.values() for col, a in vm_x if values[col] > 0.5]
         leases = {}
@@ -527,7 +535,8 @@ class FfsippModel:
         cost has a positive floor; if it also passes ``milp.verify``, 0 is a
         proven bound that this point attains. As every placement and lease
         column costs more than 0, each of them is 0 in every optimum, so
-        any exact solver's plan is this one.
+        any exact solver's plan is this one. ``decode`` takes this answer as
+        it is, and its point, verified here, needs no second ``milp.verify``.
         """
         p = self.problem
         cost = p.cost
@@ -545,7 +554,8 @@ class FfsippModel:
             values[col] = floor
         if milp.verify(p, values):
             return None
-        return milp.MilpSolution(milp.OPTIMAL, np.array(values), 0.0, 0.0)
+        self._certified = milp.MilpSolution(milp.OPTIMAL, np.array(values), 0.0, 0.0)
+        return self._certified
 
     @staticmethod
     def _check_objective(total: float, solution: milp.MilpSolution):

@@ -154,6 +154,12 @@ def smoke_scenario():
     return landscape.parse_scenario(preset_text("smoke"))
 
 
+def sparse_matrix(problem: milp.MilpProblem) -> sparse.csr_array:
+    """``problem``'s constraint matrix as a scipy sparse array."""
+    a = problem.assembled()
+    return sparse.csr_array((a.value, a.index, a.start), shape=(problem.num_rows, problem.num_vars))
+
+
 def assert_highs_reads_back(problem: milp.MilpProblem, text: str):
     """HiGHS's own LP reader turns ``text`` into ``problem``: the same
     columns (matched by name, since HiGHS numbers them by first appearance),
@@ -192,5 +198,5 @@ def assert_highs_reads_back(problem: milp.MilpProblem, text: str):
         (np.array(a.value_), np.array(a.index_), np.array(a.start_)),
         shape=(lp.num_row_, lp.num_col_),
     )
-    expected = problem.matrix().tocsc()[:, cols]
+    expected = sparse_matrix(problem).tocsc()[:, cols]
     assert read.nnz == expected.nnz and (read != expected).nnz == 0

@@ -5,7 +5,7 @@ objective ``c``, the column bounds, the integrality, the constraint matrix as
 CSC with sorted indices (int64 indices, float64 values) and the row bounds.
 Every round's model is hashed, also in a round that ``FfsippModel.postponed``
 decides without HiGHS; the test pins how many rounds do so. In the rounds
-that still call HiGHS, the ``HighsLp`` it receives must carry its matrix
+that still call HiGHS, the arrays it receives must carry the matrix
 row-wise and hash to that round's built model, and every round either
 reaches HiGHS or is counted as skipped. The options set on HiGHS are hashed
 apart, into one digest that every call must match, so a change of the
@@ -28,7 +28,9 @@ lease-coverage rows went, and its link, free-capacity and symmetry rows read
 joined the options; every model digest held. Until HiGHS was skipped in
 rounds that need no solver, the digests were taken from the models passed
 to HiGHS, which then were every round's; hashed from the built models, the
-file held byte for byte. Regenerate them (only for a deliberate change of
+file held byte for byte. It held again when ``milp.run_highs`` stopped
+building a ``HighsLp`` and passed the problem's own arrays to one reused
+HiGHS instance per thread. Regenerate them (only for a deliberate change of
 the model or of the options) with
 
     PYTHONPATH=src python -m tests.test_highs_model > tests/data/highs_model_digests.json
@@ -42,9 +44,9 @@ import numpy as np
 from scipy import optimize, sparse
 from scipy.optimize._highspy import _core
 
-from ffsipp import baseline, landscape, optimizer, sim
+from ffsipp import baseline, landscape, milp, optimizer, sim
 
-from .conftest import preset_text
+from .conftest import preset_text, sparse_matrix
 
 DIGESTS = pathlib.Path(__file__).parent / "data" / "highs_model_digests.json"
 PRESET = "constant_lenient_light"
@@ -94,38 +96,40 @@ def round_digests() -> tuple[dict, dict]:
     neither reaches HiGHS nor counts as skipped."""
     scenario = landscape.parse_scenario(preset_text(PRESET))
     scenario.arrival = dataclasses.replace(scenario.arrival, total_requests=REQUESTS)
-    original = _core._Highs
     options_seen = set()
 
-    class Capture(original):
+    class Capture(_core._Highs):
+        """One instance, reused the way ``milp`` reuses its own."""
+
         def __init__(self):
             super().__init__()
             self.options = {}
+
+        def resetOptions(self):
+            self.options = {}
+            return super().resetOptions()
 
         def setOptionValue(self, name, value):
             self.options[name] = value
             return super().setOptionValue(name, value)
 
-        def passModel(self, lp):
+        def passModel(self, *model):
             options_seen.add(options_digest(self.options))
-            matrix = lp.a_matrix_
-            if matrix.format_ != _core.MatrixFormat.kRowwise:
-                raise ValueError(f"expected a row-wise matrix, got {matrix.format_}")
-            a = sparse.csr_array(
-                (matrix.value_, matrix.index_, matrix.start_),
-                shape=(lp.num_row_, lp.num_col_),
-            )
+            (num_col, num_row, _, a_format, sense, offset, cost, lower, upper,
+             row_lower, row_upper, start, index, value, integrality) = model
+            if _core.MatrixFormat(a_format) != _core.MatrixFormat.kRowwise:
+                raise ValueError(f"expected a row-wise matrix, got {_core.MatrixFormat(a_format)}")
+            if (_core.ObjSense(sense), offset) != (_core.ObjSense.kMinimize, 0.0):
+                raise ValueError(f"expected to minimise without offset, got {sense}, {offset}")
             constraints = []
-            if lp.num_row_:
-                constraints = [optimize.LinearConstraint(a, lp.row_lower_, lp.row_upper_)]
+            if num_row:
+                a = sparse.csr_array((value, index, start), shape=(num_row, num_col))
+                constraints = [optimize.LinearConstraint(a, row_lower, row_upper)]
             approach, k = built_last[-1]
             passed.append((approach, k, model_digest(
-                lp.col_cost_,
-                [int(kind) for kind in lp.integrality_],
-                optimize.Bounds(lp.col_lower_, lp.col_upper_),
-                constraints,
+                cost, integrality, optimize.Bounds(lower, upper), constraints
             )))
-            return super().passModel(lp)
+            return super().passModel(*model)
 
     out = {sim.FFSIPP: [], sim.SIPP: []}
     built_last = []  # (approach, round index) of the latest built model
@@ -138,7 +142,7 @@ def round_digests() -> tuple[dict, dict]:
             constraints = []
             if problem.num_rows:
                 constraints = [optimize.LinearConstraint(
-                    problem.matrix(), problem.row_lower, problem.row_upper
+                    sparse_matrix(problem), problem.row_lower, problem.row_upper
                 )]
             approach = sim.SIPP if model.baseline else sim.FFSIPP
             built_last.append((approach, len(out[approach])))
@@ -154,13 +158,14 @@ def round_digests() -> tuple[dict, dict]:
 
     builders = [(optimizer, "build"), (baseline, "build_baseline")]
     saved = [getattr(module, name) for module, name in builders]
-    _core._Highs = Capture
+    original, capture = milp._highs, Capture()
+    milp._highs = lambda: capture
     for (module, name), build in zip(builders, saved):
         setattr(module, name, recording(build))
     try:
         skipped = {a: sim.run(scenario, a, SEED).rounds_without_highs for a in out}
     finally:
-        _core._Highs = original
+        milp._highs = original
         for (module, name), build in zip(builders, saved):
             setattr(module, name, build)
     if len(options_seen) != 1:

@@ -296,6 +296,14 @@ class TestParseScenario:
              r"^models\[1\]\.structure: repeat loop needs positive repetitions$"),
             (("models", 1, "structure"), "s,(s)",
              r"^models\[1\]\.structure: bad workflow structure at token '\('$"),
+            (("services", 0, "cpu"), 0,
+             r"^services\[0\]\.cpu or services\[0\]\.ram must be > 0, got 0 and 0$"),
+            (("services", 1, "duration_s"), 0,
+             r"^services\[1\]\.duration_s must be at least 1 ms, got 0$"),
+            (("services", 2, "duration_s"), -40,
+             r"^services\[2\]\.duration_s must be at least 1 ms, got -40$"),
+            (("services", 0, "pull_s"), -1, r"^services\[0\]\.pull_s must be >= 0, got -1$"),
+            (("services", 1, "start_s"), -2, r"^services\[1\]\.start_s must be >= 0, got -2$"),
         ],
         ids=["cpu", "arrival", "sla", "weights", "steps", "batch_models", "btu_seconds", "loop",
              "fractional_int", "string", "bool", "nan", "time_limit_ms", "btu_max", "gap",
@@ -303,7 +311,8 @@ class TestParseScenario:
              "unknown_entry_key", "unknown_top_key", "big_m", "no_requests",
              "negative_planning_rate", "ram_fits_no_vm", "cpu_fits_no_vm", "negative_cpu_demand",
              "negative_ram_demand", "empty_batch", "pyramid_batch", "undrawable_loop", "zero_loop",
-             "bare_parenthesis"],
+             "bare_parenthesis", "no_demand", "zero_duration", "negative_duration",
+             "negative_pull", "negative_start"],
     )
     def test_mistyped_value_rejected(self, path, value, error):
         raw = yaml.safe_load(preset_text("smoke"))

@@ -1,7 +1,10 @@
 import math
 import os
+import sys
+import threading
 import types
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from ffsipp.milp import (
     verify,
 )
 
-from .conftest import assert_highs_reads_back, preset_text
+from .conftest import assert_highs_reads_back, preset_text, sparse_matrix
 from .oracle import enumerate_oracle
 
 
@@ -43,6 +46,28 @@ def knapsack():
     )
 
 
+def stopped(status, objective, bound, point):
+    """A HiGHS class whose instances run, then report ``status``, ``objective``,
+    ``bound`` and ``point`` (``None``: no feasible point)."""
+
+    class Stopped(_core._Highs):
+        def getModelStatus(self):
+            return status
+
+        def getInfo(self):
+            feasible = _core.kSolutionStatusFeasible if point is not None else None
+            return types.SimpleNamespace(
+                objective_function_value=objective,
+                mip_dual_bound=bound,
+                primal_solution_status=feasible,
+            )
+
+        def getSolution(self):
+            return types.SimpleNamespace(col_value=point)
+
+    return Stopped
+
+
 class TestSolve:
     def test_knapsack(self):
         sol = solve(knapsack())
@@ -63,7 +88,7 @@ class TestSolve:
                 os.write(1, b"HiGHS diagnostic\n")
                 return super().run()
 
-        monkeypatch.setattr(_core, "_Highs", Noisy)
+        monkeypatch.setattr(milp, "_highs", Noisy)
         print("before")
         assert solve(knapsack()).status == milp.OPTIMAL
         print("after")
@@ -90,7 +115,7 @@ class TestSolve:
             pass
 
         setattr(Failing, call, lambda self, *args: _core.HighsStatus.kError)
-        monkeypatch.setattr(_core, "_Highs", Failing)
+        monkeypatch.setattr(milp, "_highs", Failing)
         with pytest.raises(ValueError, match="HiGHS"):
             solve(knapsack())
 
@@ -108,12 +133,11 @@ class TestSolve:
     @pytest.mark.parametrize("status", ["kTimeLimit", "kIterationLimit", "kSolutionLimit"])
     def test_limits_are_time_limit(self, monkeypatch, status):
         status = getattr(_core.HighsModelStatus, status)
-        info = types.SimpleNamespace(objective_function_value=10.0, mip_dual_bound=5.0)
-        answers = iter([(status, info, np.array([1.0, 0.0])), (status, info, None)])
-        monkeypatch.setattr(milp, "run_highs", lambda problem, options: next(answers))
+        monkeypatch.setattr(milp, "_highs", stopped(status, 10.0, 5.0, [1.0, 0.0]))
         with_incumbent = solve(knapsack())
         assert (with_incumbent.status, with_incumbent.objective_value) == (milp.TIME_LIMIT, 10.0)
         assert with_incumbent.bound == 5.0
+        monkeypatch.setattr(milp, "_highs", stopped(status, 10.0, 5.0, None))
         assert solve(knapsack()) == milp.MilpSolution(milp.TIME_LIMIT, None, None, None)
 
     @pytest.mark.parametrize("status", ["kSolveError", "kUnboundedOrInfeasible"])
@@ -121,8 +145,7 @@ class TestSolve:
         # scipy.optimize.milp reported these as its status 4, which solve
         # took for a time limit without an incumbent.
         status = getattr(_core.HighsModelStatus, status)
-        info = types.SimpleNamespace(objective_function_value=_core.kHighsInf, mip_dual_bound=0.0)
-        monkeypatch.setattr(milp, "run_highs", lambda problem, options: (status, info, None))
+        monkeypatch.setattr(milp, "_highs", stopped(status, _core.kHighsInf, 0.0, None))
         with pytest.raises(ValueError, match=status.name):
             solve(knapsack())
 
@@ -188,10 +211,9 @@ class TestSolve:
         assert sol.objective_value == pytest.approx(first.objective_function_value, rel=1e-3)
 
 
-def test_binding_matches_scipy_milp(smoke_scenario, monkeypatch):
-    # solve calls scipy's private HiGHS binding; on every round of the smoke
-    # preset it must return the rounded integer point that the public
-    # scipy.optimize.milp returns with the same options.
+def smoke_rounds(scenario, monkeypatch) -> list:
+    """(problem, keyword arguments) of every ``milp.solve`` call of both
+    approaches' seed-1 simulations of ``scenario``."""
     original, rounds = milp.solve, []
 
     def recording(problem, **options):
@@ -200,9 +222,17 @@ def test_binding_matches_scipy_milp(smoke_scenario, monkeypatch):
 
     monkeypatch.setattr(milp, "solve", recording)
     for approach in (sim.FFSIPP, sim.SIPP):
-        sim.run(smoke_scenario, approach, 1)
+        sim.run(scenario, approach, 1)
+    monkeypatch.setattr(milp, "solve", original)
     assert rounds
-    for problem, options in rounds:
+    return rounds
+
+
+def test_binding_matches_scipy_milp(smoke_scenario, monkeypatch):
+    # solve calls scipy's private HiGHS binding; on every round of the smoke
+    # preset it must return the rounded integer point that the public
+    # scipy.optimize.milp returns with the same options.
+    for problem, options in smoke_rounds(smoke_scenario, monkeypatch):
         integral = problem.integral()
         with warnings.catch_warnings():
             # scipy passes options it does not know to HiGHS, with a warning
@@ -212,7 +242,7 @@ def test_binding_matches_scipy_milp(smoke_scenario, monkeypatch):
                 integrality=integral,
                 bounds=optimize.Bounds(problem.lower, problem.upper),
                 constraints=optimize.LinearConstraint(
-                    problem.matrix(), problem.row_lower, problem.row_upper
+                    sparse_matrix(problem), problem.row_lower, problem.row_upper
                 ),
                 options={
                     "mip_rel_gap": options["gap_tol"],
@@ -221,8 +251,66 @@ def test_binding_matches_scipy_milp(smoke_scenario, monkeypatch):
                 },
             )
         assert public.status == 0
-        mine = original(problem, **options)
+        mine = solve(problem, **options)
         assert np.array_equal(np.round(mine.values[integral]), np.round(public.x[integral]))
+
+
+class TestReusedInstance:
+    """``run_highs`` reuses one HiGHS instance per thread; nothing of one
+    call reaches the next."""
+
+    def test_options_are_reset(self):
+        # A time limit, a gap and the re-solve's tight tolerance, set for one
+        # call, are back at HiGHS's defaults in the next.
+        defaults = _core._Highs()
+        names = ("time_limit", "mip_rel_gap", "mip_feasibility_tolerance")
+        set_once = {"time_limit": 0.5, "mip_rel_gap": 0.1, "mip_feasibility_tolerance": 1e-9}
+        milp.run_highs(knapsack(), {"output_flag": False, **set_once})
+        highs = milp._highs()
+        assert [highs.getOptionValue(name)[1] for name in names] == list(set_once.values())
+        milp.run_highs(knapsack(), {"output_flag": False})
+        assert milp._highs() is highs
+        for name in names:
+            assert highs.getOptionValue(name) == defaults.getOptionValue(name), name
+
+    def test_summed_run_time_stops_no_call(self, monkeypatch):
+        # HiGHS adds up its run time over an instance's calls; a call's
+        # time_limit still counts from that call's start.
+        highs, limit, statuses = _core._Highs(), 0.01, []
+        monkeypatch.setattr(milp, "_highs", lambda: highs)
+        while highs.getRunTime() <= 3 * limit and len(statuses) < 10_000:
+            statuses.append(milp.run_highs(knapsack(), {"output_flag": False, "time_limit": limit})[0])
+        assert highs.getRunTime() > 3 * limit
+        assert set(statuses) == {_core.HighsModelStatus.kOptimal}
+
+    def test_threads_return_the_serial_points(self, smoke_scenario, monkeypatch):
+        # More threads than cores solve the smoke preset's rounds at once,
+        # each in another order, with frequent thread switches; each thread
+        # has its own instance and gets the serial points.
+        rounds = smoke_rounds(smoke_scenario, monkeypatch)
+        serial = [solve(problem, **options).values for problem, options in rounds]
+        ks = list(range(len(rounds)))
+        orders = [ks, ks[::-1], ks[len(ks) // 2:] + ks[: len(ks) // 2]]
+        started = threading.Barrier(len(orders))
+
+        def solve_all(order):
+            started.wait(timeout=60)
+            points = {k: solve(rounds[k][0], **rounds[k][1]).values for k in order}
+            return milp._highs(), points
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(orders)) as pool:
+                futures = [pool.submit(solve_all, order) for order in orders]
+                answers = [future.result(timeout=300) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({id(highs) for highs, _ in answers}) == len(orders)
+        for _, points in answers:
+            assert len(points) == len(serial)
+            for k, point in enumerate(serial):
+                assert np.array_equal(points[k], point), k
 
 
 def rounded(prob, values):
@@ -252,6 +340,24 @@ def simulated_round(monkeypatch, preset, n):
     with pytest.raises(Stop):
         sim.run(scenario, sim.FFSIPP, 1)
     return rounds[-1]
+
+
+class TestAssembled:
+    def test_arrays_drop_zeros_and_sum_rows(self):
+        prob = problem(
+            [("a", BOOLEAN, 0, 1, 1.0), ("b", CONTINUOUS, 0, 5, 1.0), ("c", INTEGER, 0, 3, 1.0)],
+            [
+                ({"a": 1.0, "b": 0.0, "c": 2.0}, "<=", 4.0),
+                ({"b": 0.0}, ">=", 0.0),
+                ({"c": -1.5, "a": 3.0}, "=", 1.5),
+            ],
+        )
+        a = prob.assembled()
+        assert a.start.tolist() == [0, 2, 2, 4] and a.index.tolist() == [0, 2, 2, 0]
+        assert a.value.tolist() == [1.0, 2.0, -1.5, 3.0]
+        assert (a.start.dtype, a.index.dtype, a.integrality.dtype) == (np.int32,) * 3
+        assert a.integral.tolist() == [True, False, True]
+        assert prob.activity(np.array([1.0, 2.5, 2.0])).tolist() == [5.0, 0.0, 0.0]
 
 
 class TestVerify:

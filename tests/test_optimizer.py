@@ -299,7 +299,7 @@ class TestLiveModel:
         cfg = config(weights=weights, fresh_candidates=2)
         model = (build_baseline if baseline else build)(self.snapshot(abc_services), cfg)
         p = model.problem
-        assert (np.diff(p.matrix().indptr) > 0).all(), "a row without a non-zero term"
+        assert (np.diff(p.assembled().start) > 0).all(), "a row without a non-zero term"
         helpers = [col for col, n in enumerate(p.names) if n.startswith(("fC__", "fR__"))]
         assert helpers and all(p.cost[col] for col in helpers)
         # p1 fits one ready step, p2 has room for one more VM in its pool,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ffsipp
-from ffsipp import controller, landscape, milp, sim
+from ffsipp import controller, landscape, milp, optimizer, sim
 from ffsipp.landscape import RUNNING
 from ffsipp.sim import (
     Simulator,
@@ -192,6 +192,43 @@ class TestEndToEnd:
         monkeypatch.setattr(milp, "solve", counted)
         rep = sim.run(smoke_scenario, "ffsipp", 1)
         assert 0 < rep.rounds_without_highs == rep.rounds - len(calls)
+
+    def test_certified_round_is_floored_and_verified_once(self, smoke_scenario, monkeypatch):
+        # postponed sets the helpers at their floors and verifies the point;
+        # neither decode nor the simulator does either again in that round,
+        # and the plan carries the verified point.
+        model_cls = optimizer.FfsippModel
+        postponed, decode, floor = model_cls.postponed, model_cls.decode, model_cls._floor
+        verify, certified, again, plans = milp.verify, [], [], []
+
+        def checked(model):
+            solution = postponed(model)
+            if solution is not None:
+                certified.append((model, solution, solution.values.tolist()))
+            return solution
+
+        def decoded(model, solution):
+            plan = decode(model, solution)
+            plans.extend((plan.milp_values, v) for _, s, v in certified if s is solution)
+            return plan
+
+        def floored(model, *args):
+            again.extend("floor" for m, _, _ in certified if m is model)
+            return floor(model, *args)
+
+        def verifying(problem, values):
+            again.extend("verify" for m, _, _ in certified if m.problem is problem)
+            return verify(problem, values)
+
+        monkeypatch.setattr(model_cls, "postponed", checked)
+        monkeypatch.setattr(model_cls, "decode", decoded)
+        monkeypatch.setattr(model_cls, "_floor", floored)
+        monkeypatch.setattr(milp, "verify", verifying)
+        rep = sim.run(smoke_scenario, "ffsipp", 1)
+        assert len(certified) == len(plans) == rep.rounds_without_highs > 0
+        assert again == []
+        assert all(decoded_point == verified_point for decoded_point, verified_point in plans)
+        assert rep.verified_plans == rep.rounds - rep.fallbacks
 
 
 class TestRunningRecord:
