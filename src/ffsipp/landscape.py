@@ -43,16 +43,6 @@ class ServiceType:
     image_pull_ms: int
     container_start_ms: int
 
-    def __post_init__(self):
-        if self.cpu_demand < 0 or self.ram_demand < 0:
-            raise ScenarioError(f"service {self.id}: negative cpu or ram demand")
-        if self.cpu_demand <= 0 and self.ram_demand <= 0:
-            raise ScenarioError(f"service {self.id}: needs cpu or ram demand")
-        if self.duration_ms <= 0:
-            raise ScenarioError(f"service {self.id}: non-positive duration")
-        if self.image_pull_ms < 0 or self.container_start_ms < 0:
-            raise ScenarioError(f"service {self.id}: negative deployment time")
-
 
 @dataclass(frozen=True)
 class VmType:
@@ -64,16 +54,6 @@ class VmType:
     cost_per_btu: float
     startup_ms: int
     pool_limit: int | None  # None = unbounded (public cloud)
-
-    def __post_init__(self):
-        if self.cpu_supply <= 0:
-            raise ScenarioError(f"vm type {self.id}: non-positive cpu supply")
-        if self.btu_ms <= 0:
-            raise ScenarioError(f"vm type {self.id}: non-positive BTU")
-        if self.cost_per_btu <= 0:
-            raise ScenarioError(f"vm type {self.id}: non-positive price")
-        if self.pool_limit is not None and self.pool_limit < 1:
-            raise ScenarioError(f"vm type {self.id}: pool limit must be >= 1")
 
 
 @dataclass
@@ -374,19 +354,20 @@ class Weights:
     f_ram: float
     z: float
 
-    def __post_init__(self):
-        # Free capacity has no upper bound, so a negative price on it makes
-        # the round model unbounded.
-        if self.f_cpu < 0 or self.f_ram < 0:
-            raise ScenarioError("negative free-capacity weight")
-
 
 @dataclass(frozen=True)
-class SolverSpec:
-    gap: float
+class OptimizerConfig:
+    """The settings of every round's model and solve."""
+
+    weights: Weights
+    epsilon_ms: int  # optimization period
+    fresh_candidates: int  # fresh VMs offered per type
+    gap_tol: float  # HiGHS's mip_rel_gap
     time_limit_ms: int
-    fresh_candidates: int
-    btu_max: int
+
+    @classmethod
+    def from_scenario(cls, sc: "Scenario") -> "OptimizerConfig":
+        return sc.config
 
 
 @dataclass
@@ -396,9 +377,7 @@ class Scenario:
     models: list[ProcessModel]
     arrival: ArrivalSpec
     sla: SlaSpec
-    weights: Weights
-    solver: SolverSpec
-    epsilon_ms: int
+    config: OptimizerConfig
 
 
 _STRUCTURE_TOKEN = _re.compile(r"\s*(AND|XOR|LOOP(?:\*\d+)?|s|\(|\)|,|\|)", _re.IGNORECASE)
@@ -497,7 +476,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("malformed scenario file: expected a mapping")
     _known("scenario", raw, _SCENARIO_KEYS)
 
-    btu_ms = ms(_number("btu_seconds", raw.get("btu_seconds", 300)))
+    btu_ms = _duration_ms("btu_seconds", raw.get("btu_seconds", 300))
     epsilon_ms = _number("epsilon_ms", raw.get("epsilon_ms", 2000), int, low=1)
 
     services: dict[str, ServiceType] = {}
@@ -508,14 +487,11 @@ def parse_scenario(text: str) -> Scenario:
         ram = _number(f"{where}.ram", entry.get("ram", 0.0), low=0)
         if cpu <= 0 and ram <= 0:
             raise ScenarioError(f"{where}.cpu or {where}.ram must be > 0, got {cpu:g} and {ram:g}")
-        duration_s = _number(f"{where}.duration_s", entry["duration_s"])
-        if ms(duration_s) <= 0:
-            raise ScenarioError(f"{where}.duration_s must be at least 1 ms, got {duration_s:g}")
         svc = ServiceType(
             id=str(entry["name"]),
             cpu_demand=cpu,
             ram_demand=ram,
-            duration_ms=ms(duration_s),
+            duration_ms=_duration_ms(f"{where}.duration_s", entry["duration_s"]),
             image_pull_ms=ms(_number(f"{where}.pull_s", entry.get("pull_s", 30), low=0)),
             container_start_ms=ms(_number(f"{where}.start_s", entry.get("start_s", 2), low=0)),
         )
@@ -536,12 +512,12 @@ def parse_scenario(text: str) -> Scenario:
         vt = VmType(
             id=str(entry["name"]),
             provider=str(entry.get("provider", "public")),
-            cpu_supply=_number(f"{where}.cores", entry["cores"]) * 100.0,
+            cpu_supply=_positive(f"{where}.cores", entry["cores"]) * 100.0,
             ram_supply=_number(f"{where}.ram", entry.get("ram", 1024), low=0),
             btu_ms=btu_ms,
-            cost_per_btu=_number(f"{where}.cost_per_btu", entry["cost_per_btu"]),
+            cost_per_btu=_positive(f"{where}.cost_per_btu", entry["cost_per_btu"]),
             startup_ms=ms(_number(f"{where}.startup_s", entry.get("startup_s", 60), low=0)),
-            pool_limit=None if limit is None else _number(f"{where}.pool_limit", limit, int),
+            pool_limit=None if limit is None else _number(f"{where}.pool_limit", limit, int, low=1),
         )
         if vt.provider not in ("private", "public"):
             raise ScenarioError(f"vm type {vt.id}: unknown provider {vt.provider!r}")
@@ -641,22 +617,25 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(f"unknown penalty policy {sla.penalty_policy!r}")
 
     w = _section(raw, "weights", ("dl", "d", "f_cpu", "f_ram", "z"))
+    # Free capacity has no upper bound, so a negative price on it makes the
+    # round model unbounded.
     weights = Weights(
         dl_per_ms=_number("weights.dl", w.get("dl", 0.001)) / 1000.0,
         d_per_ms=_number("weights.d", w.get("d", 0.0001)) / 1000.0,
-        f_cpu=_number("weights.f_cpu", w.get("f_cpu", 0.01)),
-        f_ram=_number("weights.f_ram", w.get("f_ram", 0.0)),
+        f_cpu=_number("weights.f_cpu", w.get("f_cpu", 0.01), low=0),
+        f_ram=_number("weights.f_ram", w.get("f_ram", 0.0), low=0),
         z=_number("weights.z", w.get("z", 1.0)),
     )
 
-    s = _section(raw, "solver", ("gap", "time_limit_ms", "fresh_candidates", "btu_max"))
-    solver = SolverSpec(
-        gap=_number("solver.gap", s.get("gap", 1e-6), low=0),
-        time_limit_ms=_number("solver.time_limit_ms", s.get("time_limit_ms", 20000), int, low=1),
+    s = _section(raw, "solver", ("gap", "time_limit_ms", "fresh_candidates"))
+    config = OptimizerConfig(
+        weights=weights,
+        epsilon_ms=epsilon_ms,
         fresh_candidates=_number(
             "solver.fresh_candidates", s.get("fresh_candidates", 3), int, low=1
         ),
-        btu_max=_number("solver.btu_max", s.get("btu_max", 1000), int, low=1),
+        gap_tol=_number("solver.gap", s.get("gap", 1e-6), low=0),
+        time_limit_ms=_number("solver.time_limit_ms", s.get("time_limit_ms", 20000), int, low=1),
     )
 
     return Scenario(
@@ -665,9 +644,7 @@ def parse_scenario(text: str) -> Scenario:
         models=models,
         arrival=arrival,
         sla=sla,
-        weights=weights,
-        solver=solver,
-        epsilon_ms=epsilon_ms,
+        config=config,
     )
 
 
@@ -691,6 +668,22 @@ def _number(name: str, value, kind=float, low=None):
     if low is not None and value < low:
         raise ScenarioError(f"{name} must be >= {low}, got {value!r}")
     return kind(value)
+
+
+def _positive(name: str, value) -> float:
+    """``_number(name, value)``, refused unless it is above 0."""
+    number = _number(name, value)
+    if number <= 0:
+        raise ScenarioError(f"{name} must be > 0, got {value!r}")
+    return number
+
+
+def _duration_ms(name: str, seconds) -> int:
+    """``seconds`` in whole ms, refused if that is less than 1 ms."""
+    duration_ms = ms(_number(name, seconds))
+    if duration_ms <= 0:
+        raise ScenarioError(f"{name} must be at least 1 ms, got {seconds:g}")
+    return duration_ms
 
 
 def _known(where: str, mapping: dict, keys: tuple[str, ...]):

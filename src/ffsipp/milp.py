@@ -221,6 +221,10 @@ def run_highs(
     Returns HiGHS's model status, its info and the point (one value per
     column), or ``None`` for the point when HiGHS holds no feasible one.
 
+    A ``time_limit`` holds for this call alone. HiGHS's MIP solver counts it
+    from its own start, but its LP solver from the instance's first run, so
+    a problem without integer columns gets the run time so far added on.
+
     This is the only code that calls HiGHS. It uses scipy's bundled binding,
     which takes the problem's arrays as they are: float64 costs and bounds,
     the int32 CSR matrix row-wise and int32 integrality. HiGHS can print
@@ -246,6 +250,8 @@ def run_highs(
         for name, value in options.items():
             if highs.setOptionValue(name, value) == _core.HighsStatus.kError:
                 raise ValueError(f"HiGHS refused option {name}={value!r}")
+        if "time_limit" in options and not a.integral.any():
+            highs.setOptionValue("time_limit", highs.getRunTime() + options["time_limit"])
         status = highs.passModel(
             problem.num_vars, problem.num_rows, len(a.value), _ROWWISE, _MINIMIZE, 0.0,
             cost,

@@ -17,11 +17,10 @@ import numpy as np
 
 from . import milp, worstcase
 from .landscape import (
+    OptimizerConfig,
     ProcessInstance,
-    Scenario,
     ServiceType,
     VmType,
-    Weights,
     next_steps,
 )
 
@@ -52,27 +51,6 @@ class SchedulingState:
     fleet: list[VmSnapshot]
     services: dict[str, ServiceType]
     vm_types: dict[str, VmType]
-
-
-@dataclass
-class OptimizerConfig:
-    weights: Weights
-    epsilon_ms: int = 2000
-    btu_max: int = 1000
-    fresh_candidates: int = 3
-    gap_tol: float = 1e-6
-    time_limit_ms: int = 20000
-
-    @classmethod
-    def from_scenario(cls, sc: Scenario) -> "OptimizerConfig":
-        return cls(
-            weights=sc.weights,
-            epsilon_ms=sc.epsilon_ms,
-            btu_max=sc.solver.btu_max,
-            fresh_candidates=sc.solver.fresh_candidates,
-            gap_tol=sc.solver.gap,
-            time_limit_ms=sc.solver.time_limit_ms,
-        )
 
 
 @dataclass
@@ -212,7 +190,7 @@ class FfsippModel:
             coefs.append(coef)
 
     def _build(self):
-        state, cfg, w = self.state, self.config, self.config.weights
+        state, w = self.state, self.config.weights
         p = self.problem
         tau = state.now_ms
 
@@ -245,18 +223,17 @@ class FfsippModel:
                     horizon[vm.id] = max(horizon[vm.id], occ)
 
         # Per-VM lease / usage variables. y is capped at that need: more
-        # BTUs only add cost. A fresh VM that one BTU covers (judged before
-        # the btu_max cap) would get g <= y <= 1*g, so its y is its own use
-        # flag; any other fresh VM gets g <= y here and y <= need*g below.
-        # A leased VM's g - y <= 1 holds by the bounds.
+        # BTUs only add cost. A fresh VM that one BTU covers would get
+        # g <= y <= 1*g, so its y is its own use flag; any other fresh VM
+        # gets g <= y here and y <= need*g below. A leased VM's g - y <= 1
+        # holds by the bounds.
         need: dict[str, int] = {}
         for vm in self.candidates:
             vt = self._vm_type(vm)
-            btus = math.ceil(max(0, horizon[vm.id] - vm.lease_remaining_ms) / vt.btu_ms)
-            need[vm.id] = min(cfg.btu_max, btus)
+            need[vm.id] = math.ceil(max(0, horizon[vm.id] - vm.lease_remaining_ms) / vt.btu_ms)
             y = self._y[vm.id] = p.add_var(f"y__{vm.id}", milp.INTEGER, 0, need[vm.id])
             self._term("leasing", y, vt.cost_per_btu)
-            if is_fresh_vm(vm.id) and btus <= 1:
+            if is_fresh_vm(vm.id) and need[vm.id] <= 1:
                 self._g[vm.id] = y
             else:
                 g = self._g[vm.id] = p.add_var(f"g__{vm.id}", milp.BOOLEAN, 0, 1)
@@ -470,7 +447,7 @@ class FfsippModel:
         else:
             integral = self.problem.integral()
             rounded = np.round(x)
-            unroundable = integral & (np.abs(x - rounded) > 1e-6)
+            unroundable = integral & (np.abs(x - rounded) > milp.FEAS_TOL)
             if unroundable.any():
                 col = int(np.argmax(unroundable))
                 raise ValueError(

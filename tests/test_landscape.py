@@ -13,6 +13,7 @@ from ffsipp.landscape import (
     SKIPPED,
     STEP,
     XOR_BLOCK,
+    OptimizerConfig,
     ScenarioError,
     advance_loops,
     apply_xor_choice,
@@ -213,11 +214,10 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match=rf"^{error}$"):
             parse_scenario(yaml.safe_dump(raw))
 
-    def test_negative_free_capacity_weight_rejected(self):
-        for old, new in (("f_cpu: 0.01", "f_cpu: -0.01"), ("f_ram: 0", "f_ram: -0.01")):
-            text = preset_text("smoke").replace(old, new)
-            with pytest.raises(ScenarioError, match="free-capacity weight"):
-                parse_scenario(text)
+    def test_config_holds_the_yaml_values(self):
+        config = OptimizerConfig.from_scenario(parse_scenario(preset_text("smoke")))
+        assert (config.gap_tol, config.time_limit_ms, config.fresh_candidates) == (0.001, 5000, 2)
+        assert config.epsilon_ms == 30000
 
     @pytest.mark.parametrize(
         "section, key",
@@ -268,7 +268,7 @@ class TestParseScenario:
              r"^vm_types\[0\]\.pool_limit must be a number, got True$"),
             (("weights", "z"), float("nan"), r"^weights\.z must be a finite number, got nan$"),
             (("solver", "time_limit_ms"), 0, r"^solver\.time_limit_ms must be >= 1, got 0$"),
-            (("solver", "btu_max"), 0, r"^solver\.btu_max must be >= 1, got 0$"),
+            (("solver", "btu_max"), 1000, r"^solver: unknown key 'btu_max'$"),
             (("solver", "gap"), -0.1, r"^solver\.gap must be >= 0, got -0\.1$"),
             (("vm_types", 1, "ram"), -5, r"^vm_types\[1\]\.ram must be >= 0, got -5$"),
             (("vm_types", 0, "startup_s"), -1, r"^vm_types\[0\]\.startup_s must be >= 0, got -1$"),
@@ -304,6 +304,14 @@ class TestParseScenario:
              r"^services\[2\]\.duration_s must be at least 1 ms, got -40$"),
             (("services", 0, "pull_s"), -1, r"^services\[0\]\.pull_s must be >= 0, got -1$"),
             (("services", 1, "start_s"), -2, r"^services\[1\]\.start_s must be >= 0, got -2$"),
+            (("weights", "f_cpu"), -0.01, r"^weights\.f_cpu must be >= 0, got -0\.01$"),
+            (("weights", "f_ram"), -0.01, r"^weights\.f_ram must be >= 0, got -0\.01$"),
+            (("vm_types", 0, "cores"), 0, r"^vm_types\[0\]\.cores must be > 0, got 0$"),
+            (("vm_types", 0, "cost_per_btu"), 0,
+             r"^vm_types\[0\]\.cost_per_btu must be > 0, got 0$"),
+            (("vm_types", 0, "pool_limit"), 0, r"^vm_types\[0\]\.pool_limit must be >= 1, got 0$"),
+            (("btu_seconds",), 0, r"^btu_seconds must be at least 1 ms, got 0$"),
+            (("btu_seconds",), -300, r"^btu_seconds must be at least 1 ms, got -300$"),
         ],
         ids=["cpu", "arrival", "sla", "weights", "steps", "batch_models", "btu_seconds", "loop",
              "fractional_int", "string", "bool", "nan", "time_limit_ms", "btu_max", "gap",
@@ -312,7 +320,8 @@ class TestParseScenario:
              "negative_planning_rate", "ram_fits_no_vm", "cpu_fits_no_vm", "negative_cpu_demand",
              "negative_ram_demand", "empty_batch", "pyramid_batch", "undrawable_loop", "zero_loop",
              "bare_parenthesis", "no_demand", "zero_duration", "negative_duration",
-             "negative_pull", "negative_start"],
+             "negative_pull", "negative_start", "negative_f_cpu", "negative_f_ram", "zero_cores",
+             "zero_price", "zero_pool_limit", "zero_btu", "negative_btu"],
     )
     def test_mistyped_value_rejected(self, path, value, error):
         raw = yaml.safe_load(preset_text("smoke"))
@@ -322,6 +331,17 @@ class TestParseScenario:
             section = section[part]
         section[key] = value
         with pytest.raises(ScenarioError, match=error):
+            parse_scenario(yaml.safe_dump(raw))
+
+    @pytest.mark.parametrize("cpu, ram", [(-45.0, 10.0), (45.0, -5.0)])
+    def test_service_with_negative_demand_rejected(self, cpu, ram):
+        # The demand rules live in the schema: the parsed entry names the negative field.
+        raw = yaml.safe_load(preset_text("smoke"))
+        raw["services"][0].update(cpu=cpu, ram=ram)
+        field_name, value = ("cpu", cpu) if cpu < 0 else ("ram", ram)
+        with pytest.raises(
+            ScenarioError, match=rf"^services\[0\]\.{field_name} must be >= 0, got {value}$"
+        ):
             parse_scenario(yaml.safe_dump(raw))
 
     def test_loop_below_top_level_rejected(self):
@@ -348,11 +368,6 @@ class TestParseScenario:
             ScenarioError, match=rf"^model 2: a {what} inside a block or loop is not supported$"
         ):
             parse_scenario(text)
-
-    @pytest.mark.parametrize("cpu, ram", [(-45.0, 10.0), (45.0, -5.0)])
-    def test_service_with_negative_demand_rejected(self, cpu, ram):
-        with pytest.raises(ScenarioError, match=r"^service A: negative cpu or ram demand$"):
-            service("A", cpu=cpu, ram=ram)
 
     def test_dangling_service_rejected(self):
         text = preset_text("smoke").replace(

@@ -39,11 +39,28 @@ def problem(variables, rows=()):
     return prob
 
 
-def knapsack():
+def knapsack(domain=BOOLEAN):
     return problem(
-        [("a", BOOLEAN, 0, 1, 10.0), ("b", BOOLEAN, 0, 1, 15.0)],
+        [("a", domain, 0, 1, 10.0), ("b", domain, 0, 1, 15.0)],
         [({"a": 1.0, "b": 1.0}, ">=", 1.0)],
     )
+
+
+def market_split(m=4, seed=0):
+    """A market-split model: split ``10 * (m - 1)`` items into two halves
+    of equal weight on each of ``m`` random weightings, with a priced slack
+    either way. At ``m=4`` HiGHS needs over 30 s for it on a 2-core
+    machine."""
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(0, 100, (m, 10 * (m - 1)))
+    prob = MilpProblem()
+    items = [prob.add_var(f"x{j}", BOOLEAN) for j in range(weights.shape[1])]
+    for i, row in enumerate(weights):
+        over, under = prob.add_var(f"over{i}"), prob.add_var(f"under{i}")
+        prob.cost[over] = prob.cost[under] = 1.0
+        coefs = [*map(float, row), -1.0, 1.0]
+        prob.add_row(items + [over, under], coefs, "=", float(row.sum() // 2))
+    return prob
 
 
 def stopped(status, objective, bound, point):
@@ -275,13 +292,27 @@ class TestReusedInstance:
 
     def test_summed_run_time_stops_no_call(self, monkeypatch):
         # HiGHS adds up its run time over an instance's calls; a call's
-        # time_limit still counts from that call's start.
-        highs, limit, statuses = _core._Highs(), 0.01, []
+        # time_limit still counts from that call's start, for a MILP and an LP.
+        limit = 0.01
+        options = {"output_flag": False, "time_limit": limit}
+        for domain in (BOOLEAN, CONTINUOUS):
+            highs, statuses = _core._Highs(), []
+            monkeypatch.setattr(milp, "_highs", lambda: highs)
+            while highs.getRunTime() <= 3 * limit and len(statuses) < 50_000:
+                statuses.append(milp.run_highs(knapsack(domain), options)[0])
+            assert highs.getRunTime() > 3 * limit, domain
+            assert set(statuses) == {_core.HighsModelStatus.kOptimal}, domain
+
+    def test_milp_stops_at_its_own_limit(self, monkeypatch):
+        # After 1 s of run time on the instance, a MILP given 5 ms stops at
+        # its limit within 100 times that, not after the 1 s run so far.
+        highs, hard = _core._Highs(), market_split()
         monkeypatch.setattr(milp, "_highs", lambda: highs)
-        while highs.getRunTime() <= 3 * limit and len(statuses) < 10_000:
-            statuses.append(milp.run_highs(knapsack(), {"output_flag": False, "time_limit": limit})[0])
-        assert highs.getRunTime() > 3 * limit
-        assert set(statuses) == {_core.HighsModelStatus.kOptimal}
+        limit_hit = _core.HighsModelStatus.kTimeLimit
+        assert milp.run_highs(hard, {"output_flag": False, "time_limit": 1.0})[0] == limit_hit
+        before = highs.getRunTime()
+        assert milp.run_highs(hard, {"output_flag": False, "time_limit": 0.005})[0] == limit_hit
+        assert highs.getRunTime() - before < 0.5
 
     def test_threads_return_the_serial_points(self, smoke_scenario, monkeypatch):
         # More threads than cores solve the smoke preset's rounds at once,
