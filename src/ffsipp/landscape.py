@@ -496,7 +496,7 @@ def parse_scenario(text: str) -> Scenario:
             container_start_ms=ms(_number(f"{where}.start_s", entry.get("start_s", 2), low=0)),
         )
         if svc.id in services:
-            raise ScenarioError(f"duplicate service {svc.id}")
+            raise ScenarioError(f"{where}.name: duplicate service {svc.id!r}")
         services[svc.id] = svc
     if not services:
         raise ScenarioError("no services")
@@ -520,11 +520,13 @@ def parse_scenario(text: str) -> Scenario:
             pool_limit=None if limit is None else _number(f"{where}.pool_limit", limit, int, low=1),
         )
         if vt.provider not in ("private", "public"):
-            raise ScenarioError(f"vm type {vt.id}: unknown provider {vt.provider!r}")
+            raise ScenarioError(
+                f"{where}.provider must be 'private' or 'public', got {vt.provider!r}"
+            )
         if vt.provider == "private" and vt.pool_limit is None:
-            raise ScenarioError(f"vm type {vt.id}: private pool needs a limit")
+            raise ScenarioError(f"{where}.pool_limit must be set for a private pool")
         if vt.id in vm_types:
-            raise ScenarioError(f"duplicate vm type {vt.id}")
+            raise ScenarioError(f"{where}.name: duplicate vm type {vt.id!r}")
         vm_types[vt.id] = vt
     if not vm_types:
         raise ScenarioError("no vm types")
@@ -549,7 +551,7 @@ def parse_scenario(text: str) -> Scenario:
     for where, entry in model_entries:
         mid = _number(f"{where}.id", entry["id"], int)
         if mid in seen_ids:
-            raise ScenarioError(f"duplicate model id {mid}")
+            raise ScenarioError(f"{where}.id: duplicate model id {mid}")
         seen_ids.add(mid)
         try:
             root = parse_structure(str(entry["structure"]))
@@ -563,22 +565,22 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"{where}.steps must be a list, got {explicit!r}")
             if len(explicit) != len(model.step_nodes):
                 raise ScenarioError(
-                    f"model {mid}: {len(explicit)} step services for "
-                    f"{len(model.step_nodes)} steps"
+                    f"{where}.steps must list {len(model.step_nodes)} services, "
+                    f"got {len(explicit)}"
                 )
             assigned = [str(s) for s in explicit]
         else:
             assigned = [service_cycle[i % len(service_cycle)] for i in range(len(model.step_nodes))]
-        for node, svc_id in zip(model.step_nodes, assigned):
+        for k, (node, svc_id) in enumerate(zip(model.step_nodes, assigned)):
             if svc_id not in services:
-                raise ScenarioError(f"model {mid}: unknown service {svc_id!r}")
+                raise ScenarioError(f"{where}.steps[{k}]: unknown service {svc_id!r}")
             node.service = svc_id
         models.append(model)
 
     arr = _section(raw, "arrival", ("kind", "interval_s", "batch_models", "total_requests"))
     kind = arr.get("kind", "constant")
     if kind not in ("constant", "pyramid"):
-        raise ScenarioError(f"unknown arrival kind {kind!r}")
+        raise ScenarioError(f"arrival.kind must be 'constant' or 'pyramid', got {kind!r}")
     batch = arr.get("batch_models")
     if batch is not None:
         if kind != "constant":
@@ -591,7 +593,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"arrival.batch_models[{i}] must name at least one model")
             for mid in group:
                 if mid not in seen_ids:
-                    raise ScenarioError(f"arrival references unknown model {mid}")
+                    raise ScenarioError(f"arrival.batch_models[{i}]: unknown model {mid}")
     constant = kind == "constant"
     interval_s = arr.get("interval_s", 120 if constant else 60)
     requests = arr.get("total_requests", 50 if constant else 100)
@@ -604,17 +606,20 @@ def parse_scenario(text: str) -> Scenario:
 
     sla_raw = _section(raw, "sla", ("factor", "penalty_policy", "planning_rate_per_s"))
     rate = sla_raw.get("planning_rate_per_s")
+    factor = sla_raw.get("factor", 1.5)
     sla = SlaSpec(
-        factor=_number("sla.factor", sla_raw.get("factor", 1.5)),
+        factor=_number("sla.factor", factor),
         penalty_policy=str(sla_raw.get("penalty_policy", "fraction")),
         planning_rate_per_s=(
             None if rate is None else _number("sla.planning_rate_per_s", rate, low=0)
         ),
     )
     if sla.factor <= 1:
-        raise ScenarioError("sla factor must exceed 1")
+        raise ScenarioError(f"sla.factor must be > 1, got {factor!r}")
     if sla.penalty_policy not in ("fraction", "per_10s"):
-        raise ScenarioError(f"unknown penalty policy {sla.penalty_policy!r}")
+        raise ScenarioError(
+            f"sla.penalty_policy must be 'fraction' or 'per_10s', got {sla.penalty_policy!r}"
+        )
 
     w = _section(raw, "weights", ("dl", "d", "f_cpu", "f_ram", "z"))
     # Free capacity has no upper bound, so a negative price on it makes the

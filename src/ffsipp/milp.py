@@ -14,6 +14,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -50,12 +51,16 @@ _CONTINUOUS_COL = int(_core.HighsVarType.kContinuous)
 
 @dataclass(frozen=True)
 class Assembled:
-    """A ``MilpProblem``'s columns' integrality and its constraint matrix,
-    rows by columns, as CSR arrays without explicit zeros: the form HiGHS
-    takes them in."""
+    """A ``MilpProblem``'s columns' integrality and bounds, its row bounds
+    and its constraint matrix, rows by columns, as CSR arrays without
+    explicit zeros: the form HiGHS takes them in."""
 
     integral: np.ndarray  # bool mask of the integer columns
     integrality: np.ndarray  # int32 HiGHS variable type per column
+    lower: np.ndarray  # float64 column bounds
+    upper: np.ndarray
+    row_lower: np.ndarray  # float64 row bounds
+    row_upper: np.ndarray
     start: np.ndarray  # int32 row starts
     index: np.ndarray  # int32 column of each term
     value: np.ndarray  # float64 coefficient of each term
@@ -70,6 +75,8 @@ class MilpProblem:
     appended straight into CSR arrays (``indptr``, ``indices``, ``data``)
     with their bounds. Column names are metadata, read only by the LP text
     format and error messages; rows are known by index (``c<i>`` in LP text).
+    All of it is append-only except the costs, which callers set after
+    adding a column.
     """
 
     def __init__(self):
@@ -116,6 +123,23 @@ class MilpProblem:
         self.cost.append(0.0)
         return len(self.names) - 1
 
+    def add_vars(
+        self, names: list[str], domain: str, lower: float = 0.0, upper: float = math.inf
+    ) -> int:
+        """Append one column per name, as ``add_var`` would one by one, all
+        with the same domain and bounds, and return the first's index."""
+        if names:
+            self.add_var(names[0], domain, lower, upper)
+            first = len(self.names) - 1
+            n = len(names) - 1
+            self.names += names[1:]
+            self.domains += [domain] * n
+            self.lower += [self.lower[first]] * n
+            self.upper += [self.upper[first]] * n
+            self.cost += [0.0] * n
+            return first
+        return len(self.names)
+
     def add_row(self, cols, coefs, relation: str, rhs: float) -> int:
         """Append the row ``sum(coefs[k] * x[cols[k]]) relation rhs`` and
         return its index. A column appears at most once per row. Terms are
@@ -137,6 +161,27 @@ class MilpProblem:
         self.indptr.append(len(self.indices))
         return len(self.row_lower) - 1
 
+    def add_rows(self, cols, coefs, sizes, lower, upper) -> int:
+        """Append rows in bulk and return the index of the first: row ``k``
+        takes the next ``sizes[k]`` terms of ``cols`` and ``coefs`` and
+        reads ``lower[k] <= row <= upper[k]``, with ``-inf`` or ``inf`` for
+        the side ``add_row`` leaves open. Nothing is appended if the
+        lengths disagree."""
+        n = len(sizes)
+        if len(lower) != n or len(upper) != n or not len(coefs) == len(cols) == sum(sizes):
+            raise ValueError(
+                f"{n} rows with {len(lower)} lower and {len(upper)} upper bounds, and "
+                f"{len(cols)} columns and {len(coefs)} coefficients for {sum(sizes)} terms"
+            )
+        first = len(self.row_lower)
+        self.row_lower.extend(lower)
+        self.row_upper.extend(upper)
+        self.indices.extend(cols)
+        self.data.extend(coefs)
+        # accumulate yields its initial value, the last row's end, first
+        self.indptr.extend(accumulate(sizes, initial=self.indptr.pop()))
+        return first
+
     def integral(self) -> np.ndarray:
         """Mask of the columns with an integer domain (shared: do not modify)."""
         return self.assembled().integral
@@ -147,25 +192,34 @@ class MilpProblem:
         return np.bincount(a.row, weights=a.value * x[a.index], minlength=self.num_rows)
 
     def assembled(self) -> Assembled:
-        """The integrality and matrix arrays, made once per model (shared: do
-        not modify). Costs and bounds are not among them: callers set a
-        column's cost after adding it, so they are read on each use."""
-        # Columns and rows are append-only, so their counts identify them.
+        """The integrality, bound and matrix arrays, made once per model
+        (shared: do not modify). Costs are not among them: callers set a
+        column's cost after adding it, so costs are read on each use."""
+        # Columns and rows, with their bounds, are append-only, so their
+        # counts identify them.
         key = (len(self.names), len(self.row_lower), len(self.data))
         if self._cache is None or self._cache[0] != key:
             integral = np.array([d != CONTINUOUS for d in self.domains], dtype=bool)
+            start = np.array(self.indptr, dtype=np.int32)
+            index = np.array(self.indices, dtype=np.int32)
             value = np.array(self.data, dtype=np.float64)
+            row = np.repeat(np.arange(self.num_rows), np.diff(start))
             keep = value != 0.0
-            row = np.repeat(np.arange(self.num_rows), np.diff(self.indptr))[keep]
-            # kept[k]: how many of the first k terms are kept
-            kept = np.zeros(len(value) + 1, dtype=np.int32)
-            np.cumsum(keep, out=kept[1:])
+            if not keep.all():
+                # kept[k]: how many of the first k terms are kept
+                kept = np.zeros(len(value) + 1, dtype=np.int32)
+                np.cumsum(keep, out=kept[1:])
+                start, index, value, row = kept[start], index[keep], value[keep], row[keep]
             self._cache = (key, Assembled(
                 integral=integral,
                 integrality=np.where(integral, _INTEGER_COL, _CONTINUOUS_COL).astype(np.int32),
-                start=kept[self.indptr],
-                index=np.array(self.indices, dtype=np.int32)[keep],
-                value=value[keep],
+                lower=np.array(self.lower, dtype=np.float64),
+                upper=np.array(self.upper, dtype=np.float64),
+                row_lower=np.array(self.row_lower, dtype=np.float64),
+                row_upper=np.array(self.row_upper, dtype=np.float64),
+                start=start,
+                index=index,
+                value=value,
                 row=row,
             ))
         return self._cache[1]
@@ -254,11 +308,7 @@ def run_highs(
             highs.setOptionValue("time_limit", highs.getRunTime() + options["time_limit"])
         status = highs.passModel(
             problem.num_vars, problem.num_rows, len(a.value), _ROWWISE, _MINIMIZE, 0.0,
-            cost,
-            np.array(problem.lower, dtype=np.float64),
-            np.array(problem.upper, dtype=np.float64),
-            np.array(problem.row_lower, dtype=np.float64),
-            np.array(problem.row_upper, dtype=np.float64),
+            cost, a.lower, a.upper, a.row_lower, a.row_upper,
             a.start, a.index, a.value, a.integrality,
         )
         if status == _core.HighsStatus.kError:
@@ -316,11 +366,9 @@ def solve(
         # answer costs no matrix product.
         ints = x[integral]
         if (ints != np.round(ints)).any():
+            a = problem.assembled()
             lhs = problem.activity(np.where(integral, np.round(x), x))
-            if (
-                (lhs > np.array(problem.row_upper) + FEAS_TOL)
-                | (lhs < np.array(problem.row_lower) - FEAS_TOL)
-            ).any():
+            if ((lhs > a.row_upper + FEAS_TOL) | (lhs < a.row_lower - FEAS_TOL)).any():
                 options["mip_feasibility_tolerance"] = 1e-9
                 status, info, x = run_highs(problem, options)
     if status == _MODEL.kInfeasible:
@@ -349,11 +397,11 @@ def verify(problem: MilpProblem, values) -> list[Violation]:
     x = np.asarray(values, dtype=np.float64)
     if x.shape != (problem.num_vars,):
         raise ValueError(f"expected {problem.num_vars} values, got shape {x.shape}")
-    lower = np.array(problem.lower, dtype=np.float64)
-    upper = np.array(problem.upper, dtype=np.float64)
+    a = problem.assembled()
+    lower, upper = a.lower, a.upper
     bad_bound = (x < lower - FEAS_TOL) | (x > upper + FEAS_TOL)
     residue = np.abs(x - np.round(x))
-    bad_int = problem.integral() & (residue > FEAS_TOL)
+    bad_int = a.integral & (residue > FEAS_TOL)
     out: list[Violation] = []
     for i in np.flatnonzero(bad_bound | bad_int):
         name = problem.names[i]
@@ -364,10 +412,7 @@ def verify(problem: MilpProblem, values) -> list[Violation]:
             out.append(Violation(None, name, float(residue[i]), "integrality"))
     if problem.num_rows:
         lhs = problem.activity(x)
-        slack = np.maximum(
-            lhs - np.array(problem.row_upper, dtype=np.float64),
-            np.array(problem.row_lower, dtype=np.float64) - lhs,
-        )
+        slack = np.maximum(lhs - a.row_upper, a.row_lower - lhs)
         for row in np.flatnonzero(slack > FEAS_TOL):
             out.append(Violation(int(row), None, float(slack[row]), "constraint"))
     return out

@@ -20,6 +20,7 @@ from .landscape import (
     OptimizerConfig,
     ProcessInstance,
     ServiceType,
+    StepState,
     VmType,
     next_steps,
 )
@@ -93,15 +94,15 @@ class FfsippModel:
         self.baseline = baseline
         self.delta_ms = worstcase.max_startup_ms(state.vm_types)
         # instance -> its ready steps, each with the VM types it fits
-        self._ready: dict[int, dict[int, set[str]]] = {}
+        self._ready: dict[int, dict[int, frozenset[str]]] = {}
         for inst in state.instances:
             ready = self._ready[inst.id] = {}
             for j in sorted(next_steps(inst)):
                 step = inst.steps[j]
-                ready[j] = {
+                ready[j] = frozenset(
                     t for t, vt in state.vm_types.items()
                     if _within(step.cpu_demand, step.ram_demand, vt)
-                }
+                )
         self.candidates = self._candidate_vms()
         self.problem = milp.MilpProblem()
         self._instances = {inst.id: inst for inst in state.instances}
@@ -109,8 +110,11 @@ class FfsippModel:
         self._terms: dict[str, tuple[list[int], list[float]]] = {
             n: ([], []) for n in TERM_NAMES
         }
-        # VM -> its placement columns, in creation order
-        self._vm_x: dict[str, list[tuple[int, Assignment]]] = {vm.id: [] for vm in self.candidates}
+        # VM -> its placements in creation order, each as (column, step,
+        # occupancy, instance id, step index); decode makes the Assignment
+        self._vm_x: dict[str, list[tuple[int, StepState, int, int, int]]] = {
+            vm.id: [] for vm in self.candidates
+        }
         self._y: dict[str, int] = {}
         self._g: dict[str, int] = {}  # a one-BTU fresh VM's use flag is its y
         self._ep: dict[int, int] = {}
@@ -119,6 +123,8 @@ class FfsippModel:
         # creation order: an instance's block remainders precede its e^p,
         # which reads them. Decode and postponed set each at its floor.
         self._helpers: list[tuple[int, list[int]]] = []
+        # helper -> per row: its columns, coefficients, -a and a * bound (see _floor)
+        self._bounds: dict[int, list[tuple[list[int], list[float], float, float]]] = {}
         # The answer postponed certified: its helpers are at their floors and
         # its point passed milp.verify, so decode takes it as it is.
         self._certified: milp.MilpSolution | None = None
@@ -159,68 +165,56 @@ class FfsippModel:
             if vt.pool_limit is not None:
                 n = min(n, vt.pool_limit - live_per_type.get(vt.id, 0))
             for i in range(max(0, n)):
-                cands.append(
-                    VmSnapshot(
-                        id=f"{FRESH_PREFIX}{vt.id}_{i}",
-                        type_id=vt.id,
-                        ready_in_ms=vt.startup_ms,
-                        lease_remaining_ms=0,
-                    )
-                )
+                # VmSnapshot(id, type_id, ready_in_ms, lease_remaining_ms)
+                cands.append(VmSnapshot(f"{FRESH_PREFIX}{vt.id}_{i}", vt.id, vt.startup_ms, 0))
         return cands
-
-    def _vm_type(self, vm: VmSnapshot) -> VmType:
-        return self.state.vm_types[vm.type_id]
-
-    def _occupancy_ms(self, inst: ProcessInstance, j: int, vm: VmSnapshot) -> int:
-        step = inst.steps[j]
-        svc = self.state.services[step.service]
-        total = step.expected_ms + vm.ready_in_ms
-        if self.baseline:
-            if step.service != vm.offered_service:
-                total += BASELINE_DEPLOY_MS
-        elif step.service not in vm.cached_images:
-            total += svc.container_start_ms + svc.image_pull_ms
-        return total
-
-    def _term(self, name: str, col: int, coef: float):
-        if coef:
-            cols, coefs = self._terms[name]
-            cols.append(col)
-            coefs.append(coef)
 
     def _build(self):
         state, w = self.state, self.config.weights
         p = self.problem
-        tau = state.now_ms
+        vm_types = state.vm_types
+        baseline = self.baseline
 
         # Placements first: each VM's longest placement or running step
-        # fixes the BTUs it can need beyond its lease.
+        # fixes the BTUs it can need beyond its lease. A step's occupancy
+        # on a VM is its expected duration plus the VM's boot remainder and
+        # the step's deployment there.
         schedulable: dict[int, dict[int, list[tuple[VmSnapshot, int]]]] = {}
-        horizon = {
-            vm.id: max((a.occupancy_ms for a in self._running.get(vm.id, ())), default=0)
-            for vm in self.candidates
-        }
+        horizon = dict.fromkeys(self._vm_x, 0)
+        for vm_id, running in self._running.items():
+            if running:
+                horizon[vm_id] = max(a.occupancy_ms for a in running)
+        fitting: dict[frozenset[str], list[VmSnapshot]] = {}  # VM types -> their candidates
         for inst in state.instances:
             steps = schedulable[inst.id] = {}
             for j, types in self._ready[inst.id].items():
                 step = inst.steps[j]
-                fitting = [vm for vm in self.candidates if vm.type_id in types]
-                if not fitting:
+                if types not in fitting:
+                    fitting[types] = [vm for vm in self.candidates if vm.type_id in types]
+                if not fitting[types]:
                     raise ModelError(
                         f"step {inst.id}/{j} ({step.service}, {step.cpu_demand}%) "
                         f"exceeds every VM type's supply"
                     )
-                # Baseline: a VM keeps its single offered type for its whole
-                # lease; only a VM that never hosted a container may still
-                # pick one.
-                steps[j] = [
-                    (vm, self._occupancy_ms(inst, j, vm))
-                    for vm in fitting
-                    if not self.baseline or vm.offered_service in (None, step.service)
-                ]
-                for vm, occ in steps[j]:
-                    horizon[vm.id] = max(horizon[vm.id], occ)
+                service, expected_ms = step.service, step.expected_ms
+                svc = state.services[service]
+                deploy_ms = svc.container_start_ms + svc.image_pull_ms
+                cands = steps[j] = []
+                for vm in fitting[types]:
+                    occ = expected_ms + vm.ready_in_ms
+                    if baseline:
+                        # A VM keeps its single offered type for its whole
+                        # lease; only a VM that never hosted a container
+                        # may still pick one.
+                        if vm.offered_service is None:
+                            occ += BASELINE_DEPLOY_MS
+                        elif vm.offered_service != service:
+                            continue
+                    elif service not in vm.cached_images:
+                        occ += deploy_ms
+                    cands.append((vm, occ))
+                    if occ > horizon[vm.id]:
+                        horizon[vm.id] = occ
 
         # Per-VM lease / usage variables. y is capped at that need: more
         # BTUs only add cost. A fresh VM that one BTU covers would get
@@ -228,30 +222,46 @@ class FfsippModel:
         # gets g <= y here and y <= need*g below. A leased VM's g - y <= 1
         # holds by the bounds.
         need: dict[str, int] = {}
+        fresh = {vm.id for vm in self.candidates if is_fresh_vm(vm.id)}
+        leasing = self._terms["leasing"]
+        rows = _Rows(p.num_rows)
         for vm in self.candidates:
-            vt = self._vm_type(vm)
+            vt = vm_types[vm.type_id]
             need[vm.id] = math.ceil(max(0, horizon[vm.id] - vm.lease_remaining_ms) / vt.btu_ms)
             y = self._y[vm.id] = p.add_var(f"y__{vm.id}", milp.INTEGER, 0, need[vm.id])
-            self._term("leasing", y, vt.cost_per_btu)
-            if is_fresh_vm(vm.id) and need[vm.id] <= 1:
+            if vt.cost_per_btu:
+                leasing[0].append(y)
+                leasing[1].append(vt.cost_per_btu)
+            if vm.id in fresh and need[vm.id] <= 1:
                 self._g[vm.id] = y
             else:
                 g = self._g[vm.id] = p.add_var(f"g__{vm.id}", milp.BOOLEAN, 0, 1)
-                if is_fresh_vm(vm.id):
-                    p.add_row((g, y), (1, -1), "<=", 0)
+                if vm.id in fresh:
+                    rows.add((g, y), (1, -1), _NEG_INF, 0)
 
         # Symmetry breaking among anonymous fresh candidates of one type.
         by_type: dict[str, list[VmSnapshot]] = {}
         for vm in self.candidates:
-            if is_fresh_vm(vm.id):
+            if vm.id in fresh:
                 by_type.setdefault(vm.type_id, []).append(vm)
         for group in by_type.values():
             for a, b in zip(group, group[1:]):
-                p.add_row((self._g[a.id], self._g[b.id]), (1, -1), ">=", 0)
+                rows.add((self._g[a.id], self._g[b.id]), (1, -1), 0, _INF)
+        rows.emit(p)
 
-        # Placement variables and per-instance rows.
+        # Placement variables and per-instance rows. A placement pays its
+        # VM's remaining lease; one that outlasts a lease needs a coverage
+        # row, unless its VM's y is its use flag.
+        lease_price = {
+            vm.id: price for vm in self.candidates
+            if (price := w.d_per_ms * vm.lease_remaining_ms)
+        }
+        covered = {  # VM -> its y and BTU length
+            vm.id: (self._y[vm.id], vm_types[vm.type_id].btu_ms) for vm in self.candidates
+            if self._g[vm.id] != self._y[vm.id]
+        }
         for inst in state.instances:
-            self._instance_rows(inst, schedulable[inst.id], tau)
+            self._instance_rows(inst, schedulable[inst.id], lease_price, covered)
 
         # Baseline type exclusivity.
         if self.baseline:
@@ -260,98 +270,112 @@ class FfsippModel:
         # Capacity, free capacity, usage link per VM. A capacity row with no
         # placement term only restates that the running steps fit, which
         # is checked here instead.
+        rows = _Rows(p.num_rows)
         for vm in self.candidates:
-            vt = self._vm_type(vm)
+            vt = vm_types[vm.type_id]
             y, g = self._y[vm.id], self._g[vm.id]
-            running = self._running.get(vm.id, [])
-            run_cpu = sum((a.cpu_demand for a in running), 0.0)
-            run_ram = sum((a.ram_demand for a in running), 0.0)
+            running = self._running.get(vm.id)
+            run_cpu = run_ram = 0.0
+            max_run = 0
+            if running:
+                run_cpu = sum((a.cpu_demand for a in running), 0.0)
+                run_ram = sum((a.ram_demand for a in running), 0.0)
+                max_run = max(a.occupancy_ms for a in running)
             if not _within(run_cpu, run_ram, vt):
                 raise ModelError(
                     f"{vm.id} already runs {run_cpu}% CPU and {run_ram} MB RAM, "
                     f"over its supply of {vt.cpu_supply}% and {vt.ram_supply} MB"
                 )
             vm_x = self._vm_x[vm.id]
-            cpu_cols = [col for col, a in vm_x if a.cpu_demand]
-            cpu = [a.cpu_demand for _, a in vm_x if a.cpu_demand]
-            ram_cols = [col for col, a in vm_x if a.ram_demand]
-            ram = [a.ram_demand for _, a in vm_x if a.ram_demand]
-            if cpu_cols:
-                p.add_row(cpu_cols, cpu, "<=", vt.cpu_supply - run_cpu)
-            if ram_cols:
-                p.add_row(ram_cols, ram, "<=", vt.ram_supply - run_ram)
-            for col, _ in vm_x:
-                p.add_row((col, g), (1.0, -1.0), "<=", 0)
-
-            self._free_row(f"fC__{vm.id}", cpu_cols, cpu, g, vt.cpu_supply, run_cpu, w.f_cpu)
-            self._free_row(f"fR__{vm.id}", ram_cols, ram, g, vt.ram_supply, run_ram, w.f_ram)
-
+            cols = [x[0] for x in vm_x]
+            cols_cpu = [x[0] for x in vm_x if x[1].cpu_demand]
+            cpu = [x[1].cpu_demand for x in vm_x if x[1].cpu_demand]
+            cols_ram = [x[0] for x in vm_x if x[1].ram_demand]
+            ram = [x[1].ram_demand for x in vm_x if x[1].ram_demand]
+            if cols_cpu:
+                rows.add(cols_cpu, cpu, _NEG_INF, vt.cpu_supply - run_cpu)
+            if cols_ram:
+                rows.add(cols_ram, ram, _NEG_INF, vt.ram_supply - run_ram)
+            if cols:
+                rows.links(cols, g)  # a placement uses its VM
+            if w.f_cpu:
+                self._free_row(rows, f"fC__{vm.id}", cols_cpu, cpu, g, vt.cpu_supply, run_cpu,
+                               w.f_cpu)
+            if w.f_ram:
+                self._free_row(rows, f"fR__{vm.id}", cols_ram, ram, g, vt.ram_supply, run_ram,
+                               w.f_ram)
             # Lease coverage for running steps.
-            max_run = max((a.occupancy_ms for a in running), default=0)
             if max_run > vm.lease_remaining_ms:
-                p.add_row((y,), (float(vt.btu_ms),), ">=", max_run - vm.lease_remaining_ms)
+                rows.add((y,), (float(vt.btu_ms),), max_run - vm.lease_remaining_ms, _INF)
+            if g != y and vm.id in fresh:
+                rows.add((y, g), (1.0, -float(need[vm.id])), _NEG_INF, 0)
+        rows.emit(p)
 
-            if is_fresh_vm(vm.id) and g != y:
-                p.add_row((y, g), (1.0, -float(need[vm.id])), "<=", 0)
-
-    def _free_row(self, name: str, cols, coefs, g: int, supply: float, run: float, weight: float):
-        """f >= supply*g - used  <=>  f + used - supply*g >= -running_load.
-        An unweighted f cannot change the answer, so it is left out."""
-        if not weight:
-            return
+    def _free_row(self, rows: _Rows, name: str, cols, coefs, g: int, supply: float, run: float,
+                  weight: float):
+        """f >= supply*g - used  <=>  f + used - supply*g >= -running_load,
+        for a weighted free capacity f (an unweighted f cannot change the
+        answer, so it is left out)."""
         f = self.problem.add_var(name, milp.CONTINUOUS, 0, math.inf)
+        self._terms["free_capacity"][0].append(f)
+        self._terms["free_capacity"][1].append(weight)
+        self._helpers.append((f, [rows.next]))
         if supply:
             cols, coefs = cols + [g], coefs + [-supply]
-        self._helpers.append((f, [self.problem.add_row(cols + [f], coefs + [1.0], ">=", -run)]))
-        self._term("free_capacity", f, weight)
+        rows.add(cols + [f], coefs + [1.0], -run, _INF)
 
-    def _instance_rows(self, inst: ProcessInstance, schedulable, tau: int):
+    def _instance_rows(self, inst: ProcessInstance, schedulable, lease_price, covered):
         cfg, w = self.config, self.config.weights
         p = self.problem
+        tau = self.state.now_ms
         rs = worstcase.remaining_structure(
             inst, self.state.services, self.delta_ms, set(schedulable)
         )
         self._remaining[inst.id] = rs
+        deployment = self._terms["deployment"]
+        remaining_lease = self._terms["remaining_lease"]
+        importance = self._terms["importance"]
+        rows = _Rows(p.num_rows)
 
-        # Placement variables with their objective contributions.
+        # Placement variables with their objective contributions, in column
+        # order. Baseline deployments are priced per type variable instead
+        # (see _baseline_rows); there is no image cache there.
+        deploy = w.z if not self.baseline else 0.0
+        vm_x = self._vm_x
         placed: dict[int, list[tuple[int, int]]] = {}  # step -> (column, occupancy)
         for j, cands in schedulable.items():
             step = inst.steps[j]
-            importance = w.dl_per_ms * (rs.step_deadline_ms[j] - tau)
-            placed[j] = []
-            for vm, occ in cands:
-                col = p.add_var(f"x__{inst.id}__{j}__{vm.id}", milp.BOOLEAN, 0, 1)
-                a = Assignment(
-                    instance_id=inst.id,
-                    step_index=j,
-                    vm_id=vm.id,
-                    service=step.service,
-                    cpu_demand=step.cpu_demand,
-                    ram_demand=step.ram_demand,
-                    occupancy_ms=occ,
-                )
-                self._vm_x[vm.id].append((col, a))
-                placed[j].append((col, occ))
-                # Baseline deployments are priced per type variable instead
-                # (see _baseline_rows); there is no image cache there.
-                if not self.baseline and step.service not in vm.cached_images:
-                    self._term("deployment", col, w.z)
-                self._term("remaining_lease", col, w.d_per_ms * vm.lease_remaining_ms)
-                self._term("importance", col, importance)
+            name = f"x__{inst.id}__{j}__"
+            first = p.add_vars([name + vm.id for vm, _ in cands], milp.BOOLEAN, 0, 1)
+            cols = range(first, first + len(cands))
+            placed[j] = list(zip(cols, [occ for _, occ in cands]))
+            for col, (vm, occ) in zip(cols, cands):
+                vm_x[vm.id].append((col, step, occ, inst.id, j))
                 # Lease coverage for a placement that outlasts the lease. On
                 # a VM whose y is its use flag, occ <= btu_ms, so x <= y
                 # already covers it.
-                y = self._y[vm.id]
-                if occ > vm.lease_remaining_ms and self._g[vm.id] != y:
-                    p.add_row(
-                        (col, y),
-                        (float(occ), -float(self._vm_type(vm).btu_ms)),
-                        "<=",
-                        vm.lease_remaining_ms,
-                    )
+                if occ > vm.lease_remaining_ms and vm.id in covered:
+                    y, btu_ms = covered[vm.id]
+                    rows.add((col, y), (float(occ), -float(btu_ms)), _NEG_INF,
+                             vm.lease_remaining_ms)
+            if deploy:
+                uncached = [
+                    col for col, (vm, _) in zip(cols, cands)
+                    if step.service not in vm.cached_images
+                ]
+                deployment[0].extend(uncached)
+                deployment[1].extend([deploy] * len(uncached))
+            for col, (vm, _) in zip(cols, cands):
+                if vm.id in lease_price:
+                    remaining_lease[0].append(col)
+                    remaining_lease[1].append(lease_price[vm.id])
+            urgency = w.dl_per_ms * (rs.step_deadline_ms[j] - tau)
+            if urgency:
+                importance[0].extend(cols)
+                importance[1].extend([urgency] * len(cols))
             # At most one VM per step.
-            if placed[j]:
-                p.add_row([col for col, _ in placed[j]], [1.0] * len(placed[j]), "<=", 1)
+            if cols:
+                rows.add(cols, (1.0,) * len(cols), _NEG_INF, 1)
 
         # Block variables for AND/XOR remainders that depend on this round.
         # A scheduled branch head replaces its worst-case coefficient with the
@@ -365,63 +389,68 @@ class FfsippModel:
                 p.add_var(f"eblk__{inst.id}__{block.node_id}", milp.CONTINUOUS, 0, math.inf),
                 p.add_var(f"eblkn__{inst.id}__{block.node_id}", milp.CONTINUOUS, 0, math.inf),
             )
-            rows: tuple[list[int], list[int]] = ([], [])
-            for const, coefs in block.rows:
-                for b, eps, b_rows in zip(pair, (0, cfg.epsilon_ms), rows):
-                    cols, reds = [], []
-                    for j, coef in coefs.items():
+            b_rows: tuple[list[int], list[int]] = ([], [])
+            for const, step_coefs in block.rows:
+                for b, eps, own in zip(pair, (0, cfg.epsilon_ms), b_rows):
+                    cols, reds = [b], [1.0]
+                    for j, coef in step_coefs.items():
                         for col, occ in placed.get(j, ()):
                             if coef + eps - occ:
                                 cols.append(col)
                                 reds.append(float(coef + eps - occ))
-                    b_rows.append(p.add_row([b] + cols, [1.0] + reds, ">=", const))
-            for b, b_cols, b_rows in zip(pair, block_cols, rows):
+                    own.append(rows.next)
+                    rows.add(cols, reds, const, _INF)
+            for b, b_cols, own in zip(pair, block_cols, b_rows):
                 b_cols.append(b)
-                self._helpers.append((b, b_rows))
+                self._helpers.append((b, own))
 
         # Deadline / penalty coupling for this round and the next.
         ep = p.add_var(f"ep__{inst.id}", milp.CONTINUOUS, 0, math.inf)
         self._ep[inst.id] = ep
-        self._term("penalty", ep, inst.penalty_rate)
+        if inst.penalty_rate:
+            self._terms["penalty"][0].append(ep)
+            self._terms["penalty"][1].append(inst.penalty_rate)
 
         # Every schedulable step is either reduced in sequence or a block head.
         ex_run = self._ex_run.get(inst.id, 0)
-        rows = []
+        self._helpers.append((ep, [rows.next, rows.next + 1]))
         for eps, b_cols, run in ((0, block_cols[0], ex_run), (cfg.epsilon_ms, block_cols[1], 0)):
-            terms = [
-                (col, float(occ - red - eps))
-                for j, red in rs.step_reduction_ms.items()
-                for col, occ in placed.get(j, ())
-                if occ - red - eps
-            ]
-            terms += [(b, 1.0) for b in b_cols]
-            cols, coefs = [col for col, _ in terms], [c for _, c in terms]
+            cols, coefs = [], []
+            for j, red in rs.step_reduction_ms.items():
+                for col, occ in placed.get(j, ()):
+                    if occ - red - eps:
+                        cols.append(col)
+                        coefs.append(float(occ - red - eps))
             rhs = inst.deadline_ms - (tau + eps) - run - float(rs.constant_ms)
-            rows.append(p.add_row(cols + [ep], coefs + [-1.0], "<=", rhs))
-        self._helpers.append((ep, rows))
+            rows.add(cols + b_cols + [ep], coefs + [1.0] * len(b_cols) + [-1.0], _NEG_INF, rhs)
+        rows.emit(p)
 
     def _baseline_rows(self):
-        """One service type per VM: u variables, exclusivity, x <= u."""
+        """One service type per VM: u variables, x <= u, exclusivity."""
         w = self.config.weights
         p = self.problem
+        deployment = self._terms["deployment"]
+        rows = _Rows(p.num_rows)
         for vm in self.candidates:
             per_service: dict[str, list[int]] = {}
-            for col, a in self._vm_x[vm.id]:
-                per_service.setdefault(a.service, []).append(col)
+            for col, step, *_ in self._vm_x[vm.id]:
+                per_service.setdefault(step.service, []).append(col)
             if not per_service:
                 continue
             u_cols = []
-            for svc, cols in per_service.items():
+            for svc, x_cols in per_service.items():
                 u = p.add_var(f"u__{svc}__{vm.id}", milp.BOOLEAN, 0, 1)
                 u_cols.append(u)
-                for col in cols:
-                    p.add_row((col, u), (1.0, -1.0), "<=", 0)
-                if svc != vm.offered_service:
-                    self._term("deployment", u, w.z * BASELINE_DEPLOY_MS / 1000.0)
+                rows.links(x_cols, u)
+                price = w.z * BASELINE_DEPLOY_MS / 1000.0
+                if svc != vm.offered_service and price:
+                    deployment[0].append(u)
+                    deployment[1].append(price)
             # Non-idle VMs are locked to their current type; the candidate
             # filter already restricts their placements, so u for that type
             # is the only one present here.
-            p.add_row(u_cols, [1.0] * len(u_cols), "<=", 1)
+            rows.add(u_cols, (1.0,) * len(u_cols), _NEG_INF, 1)
+        rows.emit(p)
 
     # -- decoding ----------------------------------------------------------
 
@@ -456,14 +485,15 @@ class FfsippModel:
             # + 0.0 turns a rounded -0.0 into 0.0
             values = np.where(integral, rounded + 0.0, x).tolist()
             for col, rows in self._helpers:
-                values[col] = self._floor(col, rows, values)
+                self._floor(col, rows, values)
 
-        assignments = [a for vm_x in self._vm_x.values() for col, a in vm_x if values[col] > 0.5]
-        leases = {}
-        for vm in self.candidates:
-            btus = int(values[self._y[vm.id]])
-            if btus:
-                leases[vm.id] = btus
+        assignments = [
+            Assignment(iid, j, vm_id, step.service, step.cpu_demand, step.ram_demand, occ)
+            for vm_id, vm_x in self._vm_x.items()
+            for col, step, occ, iid, j in vm_x
+            if values[col] > 0.5
+        ]
+        leases = {vm_id: btus for vm_id, y in self._y.items() if (btus := int(values[y]))}
         penalties = {iid: values[col] for iid, col in self._ep.items()}
         placed: dict[int, list[int]] = {iid: [] for iid in self._remaining}
         for a in assignments:
@@ -487,19 +517,34 @@ class FfsippModel:
         )
 
     def _floor(self, col: int, rows: list[int], values: list[float]) -> float:
-        """The least value of helper ``col`` that its rows allow, given the
-        other columns' ``values``; read off the model's own rows, so a point
-        with every helper at its floor is exactly feasible on those rows. A
-        helper's coefficient ``a`` is +1 on its ``>=`` rows and -1 on its
-        ``<=`` rows, so ``a`` is also its inverse."""
-        p = self.problem
+        """Set helper ``col`` in ``values`` to the least value that its rows
+        allow, given the other columns' values, and return it. The floor is
+        read off the model's own rows, so a point with every helper at its
+        floor is exactly feasible on those rows.
+
+        A helper's coefficient ``a`` is +1 on its ``>=`` rows and -1 on its
+        ``<=`` rows, so ``a`` is also its inverse, and the floor on a row is
+        ``-a * sum(other terms) + a * bound``. Each row's terms, ``-a`` and
+        ``a * bound`` are read once per model. The sum runs over all the
+        row's terms in order with the helper at 0: its term is a signed
+        zero, which leaves every partial sum as it was, and the sign ``-a``
+        is applied after summing, which changes at most the sign of a zero
+        sum; ``0.0 +`` clears both."""
+        bounds = self._bounds.get(col)
+        if bounds is None:
+            p = self.problem
+            bounds = self._bounds[col] = []
+            for row in rows:
+                relation, bound = p.row_relation(row)
+                a = 1.0 if relation == ">=" else -1.0
+                start, stop = p.indptr[row], p.indptr[row + 1]
+                bounds.append((p.indices[start:stop], p.data[start:stop], -a, a * bound))
+        values[col] = 0.0
         floor = 0.0
-        for row in rows:
-            relation, bound = p.row_relation(row)
-            a = 1.0 if relation == ">=" else -1.0
-            cols, coefs = p.row_terms(row)
-            others = [(-c * a) * values[k] for k, c in zip(cols, coefs) if k != col]
-            floor = max(floor, 0.0 + sum(others) + a * bound)
+        for cols, coefs, sign, shift in bounds:
+            row_sum = sum(map(mul, coefs, map(values.__getitem__, cols)))
+            floor = max(floor, 0.0 + sign * row_sum + shift)
+        values[col] = floor
         return floor
 
     def postponed(self) -> milp.MilpSolution | None:
@@ -521,14 +566,12 @@ class FfsippModel:
             return None
         if not all(cost[y] > 0.0 for y in self._y.values()):
             return None
-        if not all(cost[col] > 0.0 for vm_x in self._vm_x.values() for col, _ in vm_x):
+        if not all(cost[x[0]] > 0.0 for vm_x in self._vm_x.values() for x in vm_x):
             return None
         values = [0.0] * p.num_vars
         for col, rows in self._helpers:
-            floor = self._floor(col, rows, values)
-            if floor and cost[col]:
+            if self._floor(col, rows, values) and cost[col]:
                 return None
-            values[col] = floor
         if milp.verify(p, values):
             return None
         self._certified = milp.MilpSolution(milp.OPTIMAL, np.array(values), 0.0, 0.0)
@@ -552,6 +595,51 @@ class FfsippModel:
 
 
 BASELINE_DEPLOY_MS = 30_000
+
+
+_INF = math.inf
+_NEG_INF = -math.inf
+
+
+class _Rows:
+    """Rows gathered in order for one ``MilpProblem.add_rows`` call, the
+    first of which gets index ``first``."""
+
+    def __init__(self, first: int):
+        self.first = first
+        self.cols: list[int] = []
+        self.coefs: list[float] = []
+        self.sizes: list[int] = []
+        self.lower: list[float] = []
+        self.upper: list[float] = []
+
+    @property
+    def next(self) -> int:
+        """The index the next row added will get."""
+        return self.first + len(self.sizes)
+
+    def add(self, cols, coefs, lower: float, upper: float):
+        """One row ``lower <= sum(coefs[k] * x[cols[k]]) <= upper``, with
+        ``-inf`` or ``inf`` for an open side."""
+        self.cols += cols
+        self.coefs += coefs
+        self.sizes.append(len(cols))
+        self.lower.append(lower)
+        self.upper.append(upper)
+
+    def links(self, cols: list[int], flag: int):
+        """One row ``x - flag <= 0`` per column ``x`` in ``cols``."""
+        n = len(cols)
+        self.cols += [k for col in cols for k in (col, flag)]
+        self.coefs += (1.0, -1.0) * n
+        self.sizes += (2,) * n
+        self.lower += (_NEG_INF,) * n
+        self.upper += (0,) * n
+
+    def emit(self, p: milp.MilpProblem):
+        """Append the gathered rows to ``p``, whose next row must be ``first``."""
+        if p.add_rows(self.cols, self.coefs, self.sizes, self.lower, self.upper) != self.first:
+            raise ValueError("rows were added to the problem while these were gathered")
 
 
 def _within(cpu: float, ram: float, vt: VmType) -> bool:

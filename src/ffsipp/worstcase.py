@@ -37,10 +37,6 @@ def overhead_sum_ms(
     return sum(step_coefficient_ms(s, services, delta_ms) for s in steps)
 
 
-def _remaining(inst: ProcessInstance, indices: list[int]) -> list[StepState]:
-    return [inst.steps[i] for i in indices if inst.steps[i].status == PENDING]
-
-
 @dataclass
 class BlockTerm:
     """One AND/XOR block whose value depends on this round's assignments.
@@ -89,39 +85,37 @@ def remaining_structure(
     schedulable: set[int],
 ) -> RemainingStructure:
     dec = inst.model.paths
+    coef = [step_coefficient_ms(step, services, delta_ms) for step in inst.steps]
+    pending = [step.status == PENDING for step in inst.steps]
     constant = 0
     reductions: dict[int, int] = {}
     loop_future: dict[int, int] = {}  # step -> its loop's future iterations
     blocks: list[BlockTerm] = []
 
-    def coef(i: int) -> int:
-        return step_coefficient_ms(inst.steps[i], services, delta_ms)
-
     for i in dec.seq_steps:
-        if inst.steps[i].status == PENDING:
-            constant += coef(i)
+        if pending[i]:
+            constant += coef[i]
             if i in schedulable:
-                reductions[i] = coef(i)
+                reductions[i] = coef[i]
 
     for node_id, body, reps in dec.loops:
-        remaining_now = _remaining(inst, body)
-        if not remaining_now:
+        if not any(pending[i] for i in body):
             continue
-        constant += overhead_sum_ms(remaining_now, services, delta_ms)
+        constant += sum(coef[i] for i in body if pending[i])
         future = max(0, reps - inst.loop_iters_done.get(node_id, 0) - 1)
-        future_ms = future * overhead_sum_ms([inst.steps[i] for i in body], services, delta_ms)
+        future_ms = future * sum(coef[i] for i in body)
         constant += future_ms
         for i in body:
             if i in schedulable:
-                reductions[i] = coef(i)
+                reductions[i] = coef[i]
                 loop_future[i] = future_ms
 
     for node_id, branches in dec.blocks:
         branch_rows = []
         heads = False
         for branch in branches:
-            const = overhead_sum_ms(_remaining(inst, branch), services, delta_ms)
-            row_coefs = {i: coef(i) for i in branch if i in schedulable}
+            const = sum(coef[i] for i in branch if pending[i])
+            row_coefs = {i: coef[i] for i in branch if i in schedulable}
             heads = heads or bool(row_coefs)
             branch_rows.append((const, row_coefs))
         if heads:
@@ -134,5 +128,5 @@ def remaining_structure(
         # After j completes its loop's last iteration, the loop's future
         # iterations no longer follow it.
         tail = rs.remaining_ms((j,)) - loop_future.get(j, 0)
-        rs.step_deadline_ms[j] = inst.deadline_ms - coef(j) - tail
+        rs.step_deadline_ms[j] = inst.deadline_ms - coef[j] - tail
     return rs

@@ -12,6 +12,14 @@ apart, into one digest that every call must match, so a change of the
 solver's options alone moves that one digest and leaves the models' alone.
 A speed-only change to the model builder must reproduce every digest.
 
+Two simulations are pinned: ``constant_lenient_light`` cut to 10 requests,
+under the top-level keys, and smoke with service A demanding 512 MB of RAM
+and free RAM priced (``weights.f_ram``), under ``"ram"``; no bundled preset
+has RAM demand, so only the second run builds RAM capacity rows and ``fR__``
+helpers. The second run was generated from the builder that emitted one
+``add_row`` call per row, and the builder that gathers each section's rows
+into one ``add_rows`` call reproduces both runs.
+
 The model digests were re-pinned when the builder stopped emitting rows and
 columns that cannot change a round's answer: unweighted free-capacity
 helpers, capacity rows without a placement, the per-type BTU totals,
@@ -41,6 +49,7 @@ import json
 import pathlib
 
 import numpy as np
+import yaml
 from scipy import optimize, sparse
 from scipy.optimize._highspy import _core
 
@@ -83,19 +92,33 @@ def model_digest(c, integrality, bounds, constraints) -> str:
     return h.hexdigest()
 
 
-# Rounds of the run above that ``FfsippModel.postponed`` decides without HiGHS.
+# Rounds of each run that ``FfsippModel.postponed`` decides without HiGHS.
 ROUNDS_WITHOUT_HIGHS = {sim.FFSIPP: 27, sim.SIPP: 17}
+RAM_ROUNDS_WITHOUT_HIGHS = {sim.FFSIPP: 5, sim.SIPP: 1}
 
 
-def round_digests() -> tuple[dict, dict]:
+def short_scenario() -> landscape.Scenario:
+    """``PRESET`` cut to ``REQUESTS`` requests."""
+    scenario = landscape.parse_scenario(preset_text(PRESET))
+    scenario.arrival = dataclasses.replace(scenario.arrival, total_requests=REQUESTS)
+    return scenario
+
+
+def ram_scenario() -> landscape.Scenario:
+    """Smoke with service A at 512 MB of RAM and free RAM priced."""
+    raw = yaml.safe_load(preset_text("smoke"))
+    raw["services"][0]["ram"] = 512
+    raw["weights"]["f_ram"] = 0.001
+    return landscape.parse_scenario(yaml.safe_dump(raw))
+
+
+def round_digests(scenario: landscape.Scenario) -> tuple[dict, dict]:
     """The digest of the options every HiGHS call received, under
     ``"options"``, and the model digest of every round's built model, per
     approach, in round order; then, per approach, how many rounds skipped
     HiGHS. Raises ``ValueError`` if HiGHS receives a matrix that is not
     row-wise, or a model other than its round's built one, or if a round
     neither reaches HiGHS nor counts as skipped."""
-    scenario = landscape.parse_scenario(preset_text(PRESET))
-    scenario.arrival = dataclasses.replace(scenario.arrival, total_requests=REQUESTS)
     options_seen = set()
 
     class Capture(_core._Highs):
@@ -184,16 +207,25 @@ def round_digests() -> tuple[dict, dict]:
     return out, skipped
 
 
-def test_every_round_hands_highs_the_recorded_model():
-    expected = json.loads(DIGESTS.read_text())
-    got, skipped = round_digests()
+def check_digests(scenario: landscape.Scenario, expected: dict, rounds_without_highs: dict):
+    got, skipped = round_digests(scenario)
     assert got["options"] == expected["options"], "options"
     for approach in (sim.FFSIPP, sim.SIPP):
         assert len(got[approach]) == len(expected[approach]), approach
         for k, (mine, recorded) in enumerate(zip(got[approach], expected[approach])):
             assert mine == recorded, f"{approach} round {k + 1}"
-    assert skipped == ROUNDS_WITHOUT_HIGHS
+    assert skipped == rounds_without_highs
+
+
+def test_every_round_hands_highs_the_recorded_model():
+    check_digests(short_scenario(), json.loads(DIGESTS.read_text()), ROUNDS_WITHOUT_HIGHS)
+
+
+def test_ram_rows_hand_highs_the_recorded_model():
+    check_digests(ram_scenario(), json.loads(DIGESTS.read_text())["ram"], RAM_ROUNDS_WITHOUT_HIGHS)
 
 
 if __name__ == "__main__":
-    print(json.dumps(round_digests()[0], indent=1))
+    digests = round_digests(short_scenario())[0]
+    digests["ram"] = round_digests(ram_scenario())[0]
+    print(json.dumps(digests, indent=1))

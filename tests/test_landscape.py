@@ -312,6 +312,22 @@ class TestParseScenario:
             (("vm_types", 0, "pool_limit"), 0, r"^vm_types\[0\]\.pool_limit must be >= 1, got 0$"),
             (("btu_seconds",), 0, r"^btu_seconds must be at least 1 ms, got 0$"),
             (("btu_seconds",), -300, r"^btu_seconds must be at least 1 ms, got -300$"),
+            (("vm_types", 0, "provider"), "pirate",
+             r"^vm_types\[0\]\.provider must be 'private' or 'public', got 'pirate'$"),
+            (("vm_types", 1, "provider"), "private",
+             r"^vm_types\[1\]\.pool_limit must be set for a private pool$"),
+            (("sla", "factor"), 1, r"^sla\.factor must be > 1, got 1$"),
+            (("sla", "penalty_policy"), "x",
+             r"^sla\.penalty_policy must be 'fraction' or 'per_10s', got 'x'$"),
+            (("arrival", "kind"), "x", r"^arrival\.kind must be 'constant' or 'pyramid', got 'x'$"),
+            (("services", 1, "name"), "A", r"^services\[1\]\.name: duplicate service 'A'$"),
+            (("vm_types", 1, "name"), "p1", r"^vm_types\[1\]\.name: duplicate vm type 'p1'$"),
+            (("models", 1, "id"), 1, r"^models\[1\]\.id: duplicate model id 1$"),
+            (("models", 0, "steps"), ["A", "Z", "C"],
+             r"^models\[0\]\.steps\[1\]: unknown service 'Z'$"),
+            (("models", 0, "steps"), ["A"], r"^models\[0\]\.steps must list 3 services, got 1$"),
+            (("arrival", "batch_models"), [[1], [2, 7]],
+             r"^arrival\.batch_models\[1\]: unknown model 7$"),
         ],
         ids=["cpu", "arrival", "sla", "weights", "steps", "batch_models", "btu_seconds", "loop",
              "fractional_int", "string", "bool", "nan", "time_limit_ms", "btu_max", "gap",
@@ -321,7 +337,11 @@ class TestParseScenario:
              "negative_ram_demand", "empty_batch", "pyramid_batch", "undrawable_loop", "zero_loop",
              "bare_parenthesis", "no_demand", "zero_duration", "negative_duration",
              "negative_pull", "negative_start", "negative_f_cpu", "negative_f_ram", "zero_cores",
-             "zero_price", "zero_pool_limit", "zero_btu", "negative_btu"],
+             "zero_price", "zero_pool_limit", "zero_btu", "negative_btu", "unknown_provider",
+             "private_without_limit", "sla_factor_one", "unknown_penalty_policy",
+             "unknown_arrival_kind", "duplicate_service", "duplicate_vm_type",
+             "duplicate_model_id", "unknown_step_service", "step_count",
+             "unknown_batch_model"],
     )
     def test_mistyped_value_rejected(self, path, value, error):
         raw = yaml.safe_load(preset_text("smoke"))

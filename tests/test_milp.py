@@ -390,6 +390,82 @@ class TestAssembled:
         assert a.integral.tolist() == [True, False, True]
         assert prob.activity(np.array([1.0, 2.5, 2.0])).tolist() == [5.0, 0.0, 0.0]
 
+    ROWS = [  # (cols, coefs, relation, rhs), zero terms and an empty row too
+        ([0, 2], [1.0, 2.0], "<=", 4.0),
+        ([], [], ">=", -1.0),
+        ([1], [0.0], ">=", 0.0),
+        ([2, 0, 1], [-1.5, 3.0, 0.25], "=", 1.5),
+        ([1, 2], [1, -1], "<=", 0),
+    ]
+    BOUNDS = {"<=": lambda rhs: (-math.inf, rhs), ">=": lambda rhs: (rhs, math.inf),
+              "=": lambda rhs: (rhs, rhs)}
+
+    def columns(self):
+        prob = MilpProblem()
+        prob.add_var("a", BOOLEAN)
+        prob.add_vars(["b", "c"], INTEGER, 0, 3)
+        return prob
+
+    @pytest.mark.parametrize("split", [0, 2, 5])
+    def test_bulk_rows_match_single_rows(self, split):
+        single, bulk = self.columns(), self.columns()
+        for row in self.ROWS:
+            single.add_row(*row)
+        for start, part in ((0, self.ROWS[:split]), (split, self.ROWS[split:])):
+            bounds = [self.BOUNDS[relation](rhs) for _, _, relation, rhs in part]
+            first = bulk.add_rows(
+                [col for cols, _, _, _ in part for col in cols],
+                [coef for _, coefs, _, _ in part for coef in coefs],
+                [len(cols) for cols, _, _, _ in part],
+                [lo for lo, _ in bounds],
+                [hi for _, hi in bounds],
+            )
+            assert first == start
+        for name in ("indptr", "indices", "data", "row_lower", "row_upper"):
+            assert getattr(bulk, name) == getattr(single, name), name
+        x = np.array([1.0, 2.0, 3.0])
+        activity = [7.0, 0.0, 0.0, -1.0, -1.0]
+        assert bulk.activity(x).tolist() == single.activity(x).tolist() == activity
+        for row in range(len(self.ROWS)):
+            assert bulk.row_relation(row) == single.row_relation(row) == self.ROWS[row][2:]
+
+    def test_bulk_rows_refuse_mismatched_lengths(self):
+        prob = self.columns()
+        with pytest.raises(ValueError, match="2 rows"):
+            prob.add_rows([0, 1, 2], [1.0, 1.0, 1.0], [1, 1], [0.0, 0.0], [1.0, 1.0])
+        assert (prob.indptr, prob.indices, prob.row_lower) == ([0], [], [])
+
+    def test_bulk_columns_match_single_columns(self):
+        single, bulk = MilpProblem(), MilpProblem()
+        for name in ("x", "y", "z"):
+            single.add_var(name, BOOLEAN)
+        assert bulk.add_vars(["x", "y", "z"], BOOLEAN) == 0
+        assert bulk.add_vars([], INTEGER) == 3
+        for name in ("names", "domains", "lower", "upper", "cost"):
+            assert getattr(bulk, name) == getattr(single, name), name
+        with pytest.raises(ValueError, match="lower 2 > upper 1"):
+            bulk.add_vars(["w", "v"], INTEGER, 2, 1)
+        assert bulk.num_vars == 3
+
+    def test_bounds_cached_as_arrays(self):
+        prob = self.columns()
+        for row in self.ROWS:
+            prob.add_row(*row)
+        a = prob.assembled()
+        for name in ("lower", "upper", "row_lower", "row_upper"):
+            array = getattr(a, name)
+            assert array.dtype == np.float64 and array.tolist() == getattr(prob, name), name
+        assert prob.assembled() is a
+        prob.add_var("d", CONTINUOUS, -1.0, 2.0)
+        assert prob.assembled().lower.tolist() == [0.0, 0.0, 0.0, -1.0]
+
+    def test_cost_changed_after_a_solve_reaches_the_next(self):
+        prob = knapsack()
+        assert solve(prob).values.tolist() == [1.0, 0.0]
+        prob.cost[0] = 20.0
+        second = solve(prob)
+        assert second.values.tolist() == [0.0, 1.0] and second.objective_value == 15.0
+
 
 class TestVerify:
     def test_clean_point(self):

@@ -89,9 +89,14 @@ class TestDecodeGapLimited:
 
     def padded(self, abc_services, prefix="fC__"):
         # Two parallel heads (one AND block) that miss the deadline by 32 s.
-        inst = instance("AND(s|s)", abc_services, ["A", "A"], deadline_ms=100_000)
+        # For the free-RAM helper, A demands RAM and free RAM is priced.
+        services, weights = abc_services, WEIGHTS
+        if prefix == "fR__":
+            services = dict(abc_services, A=service("A", cpu=45.0, duration_s=40, ram=256.0))
+            weights = dataclasses.replace(WEIGHTS, f_ram=0.001)
+        inst = instance("AND(s|s)", services, ["A", "A"], deadline_ms=100_000)
         types = {"p1": vm_type("p1", cores=1, cost=10.0)}
-        model = build(state([inst], abc_services, types), config())
+        model = build(state([inst], services, types), config(weights=weights))
         exact = milp.solve(model.problem, gap_tol=1e-9)
         (col,) = [i for i, n in enumerate(model.problem.names) if n.startswith(prefix)]
         values = exact.values.copy()
@@ -104,7 +109,7 @@ class TestDecodeGapLimited:
         )
         return model, exact, padded
 
-    @pytest.mark.parametrize("prefix", ["fC__", "eblk__", "eblkn__", "ep__"])
+    @pytest.mark.parametrize("prefix", ["fC__", "fR__", "eblk__", "eblkn__", "ep__"])
     def test_helper_repaired_to_its_floor(self, abc_services, prefix):
         model, exact, padded = self.padded(abc_services, prefix)
         plan = model.decode(padded)
