@@ -121,10 +121,13 @@ class FfsippModel:
         self._remaining: dict[int, worstcase.RemainingStructure] = {}
         # Continuous helpers and the rows that bound each from below, in
         # creation order: an instance's block remainders precede its e^p,
-        # which reads them. Decode and postponed set each at its floor.
+        # which reads them, and the instances' helpers, the first
+        # _penalty_helpers, precede the free-capacity ones. Decode sets each
+        # at its floor.
         self._helpers: list[tuple[int, list[int]]] = []
+        self._penalty_helpers = 0
         # helper -> per row: its columns, coefficients, -a and a * bound (see _floor)
-        self._bounds: dict[int, list[tuple[list[int], list[float], float, float]]] = {}
+        self._bounds: dict[int, list[_Piece]] = {}
         # The answer postponed certified: its helpers are at their floors and
         # its point passed milp.verify, so decode takes it as it is.
         self._certified: milp.MilpSolution | None = None
@@ -262,6 +265,7 @@ class FfsippModel:
         }
         for inst in state.instances:
             self._instance_rows(inst, schedulable[inst.id], lease_price, covered)
+        self._penalty_helpers = len(self._helpers)
 
         # Baseline type exclusivity.
         if self.baseline:
@@ -516,9 +520,10 @@ class FfsippModel:
             milp_values=values,
         )
 
-    def _floor(self, col: int, rows: list[int], values: list[float]) -> float:
+    def _floor(self, col: int, rows: list[int], values: list[float]) -> tuple[float, _Piece | None]:
         """Set helper ``col`` in ``values`` to the least value that its rows
-        allow, given the other columns' values, and return it. The floor is
+        allow, given the other columns' values, and return it with the row
+        piece that attains it (``None`` when the floor is 0). The floor is
         read off the model's own rows, so a point with every helper at its
         floor is exactly feasible on those rows.
 
@@ -540,42 +545,184 @@ class FfsippModel:
                 start, stop = p.indptr[row], p.indptr[row + 1]
                 bounds.append((p.indices[start:stop], p.data[start:stop], -a, a * bound))
         values[col] = 0.0
-        floor = 0.0
-        for cols, coefs, sign, shift in bounds:
-            row_sum = sum(map(mul, coefs, map(values.__getitem__, cols)))
-            floor = max(floor, 0.0 + sign * row_sum + shift)
+        floor, active = 0.0, None
+        for piece in bounds:
+            cols, coefs, sign, shift = piece
+            value = 0.0 + sign * sum(map(mul, coefs, map(values.__getitem__, cols))) + shift
+            if value > floor:
+                floor, active = value, piece
         values[col] = floor
-        return floor
+        return floor, active
 
     def postponed(self) -> milp.MilpSolution | None:
         """The answer that places nothing and leases nothing, certified
-        optimal without a solver, or ``None`` when that cannot be shown.
+        without a solver as the only plan HiGHS can return at the config's
+        gap, or ``None`` when that cannot be shown.
 
-        With every cost at least 0 and every lower bound 0, no point costs
-        less than 0. The point with every integer column at 0 and every
-        helper at its floor costs exactly 0 when no helper with a positive
-        cost has a positive floor; if it also passes ``milp.verify``, 0 is a
-        proven bound that this point attains. As every placement and lease
-        column costs more than 0, each of them is 0 in every optimum, so
-        any exact solver's plan is this one. ``decode`` takes this answer as
-        it is, and its point, verified here, needs no second ``milp.verify``.
+        P0 has every integer column at 0 and every helper at its floor
+        (decode's rule); it costs C0, the sum of rate_i * e^p_i. With every
+        lower bound 0 and every cost but a placement's at least 0, a point
+        that places steps costs at least C0 plus ``M_v`` for some VM v it
+        uses (see ``_least_use``), with each placement priced at its cost
+        less the most it can cut from its instance's penalty (see
+        ``_net_costs``); a lease alone costs at least C0 plus its price.
+        Once the least of these, M, exceeds ``gap * C0 / (1 - gap)`` (with
+        margin), HiGHS can accept no incumbent that places or leases: its
+        dual bound is at most C0, so neither its relative gap nor its
+        absolute gap (1e-6) closes. Every answer it can return then has
+        x = y = 0, which decode floors to P0's helper values: the same plan
+        and wake-up. (A use flag or baseline type flag set alone changes no
+        placement, lease, e^p or e_i.) P0 is then optimal, so C0 is its
+        proven bound. With C0 = 0 this is the rule that every placement and
+        lease costs more than the gap's margin. ``decode`` takes the answer
+        as it is; its point, verified here, needs no second ``milp.verify``.
         """
         p = self.problem
         cost = p.cost
-        if any(p.lower) or not all(0.0 <= c < math.inf for c in cost):
+        gap = self.config.gap_tol
+        # sum(cost) is finite only if every cost is
+        if any(p.lower) or not math.isfinite(sum(cost)) or not gap < 1.0:
             return None
-        if not all(cost[y] > 0.0 for y in self._y.values()):
-            return None
-        if not all(cost[x[0]] > 0.0 for vm_x in self._vm_x.values() for x in vm_x):
-            return None
+        # A free-capacity helper stays at 0 in P0, where every use flag is 0;
+        # milp.verify below confirms it.
         values = [0.0] * p.num_vars
-        for col, rows in self._helpers:
-            if self._floor(col, rows, values) and cost[col]:
+        active: dict[int, _Piece | None] = {}
+        penalties = set(self._ep.values())
+        owed: list[tuple[int, float]] = []  # e^p column and rate * e^p at P0
+        for col, rows in self._helpers[: self._penalty_helpers]:
+            floor, active[col] = self._floor(col, rows, values)
+            if floor and cost[col]:
+                if col not in penalties:
+                    return None
+                owed.append((col, cost[col] * floor))
+        c0 = sum((c for _, c in owed), 0.0)
+        threshold = 1.01 * gap * max(1.0, c0) / (1.0 - gap) + 1e-5
+        net = self._net_costs(owed, active)
+        if net is None or not self._least_use(net, threshold):
+            return None
+        # Only a placement may cost less than 0 or cut a penalty.
+        if net is not cost or min(cost) < 0.0:
+            placements = {x[0] for vm_x in self._vm_x.values() for x in vm_x}
+            if any(
+                (n < 0.0 or n != c) and col not in placements
+                for col, (n, c) in enumerate(zip(net, cost))
+            ):
                 return None
         if milp.verify(p, values):
             return None
-        self._certified = milp.MilpSolution(milp.OPTIMAL, np.array(values), 0.0, 0.0)
+        self._certified = milp.MilpSolution(milp.OPTIMAL, np.array(values), c0, c0)
         return self._certified
+
+    def _net_costs(
+        self, owed: list[tuple[int, float]], active: dict[int, _Piece | None]
+    ) -> list[float] | None:
+        """Each column's cost less the most that setting it to 1 can cut
+        from the owed penalties (``cost`` itself when nothing is owed), or
+        ``None`` when a helper's piece cannot be bounded.
+
+        At P0 each helper's floor is one affine piece of the other columns,
+        or 0. Since the floor is their maximum, the helper is at least that
+        piece at every point: ``e >= e(P0) - sum(s_x * x)``, read off the
+        row, where a helper term is replaced by its own piece (which needs
+        its coefficient to be at least 0). As ``e^p_i >= 0``, the penalty
+        ``C0_i`` is cut by at most ``sum(min(C0_i, rate_i * s_x) * x)``."""
+        memo: dict[int, dict[int, float]] = {}
+
+        def slopes(col: int) -> dict[int, float] | None:
+            """Column -> how much 1 unit of it lowers helper ``col``."""
+            if col in memo:
+                return memo[col]
+            s = memo[col] = {}
+            piece = active[col]
+            if piece is None:
+                return s
+            cols, coefs, sign, _ = piece
+            for k, coef in zip(cols, coefs):
+                if k == col:
+                    continue
+                a = sign * coef  # the term's weight in the floor
+                if k in active:
+                    inner = slopes(k) if a >= 0.0 else None
+                    if inner is None:
+                        return None
+                    for j, v in inner.items():
+                        s[j] = s.get(j, 0.0) + a * v
+                else:
+                    s[k] = s.get(k, 0.0) - a
+            return s
+
+        cost = self.problem.cost
+        if not owed:
+            return cost
+        net = list(cost)
+        for ep, owed_i in owed:
+            s = slopes(ep)
+            if s is None:
+                return None
+            rate = cost[ep]
+            for k, v in s.items():
+                if v > 0.0:
+                    net[k] -= min(owed_i, rate * v)
+        return net
+
+    def _least_use(self, net: list[float], threshold: float) -> bool:
+        """Whether every VM's ``M_v`` and every lease's price exceed
+        ``threshold``, with each placement priced at its ``net`` cost.
+
+        A VM used by a nonempty set of its placements costs at least the
+        BTUs one of them forces (at least 1 on a fresh VM) plus the
+        placements' net costs. Its free-capacity helpers add
+        ``f * (supply - running - used)``, or at least 0; the larger of the
+        two bounds counts. Over the nonempty sets, each sum is least for
+        the set of its negative terms, or else for its least term. A
+        placement that cannot fit beside the VM's running steps is 0 in
+        every point HiGHS accepts (10 times its feasibility tolerance), so
+        it is left out."""
+        cost, upper = self.problem.cost, self.problem.upper
+        w = self.config.weights
+        f_cpu, f_ram = w.f_cpu, w.f_ram
+        for vm in self.candidates:
+            y = self._y[vm.id]
+            if upper[y] and cost[y] <= threshold:
+                return False
+            vt = self.state.vm_types[vm.type_id]
+            running = self._running.get(vm.id, ())
+            room_cpu = vt.cpu_supply - sum(a.cpu_demand for a in running)
+            room_ram = vt.ram_supply - sum(a.ram_demand for a in running)
+            fit_cpu, fit_ram = room_cpu + _FIT_TOL, room_ram + _FIT_TOL
+            # Over the placements that fit: the least occupancy, and of the
+            # net costs c, and of c less f * demand, the negative sum and
+            # the least term.
+            least_occ = math.inf
+            negative = negative_free = 0.0
+            least = least_free = math.inf
+            for col, step, occ, _, _ in self._vm_x[vm.id]:
+                cpu, ram = step.cpu_demand, step.ram_demand
+                if cpu > fit_cpu or ram > fit_ram:
+                    continue
+                c = net[col]
+                c_free = c - f_cpu * cpu - f_ram * ram
+                if occ < least_occ:
+                    least_occ = occ
+                if c < least:
+                    least = c
+                if c_free < least_free:
+                    least_free = c_free
+                if c < 0.0:
+                    negative += c
+                if c_free < 0.0:
+                    negative_free += c_free
+            if least_occ == math.inf:
+                continue
+            btus = max(int(is_fresh_vm(vm.id)), -((vm.lease_remaining_ms - least_occ) // vt.btu_ms))
+            m_v = btus * cost[y] + max(
+                negative if negative < 0.0 else least,
+                f_cpu * room_cpu + f_ram * room_ram
+                + (negative_free if negative_free < 0.0 else least_free),
+            )
+            if m_v <= threshold:
+                return False
+        return True
 
     @staticmethod
     def _check_objective(total: float, solution: milp.MilpSolution):
@@ -599,6 +746,13 @@ BASELINE_DEPLOY_MS = 30_000
 
 _INF = math.inf
 _NEG_INF = -math.inf
+# How far a placement may exceed its VM's free room and still be certified
+# out: 10 times HiGHS's (and verify's) feasibility tolerance.
+_FIT_TOL = 10 * milp.FEAS_TOL
+
+# One row as _floor reads it: its columns, coefficients, -a and a * bound.
+_Piece = tuple[list[int], list[float], float, float]
+
 
 
 class _Rows:

@@ -128,7 +128,9 @@ class MetricsReport:
     rounds: int
     fallbacks: int
     verified_plans: int
-    rounds_without_highs: int  # decided by FfsippModel.postponed alone
+    # decided by FfsippModel.postponed alone: placing nothing and leasing
+    # nothing was the only plan HiGHS could return at the scenario's gap
+    rounds_without_highs: int
 
 
 class Simulator:
