@@ -14,7 +14,6 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -71,12 +70,13 @@ class MilpProblem:
     """Minimise ``cost @ x`` subject to bounds on each row of
     ``A @ x`` and bounds and integrality on each column of ``x``.
 
-    Columns carry parallel lists of name, domain, bounds and cost; rows are
-    appended straight into CSR arrays (``indptr``, ``indices``, ``data``)
-    with their bounds. Column names are metadata, read only by the LP text
-    format and error messages; rows are known by index (``c<i>`` in LP text).
-    All of it is append-only except the costs, which callers set after
-    adding a column.
+    Columns carry parallel lists of name, domain, bounds and cost. Rows
+    are added one at a time by ``add_row``, which appends each straight
+    into CSR arrays (``indptr``, ``indices``, ``data``) and its bounds into
+    ``row_lower`` and ``row_upper``. Column names are metadata, read only
+    by the LP text format and error messages; rows are known by index
+    (``c<i>`` in LP text). All of it is append-only except the costs, which
+    callers set after adding a column.
     """
 
     def __init__(self):
@@ -140,47 +140,20 @@ class MilpProblem:
             return first
         return len(self.names)
 
-    def add_row(self, cols, coefs, relation: str, rhs: float) -> int:
-        """Append the row ``sum(coefs[k] * x[cols[k]]) relation rhs`` and
-        return its index. A column appears at most once per row. Terms are
-        kept as given, zero coefficients too, for the LP text; ``assembled``
-        drops the zeros."""
-        if relation == "<=":
-            self.row_lower.append(_NEG_INF)
-            self.row_upper.append(rhs)
-        elif relation == ">=":
-            self.row_lower.append(rhs)
-            self.row_upper.append(_INF)
-        elif relation == "=":
-            self.row_lower.append(rhs)
-            self.row_upper.append(rhs)
-        else:
-            raise ValueError(f"bad relation {relation!r}")
-        self.indices.extend(cols)
-        self.data.extend(coefs)
+    def add_row(self, cols, coefs, lower: float, upper: float) -> int:
+        """Append the row ``lower <= sum(coefs[k] * x[cols[k]]) <= upper``,
+        with ``-inf`` or ``inf`` for an open side, and return its index. A
+        column appears at most once per row. Terms are kept as given, zero
+        coefficients too, for the LP text; ``assembled`` drops the zeros.
+        Nothing is appended if ``cols`` and ``coefs`` differ in length."""
+        if len(cols) != len(coefs):
+            raise ValueError(f"{len(cols)} columns and {len(coefs)} coefficients")
+        self.indices += cols
+        self.data += coefs
         self.indptr.append(len(self.indices))
+        self.row_lower.append(lower)
+        self.row_upper.append(upper)
         return len(self.row_lower) - 1
-
-    def add_rows(self, cols, coefs, sizes, lower, upper) -> int:
-        """Append rows in bulk and return the index of the first: row ``k``
-        takes the next ``sizes[k]`` terms of ``cols`` and ``coefs`` and
-        reads ``lower[k] <= row <= upper[k]``, with ``-inf`` or ``inf`` for
-        the side ``add_row`` leaves open. Nothing is appended if the
-        lengths disagree."""
-        n = len(sizes)
-        if len(lower) != n or len(upper) != n or not len(coefs) == len(cols) == sum(sizes):
-            raise ValueError(
-                f"{n} rows with {len(lower)} lower and {len(upper)} upper bounds, and "
-                f"{len(cols)} columns and {len(coefs)} coefficients for {sum(sizes)} terms"
-            )
-        first = len(self.row_lower)
-        self.row_lower.extend(lower)
-        self.row_upper.extend(upper)
-        self.indices.extend(cols)
-        self.data.extend(coefs)
-        # accumulate yields its initial value, the last row's end, first
-        self.indptr.extend(accumulate(sizes, initial=self.indptr.pop()))
-        return first
 
     def integral(self) -> np.ndarray:
         """Mask of the columns with an integer domain (shared: do not modify)."""
@@ -225,13 +198,17 @@ class MilpProblem:
         return self._cache[1]
 
     def row_relation(self, row: int) -> tuple[str, float]:
-        """The row as ``relation, rhs``, the way ``add_row`` took it."""
+        """The row as ``relation, rhs``: ``<=`` or ``>=`` for a row open on
+        one side, ``=`` for one whose bounds meet. A ranged or free row has
+        no such form, and raises ``ValueError``."""
         lo, hi = self.row_lower[row], self.row_upper[row]
-        if lo == -math.inf:
+        if lo == _NEG_INF and hi != _INF:
             return "<=", hi
-        if hi == math.inf:
+        if hi == _INF and lo != _NEG_INF:
             return ">=", lo
-        return "=", lo
+        if lo == hi:
+            return "=", lo
+        raise ValueError(f"row {row} has bounds {lo} and {hi}: neither <=, >= nor =")
 
     def row_terms(self, row: int) -> tuple[list[int], list[float]]:
         """The row's columns and coefficients, in the order they were added."""

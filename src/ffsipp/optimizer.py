@@ -227,7 +227,6 @@ class FfsippModel:
         need: dict[str, int] = {}
         fresh = {vm.id for vm in self.candidates if is_fresh_vm(vm.id)}
         leasing = self._terms["leasing"]
-        rows = _Rows(p.num_rows)
         for vm in self.candidates:
             vt = vm_types[vm.type_id]
             need[vm.id] = math.ceil(max(0, horizon[vm.id] - vm.lease_remaining_ms) / vt.btu_ms)
@@ -240,7 +239,7 @@ class FfsippModel:
             else:
                 g = self._g[vm.id] = p.add_var(f"g__{vm.id}", milp.BOOLEAN, 0, 1)
                 if vm.id in fresh:
-                    rows.add((g, y), (1, -1), _NEG_INF, 0)
+                    p.add_row((g, y), (1, -1), _NEG_INF, 0)
 
         # Symmetry breaking among anonymous fresh candidates of one type.
         by_type: dict[str, list[VmSnapshot]] = {}
@@ -249,8 +248,7 @@ class FfsippModel:
                 by_type.setdefault(vm.type_id, []).append(vm)
         for group in by_type.values():
             for a, b in zip(group, group[1:]):
-                rows.add((self._g[a.id], self._g[b.id]), (1, -1), 0, _INF)
-        rows.emit(p)
+                p.add_row((self._g[a.id], self._g[b.id]), (1, -1), 0, _INF)
 
         # Placement variables and per-instance rows. A placement pays its
         # VM's remaining lease; one that outlasts a lease needs a coverage
@@ -274,7 +272,6 @@ class FfsippModel:
         # Capacity, free capacity, usage link per VM. A capacity row with no
         # placement term only restates that the running steps fit, which
         # is checked here instead.
-        rows = _Rows(p.num_rows)
         for vm in self.candidates:
             vt = vm_types[vm.type_id]
             y, g = self._y[vm.id], self._g[vm.id]
@@ -297,36 +294,31 @@ class FfsippModel:
             cols_ram = [x[0] for x in vm_x if x[1].ram_demand]
             ram = [x[1].ram_demand for x in vm_x if x[1].ram_demand]
             if cols_cpu:
-                rows.add(cols_cpu, cpu, _NEG_INF, vt.cpu_supply - run_cpu)
+                p.add_row(cols_cpu, cpu, _NEG_INF, vt.cpu_supply - run_cpu)
             if cols_ram:
-                rows.add(cols_ram, ram, _NEG_INF, vt.ram_supply - run_ram)
-            if cols:
-                rows.links(cols, g)  # a placement uses its VM
+                p.add_row(cols_ram, ram, _NEG_INF, vt.ram_supply - run_ram)
+            for col in cols:
+                p.add_row((col, g), (1.0, -1.0), _NEG_INF, 0)  # a placement uses its VM
             if w.f_cpu:
-                self._free_row(rows, f"fC__{vm.id}", cols_cpu, cpu, g, vt.cpu_supply, run_cpu,
-                               w.f_cpu)
+                self._free_row(f"fC__{vm.id}", cols_cpu, cpu, g, vt.cpu_supply, run_cpu, w.f_cpu)
             if w.f_ram:
-                self._free_row(rows, f"fR__{vm.id}", cols_ram, ram, g, vt.ram_supply, run_ram,
-                               w.f_ram)
+                self._free_row(f"fR__{vm.id}", cols_ram, ram, g, vt.ram_supply, run_ram, w.f_ram)
             # Lease coverage for running steps.
             if max_run > vm.lease_remaining_ms:
-                rows.add((y,), (float(vt.btu_ms),), max_run - vm.lease_remaining_ms, _INF)
+                p.add_row((y,), (float(vt.btu_ms),), max_run - vm.lease_remaining_ms, _INF)
             if g != y and vm.id in fresh:
-                rows.add((y, g), (1.0, -float(need[vm.id])), _NEG_INF, 0)
-        rows.emit(p)
+                p.add_row((y, g), (1.0, -float(need[vm.id])), _NEG_INF, 0)
 
-    def _free_row(self, rows: _Rows, name: str, cols, coefs, g: int, supply: float, run: float,
-                  weight: float):
+    def _free_row(self, name: str, cols, coefs, g: int, supply: float, run: float, weight: float):
         """f >= supply*g - used  <=>  f + used - supply*g >= -running_load,
         for a weighted free capacity f (an unweighted f cannot change the
         answer, so it is left out)."""
         f = self.problem.add_var(name, milp.CONTINUOUS, 0, math.inf)
         self._terms["free_capacity"][0].append(f)
         self._terms["free_capacity"][1].append(weight)
-        self._helpers.append((f, [rows.next]))
         if supply:
             cols, coefs = cols + [g], coefs + [-supply]
-        rows.add(cols + [f], coefs + [1.0], -run, _INF)
+        self._helpers.append((f, [self.problem.add_row(cols + [f], coefs + [1.0], -run, _INF)]))
 
     def _instance_rows(self, inst: ProcessInstance, schedulable, lease_price, covered):
         cfg, w = self.config, self.config.weights
@@ -339,7 +331,6 @@ class FfsippModel:
         deployment = self._terms["deployment"]
         remaining_lease = self._terms["remaining_lease"]
         importance = self._terms["importance"]
-        rows = _Rows(p.num_rows)
 
         # Placement variables with their objective contributions, in column
         # order. Baseline deployments are priced per type variable instead
@@ -360,8 +351,8 @@ class FfsippModel:
                 # already covers it.
                 if occ > vm.lease_remaining_ms and vm.id in covered:
                     y, btu_ms = covered[vm.id]
-                    rows.add((col, y), (float(occ), -float(btu_ms)), _NEG_INF,
-                             vm.lease_remaining_ms)
+                    p.add_row((col, y), (float(occ), -float(btu_ms)), _NEG_INF,
+                              vm.lease_remaining_ms)
             if deploy:
                 uncached = [
                     col for col, (vm, _) in zip(cols, cands)
@@ -379,7 +370,7 @@ class FfsippModel:
                 importance[1].extend([urgency] * len(cols))
             # At most one VM per step.
             if cols:
-                rows.add(cols, (1.0,) * len(cols), _NEG_INF, 1)
+                p.add_row(cols, (1.0,) * len(cols), _NEG_INF, 1)
 
         # Block variables for AND/XOR remainders that depend on this round.
         # A scheduled branch head replaces its worst-case coefficient with the
@@ -402,8 +393,7 @@ class FfsippModel:
                             if coef + eps - occ:
                                 cols.append(col)
                                 reds.append(float(coef + eps - occ))
-                    own.append(rows.next)
-                    rows.add(cols, reds, const, _INF)
+                    own.append(p.add_row(cols, reds, const, _INF))
             for b, b_cols, own in zip(pair, block_cols, b_rows):
                 b_cols.append(b)
                 self._helpers.append((b, own))
@@ -417,7 +407,7 @@ class FfsippModel:
 
         # Every schedulable step is either reduced in sequence or a block head.
         ex_run = self._ex_run.get(inst.id, 0)
-        self._helpers.append((ep, [rows.next, rows.next + 1]))
+        self._helpers.append((ep, [p.num_rows, p.num_rows + 1]))
         for eps, b_cols, run in ((0, block_cols[0], ex_run), (cfg.epsilon_ms, block_cols[1], 0)):
             cols, coefs = [], []
             for j, red in rs.step_reduction_ms.items():
@@ -426,15 +416,13 @@ class FfsippModel:
                         cols.append(col)
                         coefs.append(float(occ - red - eps))
             rhs = inst.deadline_ms - (tau + eps) - run - float(rs.constant_ms)
-            rows.add(cols + b_cols + [ep], coefs + [1.0] * len(b_cols) + [-1.0], _NEG_INF, rhs)
-        rows.emit(p)
+            p.add_row(cols + b_cols + [ep], coefs + [1.0] * len(b_cols) + [-1.0], _NEG_INF, rhs)
 
     def _baseline_rows(self):
         """One service type per VM: u variables, x <= u, exclusivity."""
         w = self.config.weights
         p = self.problem
         deployment = self._terms["deployment"]
-        rows = _Rows(p.num_rows)
         for vm in self.candidates:
             per_service: dict[str, list[int]] = {}
             for col, step, *_ in self._vm_x[vm.id]:
@@ -445,7 +433,8 @@ class FfsippModel:
             for svc, x_cols in per_service.items():
                 u = p.add_var(f"u__{svc}__{vm.id}", milp.BOOLEAN, 0, 1)
                 u_cols.append(u)
-                rows.links(x_cols, u)
+                for x in x_cols:
+                    p.add_row((x, u), (1.0, -1.0), _NEG_INF, 0)
                 price = w.z * BASELINE_DEPLOY_MS / 1000.0
                 if svc != vm.offered_service and price:
                     deployment[0].append(u)
@@ -453,8 +442,7 @@ class FfsippModel:
             # Non-idle VMs are locked to their current type; the candidate
             # filter already restricts their placements, so u for that type
             # is the only one present here.
-            rows.add(u_cols, (1.0,) * len(u_cols), _NEG_INF, 1)
-        rows.emit(p)
+            p.add_row(u_cols, (1.0,) * len(u_cols), _NEG_INF, 1)
 
     # -- decoding ----------------------------------------------------------
 
@@ -752,48 +740,6 @@ _FIT_TOL = 10 * milp.FEAS_TOL
 
 # One row as _floor reads it: its columns, coefficients, -a and a * bound.
 _Piece = tuple[list[int], list[float], float, float]
-
-
-
-class _Rows:
-    """Rows gathered in order for one ``MilpProblem.add_rows`` call, the
-    first of which gets index ``first``."""
-
-    def __init__(self, first: int):
-        self.first = first
-        self.cols: list[int] = []
-        self.coefs: list[float] = []
-        self.sizes: list[int] = []
-        self.lower: list[float] = []
-        self.upper: list[float] = []
-
-    @property
-    def next(self) -> int:
-        """The index the next row added will get."""
-        return self.first + len(self.sizes)
-
-    def add(self, cols, coefs, lower: float, upper: float):
-        """One row ``lower <= sum(coefs[k] * x[cols[k]]) <= upper``, with
-        ``-inf`` or ``inf`` for an open side."""
-        self.cols += cols
-        self.coefs += coefs
-        self.sizes.append(len(cols))
-        self.lower.append(lower)
-        self.upper.append(upper)
-
-    def links(self, cols: list[int], flag: int):
-        """One row ``x - flag <= 0`` per column ``x`` in ``cols``."""
-        n = len(cols)
-        self.cols += [k for col in cols for k in (col, flag)]
-        self.coefs += (1.0, -1.0) * n
-        self.sizes += (2,) * n
-        self.lower += (_NEG_INF,) * n
-        self.upper += (0,) * n
-
-    def emit(self, p: milp.MilpProblem):
-        """Append the gathered rows to ``p``, whose next row must be ``first``."""
-        if p.add_rows(self.cols, self.coefs, self.sizes, self.lower, self.upper) != self.first:
-            raise ValueError("rows were added to the problem while these were gathered")
 
 
 def _within(cpu: float, ram: float, vt: VmType) -> bool:

@@ -30,13 +30,6 @@ def step_coefficient_ms(step: StepState, services: dict[str, ServiceType], delta
     return step.expected_ms + svc.container_start_ms + svc.image_pull_ms + delta_ms
 
 
-def overhead_sum_ms(
-    steps: list[StepState], services: dict[str, ServiceType], delta_ms: int
-) -> int:
-    """Sum of worst-case step coefficients over a path or sequence."""
-    return sum(step_coefficient_ms(s, services, delta_ms) for s in steps)
-
-
 @dataclass
 class BlockTerm:
     """One AND/XOR block whose value depends on this round's assignments.

@@ -1,4 +1,5 @@
 import importlib.resources
+import math
 import pathlib
 import tempfile
 
@@ -73,8 +74,11 @@ def remaining_duration(inst, services, delta_ms, scheduled=None) -> int:
     def pending(indices):
         return [inst.steps[i] for i in indices if inst.steps[i].status == landscape.PENDING]
 
+    def coefficient_sum(steps):
+        return sum(worstcase.step_coefficient_ms(s, services, delta_ms) for s in steps)
+
     def path_value(indices):
-        total = worstcase.overhead_sum_ms(pending(indices), services, delta_ms)
+        total = coefficient_sum(pending(indices))
         return total - sum(scheduled.get(i, 0) for i in indices)
 
     e_i = path_value(dec.seq_steps)
@@ -83,7 +87,7 @@ def remaining_duration(inst, services, delta_ms, scheduled=None) -> int:
     for node_id, body, reps in dec.loops:
         if not pending(body):
             continue
-        full = worstcase.overhead_sum_ms([inst.steps[i] for i in body], services, delta_ms)
+        full = coefficient_sum([inst.steps[i] for i in body])
         future = max(0, reps - inst.loop_iters_done.get(node_id, 0) - 1)
         e_i += max(0, path_value(body)) + future * full
     return e_i
@@ -152,6 +156,11 @@ def preset_text(name):
 @pytest.fixture
 def smoke_scenario():
     return landscape.parse_scenario(preset_text("smoke"))
+
+
+def row_bounds(relation: str, rhs: float) -> tuple[float, float]:
+    """``(lower, upper)`` for ``MilpProblem.add_row`` of the row ``... relation rhs``."""
+    return {"<=": (-math.inf, rhs), ">=": (rhs, math.inf), "=": (rhs, rhs)}[relation]
 
 
 def sparse_matrix(problem: milp.MilpProblem) -> sparse.csr_array:

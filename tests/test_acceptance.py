@@ -17,7 +17,14 @@ from ffsipp import experiment, landscape, milp, optimizer, sim, worstcase
 from ffsipp.landscape import Weights
 from ffsipp.milp import BOOLEAN, CONTINUOUS, INTEGER, MilpProblem
 
-from .conftest import assert_highs_reads_back, instance, preset_text, remaining_duration, vm_type
+from .conftest import (
+    assert_highs_reads_back,
+    instance,
+    preset_text,
+    remaining_duration,
+    row_bounds,
+    vm_type,
+)
 from .oracle import enumerate_oracle
 
 SEEDS = (1, 2, 3)
@@ -75,7 +82,7 @@ def random_problem(rng: np.random.Generator) -> MilpProblem:
     for _ in range(int(rng.integers(1, 5))):
         sense = ("<=", ">=", "=")[int(rng.integers(0, 3))]
         rhs = round(float(rng.uniform(-5, 15)), 2)
-        problem.add_row(*expr(), sense, rhs)
+        problem.add_row(*expr(), *row_bounds(sense, rhs))
     for col, coef in zip(*expr()):
         problem.cost[col] = coef
     return problem

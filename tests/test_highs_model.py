@@ -16,9 +16,10 @@ Two simulations are pinned: ``constant_lenient_light`` cut to 10 requests,
 under the top-level keys, and smoke with service A demanding 512 MB of RAM
 and free RAM priced (``weights.f_ram``), under ``"ram"``; no bundled preset
 has RAM demand, so only the second run builds RAM capacity rows and ``fR__``
-helpers. The second run was generated from the builder that emitted one
-``add_row`` call per row, and the builder that gathers each section's rows
-into one ``add_rows`` call reproduces both runs.
+helpers. The second run was generated from a builder that added each row
+by its own call. A builder that gathered each section's rows into one bulk
+call reproduced both runs, and so does the builder that again adds each row
+by ``MilpProblem.add_row(cols, coefs, lower, upper)``.
 
 The model digests were re-pinned when the builder stopped emitting rows and
 columns that cannot change a round's answer: unweighted free-capacity

@@ -22,7 +22,7 @@ from ffsipp.milp import (
     verify,
 )
 
-from .conftest import assert_highs_reads_back, preset_text, sparse_matrix
+from .conftest import assert_highs_reads_back, preset_text, row_bounds, sparse_matrix
 from .oracle import enumerate_oracle
 
 
@@ -35,7 +35,7 @@ def problem(variables, rows=()):
         index[name] = prob.add_var(name, domain, lower, upper)
         prob.cost[index[name]] = cost
     for terms, relation, rhs in rows:
-        prob.add_row([index[n] for n in terms], terms.values(), relation, rhs)
+        prob.add_row([index[n] for n in terms], terms.values(), *row_bounds(relation, rhs))
     return prob
 
 
@@ -59,7 +59,7 @@ def market_split(m=4, seed=0):
         over, under = prob.add_var(f"over{i}"), prob.add_var(f"under{i}")
         prob.cost[over] = prob.cost[under] = 1.0
         coefs = [*map(float, row), -1.0, 1.0]
-        prob.add_row(items + [over, under], coefs, "=", float(row.sum() // 2))
+        prob.add_row(items + [over, under], coefs, *row_bounds("=", float(row.sum() // 2)))
     return prob
 
 
@@ -397,8 +397,7 @@ class TestAssembled:
         ([2, 0, 1], [-1.5, 3.0, 0.25], "=", 1.5),
         ([1, 2], [1, -1], "<=", 0),
     ]
-    BOUNDS = {"<=": lambda rhs: (-math.inf, rhs), ">=": lambda rhs: (rhs, math.inf),
-              "=": lambda rhs: (rhs, rhs)}
+    CSR = ("indptr", "indices", "data", "row_lower", "row_upper")
 
     def columns(self):
         prob = MilpProblem()
@@ -406,34 +405,41 @@ class TestAssembled:
         prob.add_vars(["b", "c"], INTEGER, 0, 3)
         return prob
 
-    @pytest.mark.parametrize("split", [0, 2, 5])
-    def test_bulk_rows_match_single_rows(self, split):
-        single, bulk = self.columns(), self.columns()
-        for row in self.ROWS:
-            single.add_row(*row)
-        for start, part in ((0, self.ROWS[:split]), (split, self.ROWS[split:])):
-            bounds = [self.BOUNDS[relation](rhs) for _, _, relation, rhs in part]
-            first = bulk.add_rows(
-                [col for cols, _, _, _ in part for col in cols],
-                [coef for _, coefs, _, _ in part for coef in coefs],
-                [len(cols) for cols, _, _, _ in part],
-                [lo for lo, _ in bounds],
-                [hi for _, hi in bounds],
-            )
-            assert first == start
-        for name in ("indptr", "indices", "data", "row_lower", "row_upper"):
-            assert getattr(bulk, name) == getattr(single, name), name
-        x = np.array([1.0, 2.0, 3.0])
-        activity = [7.0, 0.0, 0.0, -1.0, -1.0]
-        assert bulk.activity(x).tolist() == single.activity(x).tolist() == activity
-        for row in range(len(self.ROWS)):
-            assert bulk.row_relation(row) == single.row_relation(row) == self.ROWS[row][2:]
-
-    def test_bulk_rows_refuse_mismatched_lengths(self):
+    def with_rows(self):
         prob = self.columns()
-        with pytest.raises(ValueError, match="2 rows"):
-            prob.add_rows([0, 1, 2], [1.0, 1.0, 1.0], [1, 1], [0.0, 0.0], [1.0, 1.0])
-        assert (prob.indptr, prob.indices, prob.row_lower) == ([0], [], [])
+        for k, (cols, coefs, relation, rhs) in enumerate(self.ROWS):
+            assert prob.add_row(cols, coefs, *row_bounds(relation, rhs)) == k
+        return prob
+
+    def test_rows_append_as_csr(self):
+        prob = self.with_rows()
+        assert prob.indptr == [0, 2, 2, 3, 6, 8]
+        assert prob.indices == [0, 2, 1, 2, 0, 1, 1, 2]
+        assert prob.data == [1.0, 2.0, 0.0, -1.5, 3.0, 0.25, 1, -1]
+        assert prob.row_lower == [-math.inf, -1.0, 0.0, 1.5, -math.inf]
+        assert prob.row_upper == [4.0, math.inf, math.inf, 1.5, 0]
+        assert prob.activity(np.array([1.0, 2.0, 3.0])).tolist() == [7.0, 0.0, 0.0, -1.0, -1.0]
+        for row, (cols, coefs, relation, rhs) in enumerate(self.ROWS):
+            assert prob.row_relation(row) == (relation, rhs)
+            assert prob.row_terms(row) == (cols, coefs)
+
+    def test_row_refuses_mismatched_lengths(self):
+        prob = self.columns()
+        prob.add_row([0], [1.0], 0.0, 1.0)
+        before = [list(getattr(prob, name)) for name in self.CSR]
+        with pytest.raises(ValueError, match="2 columns and 1 coefficients"):
+            prob.add_row([1, 2], [1.0], 0.0, 1.0)
+        assert [getattr(prob, name) for name in self.CSR] == before
+
+    @pytest.mark.parametrize("lower, upper", [(1.0, 3.0), (-math.inf, math.inf)])
+    def test_ranged_or_free_row_has_no_relation(self, lower, upper):
+        # Neither row reads "relation rhs": "= lower" would misstate the
+        # ranged row that HiGHS solves, and "<= inf" is no LP text.
+        prob = problem([("x", CONTINUOUS, 0, 10, -1.0)])
+        prob.add_row([0], [1.0], lower, upper)
+        assert solve(prob).values.tolist() == [min(upper, 10.0)]
+        with pytest.raises(ValueError, match="row 0 has bounds"):
+            export_lp(prob)
 
     def test_bulk_columns_match_single_columns(self):
         single, bulk = MilpProblem(), MilpProblem()
@@ -448,9 +454,7 @@ class TestAssembled:
         assert bulk.num_vars == 3
 
     def test_bounds_cached_as_arrays(self):
-        prob = self.columns()
-        for row in self.ROWS:
-            prob.add_row(*row)
+        prob = self.with_rows()
         a = prob.assembled()
         for name in ("lower", "upper", "row_lower", "row_upper"):
             array = getattr(a, name)

@@ -13,7 +13,8 @@ DELTA = 60_000
 class TestStepCoefficients:
     def test_two_a_steps(self, abc_services):
         inst = instance("s,s", abc_services, ["A", "A"])
-        assert worstcase.overhead_sum_ms(inst.steps, abc_services, DELTA) == 264_000
+        coefficients = [worstcase.step_coefficient_ms(s, abc_services, DELTA) for s in inst.steps]
+        assert sum(coefficients) == 264_000
 
     def test_one_c_step(self, abc_services):
         inst = instance("s", abc_services, ["C"])
