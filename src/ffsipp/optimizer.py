@@ -4,7 +4,8 @@ solution into a plan, and compute the next optimization wake-up.
 Steps are placed directly on (candidate) VM instances; containers are
 introduced afterwards by the controller transformation. The baseline
 variant (one service type per VM) reuses this builder via its ``baseline``
-flag, adding per-VM type-exclusivity variables.
+flag, adding a type flag per service on each VM that can still choose its
+type.
 """
 from __future__ import annotations
 
@@ -419,30 +420,38 @@ class FfsippModel:
             p.add_row(cols + b_cols + [ep], coefs + [1.0] * len(b_cols) + [-1.0], _NEG_INF, rhs)
 
     def _baseline_rows(self):
-        """One service type per VM: u variables, x <= u, exclusivity."""
-        w = self.config.weights
+        """One service type per VM. A VM that can still choose its type gets
+        a flag u per service it has placements of, priced at the flat
+        deployment, and x <= u for each placement.
+
+        A VM locked to its type (``offered_service`` set) gets no flags: its
+        placements are all of that type, and their x <= g links say all its
+        flag would. A VM with two or more flags gets sum(u) <= g, its use
+        flag (Wolsey's disaggregated facility-location row): an LP point can
+        then offer a VM open to 0.3 to at most 0.3 of one type, not to two.
+        With one flag the row cuts nothing from the LP, since u = max x <= g
+        already meets it, yet HiGHS's presolve then no longer reduces small
+        models to nothing; such a VM gets no row, and u <= 1 is its bound."""
+        price = self.config.weights.z * BASELINE_DEPLOY_MS / 1000.0
         p = self.problem
         deployment = self._terms["deployment"]
         for vm in self.candidates:
+            if vm.offered_service is not None:
+                continue
             per_service: dict[str, list[int]] = {}
             for col, step, *_ in self._vm_x[vm.id]:
                 per_service.setdefault(step.service, []).append(col)
-            if not per_service:
-                continue
             u_cols = []
             for svc, x_cols in per_service.items():
                 u = p.add_var(f"u__{svc}__{vm.id}", milp.BOOLEAN, 0, 1)
                 u_cols.append(u)
                 for x in x_cols:
                     p.add_row((x, u), (1.0, -1.0), _NEG_INF, 0)
-                price = w.z * BASELINE_DEPLOY_MS / 1000.0
-                if svc != vm.offered_service and price:
+                if price:
                     deployment[0].append(u)
                     deployment[1].append(price)
-            # Non-idle VMs are locked to their current type; the candidate
-            # filter already restricts their placements, so u for that type
-            # is the only one present here.
-            p.add_row(u_cols, (1.0,) * len(u_cols), _NEG_INF, 1)
+            if len(u_cols) > 1:
+                p.add_row(u_cols + [self._g[vm.id]], [1.0] * len(u_cols) + [-1.0], _NEG_INF, 0)
 
     # -- decoding ----------------------------------------------------------
 

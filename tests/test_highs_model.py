@@ -39,7 +39,10 @@ rounds that need no solver, the digests were taken from the models passed
 to HiGHS, which then were every round's; hashed from the built models, the
 file held byte for byte. It held again when ``milp.run_highs`` stopped
 building a ``HighsLp`` and passed the problem's own arrays to one reused
-HiGHS instance per thread. Regenerate them (only for a deliberate change of
+HiGHS instance per thread. The sipp digests alone were re-pinned, with the
+ffsipp and options digests and the counts of rounds without HiGHS held,
+when a VM locked to its type lost its type flags and a VM with two or more
+flags got ``sum(u) <= g`` for ``sum(u) <= 1``. Regenerate them (only for a deliberate change of
 the model or of the options) with
 
     PYTHONPATH=src python -m tests.test_highs_model > tests/data/highs_model_digests.json
