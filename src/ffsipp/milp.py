@@ -229,7 +229,7 @@ class Violation:
     constraint: int | None  # row index, None for var checks
     variable: str | None
     amount: float
-    kind: str  # "constraint" | "bound" | "integrality"
+    kind: str  # "constraint" | "bound" | "integrality" | "nonfinite"
 
 
 _thread = threading.local()
@@ -370,18 +370,24 @@ def solve(
 def verify(problem: MilpProblem, values) -> list[Violation]:
     """All bound/integrality violations, column by column, then all row
     violations, beyond the 1e-6 tolerance. ``values`` holds one value per
-    column, by index."""
+    column, by index. A NaN or infinite column value, and a row whose
+    activity it makes non-finite, is a ``nonfinite`` violation: NaN fails
+    every comparison, so no bound would catch it."""
     x = np.asarray(values, dtype=np.float64)
     if x.shape != (problem.num_vars,):
         raise ValueError(f"expected {problem.num_vars} values, got shape {x.shape}")
     a = problem.assembled()
     lower, upper = a.lower, a.upper
+    finite = np.isfinite(x)
     bad_bound = (x < lower - FEAS_TOL) | (x > upper + FEAS_TOL)
     residue = np.abs(x - np.round(x))
     bad_int = a.integral & (residue > FEAS_TOL)
     out: list[Violation] = []
-    for i in np.flatnonzero(bad_bound | bad_int):
+    for i in np.flatnonzero(bad_bound | bad_int | ~finite):
         name = problem.names[i]
+        if not finite[i]:
+            out.append(Violation(None, name, math.inf, "nonfinite"))
+            continue
         if bad_bound[i]:
             amount = float(max(lower[i] - x[i], x[i] - upper[i]))
             out.append(Violation(None, name, amount, "bound"))
@@ -390,8 +396,12 @@ def verify(problem: MilpProblem, values) -> list[Violation]:
     if problem.num_rows:
         lhs = problem.activity(x)
         slack = np.maximum(lhs - a.row_upper, a.row_lower - lhs)
-        for row in np.flatnonzero(slack > FEAS_TOL):
-            out.append(Violation(int(row), None, float(slack[row]), "constraint"))
+        finite_lhs = np.isfinite(lhs)
+        for row in np.flatnonzero((slack > FEAS_TOL) | ~finite_lhs):
+            if finite_lhs[row]:
+                out.append(Violation(int(row), None, float(slack[row]), "constraint"))
+            else:
+                out.append(Violation(int(row), None, math.inf, "nonfinite"))
     return out
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product
 from operator import mul
 
 import numpy as np
@@ -121,12 +122,9 @@ class FfsippModel:
         self._ep: dict[int, int] = {}
         self._remaining: dict[int, worstcase.RemainingStructure] = {}
         # Continuous helpers and the rows that bound each from below, in
-        # creation order: an instance's block remainders precede its e^p,
-        # which reads them, and the instances' helpers, the first
-        # _penalty_helpers, precede the free-capacity ones. Decode sets each
-        # at its floor.
+        # creation order: the instances' e^p, then the free-capacity ones.
+        # Decode sets each at its floor.
         self._helpers: list[tuple[int, list[int]]] = []
-        self._penalty_helpers = 0
         # helper -> per row: its columns, coefficients, -a and a * bound (see _floor)
         self._bounds: dict[int, list[_Piece]] = {}
         # The answer postponed certified: its helpers are at their floors and
@@ -264,7 +262,6 @@ class FfsippModel:
         }
         for inst in state.instances:
             self._instance_rows(inst, schedulable[inst.id], lease_price, covered)
-        self._penalty_helpers = len(self._helpers)
 
         # Baseline type exclusivity.
         if self.baseline:
@@ -373,51 +370,37 @@ class FfsippModel:
             if cols:
                 p.add_row(cols, (1.0,) * len(cols), _NEG_INF, 1)
 
-        # Block variables for AND/XOR remainders that depend on this round.
-        # A scheduled branch head replaces its worst-case coefficient with the
-        # concrete occupancy of the chosen placement, so parallel heads are not
-        # serialised in the deadline row.  The "next" family prices the branch
-        # as seen one round later: a head scheduled now has already run for
-        # epsilon by then, an unscheduled one still costs the full branch.
-        block_cols: tuple[list[int], list[int]] = ([], [])  # this round, next round
-        for block in rs.blocks:
-            pair = (
-                p.add_var(f"eblk__{inst.id}__{block.node_id}", milp.CONTINUOUS, 0, math.inf),
-                p.add_var(f"eblkn__{inst.id}__{block.node_id}", milp.CONTINUOUS, 0, math.inf),
-            )
-            b_rows: tuple[list[int], list[int]] = ([], [])
-            for const, step_coefs in block.rows:
-                for b, eps, own in zip(pair, (0, cfg.epsilon_ms), b_rows):
-                    cols, reds = [b], [1.0]
-                    for j, coef in step_coefs.items():
-                        for col, occ in placed.get(j, ()):
-                            if coef + eps - occ:
-                                cols.append(col)
-                                reds.append(float(coef + eps - occ))
-                    own.append(p.add_row(cols, reds, const, _INF))
-            for b, b_cols, own in zip(pair, block_cols, b_rows):
-                b_cols.append(b)
-                self._helpers.append((b, own))
-
-        # Deadline / penalty coupling for this round and the next.
+        # Deadline / penalty coupling for this round and the next. Each
+        # AND/XOR block that depends on this round adds the larger of 0 and
+        # its branches' remainders to e_i, so each family gets one row per
+        # choice of none or one branch in every block, and e^p's rows hold
+        # only placements. A scheduled step, in sequence or a branch head,
+        # replaces its worst-case coefficient with the concrete occupancy of
+        # the chosen placement, so parallel heads are not serialised. The
+        # "next" family prices the instance as seen one round later: a step
+        # placed now has already run for epsilon by then, an unplaced one
+        # still costs its worst case.
         ep = p.add_var(f"ep__{inst.id}", milp.CONTINUOUS, 0, math.inf)
         self._ep[inst.id] = ep
         if inst.penalty_rate:
             self._terms["penalty"][0].append(ep)
             self._terms["penalty"][1].append(inst.penalty_rate)
-
-        # Every schedulable step is either reduced in sequence or a block head.
+        choices = list(product(*([(0, {})] + block.rows for block in rs.blocks)))
         ex_run = self._ex_run.get(inst.id, 0)
-        self._helpers.append((ep, [p.num_rows, p.num_rows + 1]))
-        for eps, b_cols, run in ((0, block_cols[0], ex_run), (cfg.epsilon_ms, block_cols[1], 0)):
-            cols, coefs = [], []
-            for j, red in rs.step_reduction_ms.items():
-                for col, occ in placed.get(j, ()):
-                    if occ - red - eps:
-                        cols.append(col)
-                        coefs.append(float(occ - red - eps))
+        first = p.num_rows
+        for eps, run in ((0, ex_run), (cfg.epsilon_ms, 0)):
             rhs = inst.deadline_ms - (tau + eps) - run - float(rs.constant_ms)
-            p.add_row(cols + b_cols + [ep], coefs + [1.0] * len(b_cols) + [-1.0], _NEG_INF, rhs)
+            for choice in choices:
+                cols, coefs = [], []
+                for reductions in (rs.step_reduction_ms, *(heads for _, heads in choice)):
+                    for j, red in reductions.items():
+                        for col, occ in placed.get(j, ()):
+                            if occ - red - eps:
+                                cols.append(col)
+                                coefs.append(float(occ - red - eps))
+                branches_ms = sum(const for const, _ in choice)
+                p.add_row(cols + [ep], coefs + [-1.0], _NEG_INF, rhs - branches_ms)
+        self._helpers.append((ep, list(range(first, p.num_rows))))
 
     def _baseline_rows(self):
         """One service type per VM. A VM that can still choose its type gets
@@ -459,10 +442,10 @@ class FfsippModel:
         """Turn a solver answer into a plan whose point passes ``milp.verify``.
 
         Integer variables are rounded and every continuous helper (free
-        capacity, block remainders, e^p) is re-derived at its floor. Each
-        helper carries a non-negative objective weight, so a gap-limited
-        incumbent whose helpers sit above their floors repairs to a point
-        no worse than itself. The plan reports this repaired objective,
+        capacity, e^p) is re-derived at its floor. Each helper carries a
+        non-negative objective weight, so a gap-limited incumbent whose
+        helpers sit above their floors repairs to a point no worse than
+        itself. The plan reports this repaired objective,
         bracketed by the solver's bound and incumbent objective. The answer
         ``postponed`` returned is taken as it is: its helpers are already at
         their floors.
@@ -477,7 +460,8 @@ class FfsippModel:
         else:
             integral = self.problem.integral()
             rounded = np.round(x)
-            unroundable = integral & (np.abs(x - rounded) > milp.FEAS_TOL)
+            # NaN and an infinity fail <=, so they count as unroundable
+            unroundable = integral & ~(np.abs(x - rounded) <= milp.FEAS_TOL)
             if unroundable.any():
                 col = int(np.argmax(unroundable))
                 raise ValueError(
@@ -581,85 +565,47 @@ class FfsippModel:
         if any(p.lower) or not math.isfinite(sum(cost)) or not gap < 1.0:
             return None
         # A free-capacity helper stays at 0 in P0, where every use flag is 0;
-        # milp.verify below confirms it.
+        # milp.verify below confirms it. The e^p helpers come first.
         values = [0.0] * p.num_vars
-        active: dict[int, _Piece | None] = {}
-        penalties = set(self._ep.values())
-        owed: list[tuple[int, float]] = []  # e^p column and rate * e^p at P0
-        for col, rows in self._helpers[: self._penalty_helpers]:
-            floor, active[col] = self._floor(col, rows, values)
+        owed: list[tuple[int, float, _Piece]] = []  # e^p, rate * e^p at P0, its active row
+        for col, rows in self._helpers[: len(self._ep)]:
+            floor, piece = self._floor(col, rows, values)
             if floor and cost[col]:
-                if col not in penalties:
-                    return None
-                owed.append((col, cost[col] * floor))
-        c0 = sum((c for _, c in owed), 0.0)
+                owed.append((col, cost[col] * floor, piece))
+        c0 = sum((c for _, c, _ in owed), 0.0)
         threshold = 1.01 * gap * max(1.0, c0) / (1.0 - gap) + 1e-5
-        net = self._net_costs(owed, active)
-        if net is None or not self._least_use(net, threshold):
+        if not self._least_use(self._net_costs(owed), threshold):
             return None
-        # Only a placement may cost less than 0 or cut a penalty.
-        if net is not cost or min(cost) < 0.0:
+        # Only a placement may cost less than 0; only placements sit on
+        # e^p's rows, so only they can cut a penalty.
+        if min(cost) < 0.0:
             placements = {x[0] for vm_x in self._vm_x.values() for x in vm_x}
-            if any(
-                (n < 0.0 or n != c) and col not in placements
-                for col, (n, c) in enumerate(zip(net, cost))
-            ):
+            if any(c < 0.0 and col not in placements for col, c in enumerate(cost)):
                 return None
         if milp.verify(p, values):
             return None
         self._certified = milp.MilpSolution(milp.OPTIMAL, np.array(values), c0, c0)
         return self._certified
 
-    def _net_costs(
-        self, owed: list[tuple[int, float]], active: dict[int, _Piece | None]
-    ) -> list[float] | None:
+    def _net_costs(self, owed: list[tuple[int, float, _Piece]]) -> list[float]:
         """Each column's cost less the most that setting it to 1 can cut
-        from the owed penalties (``cost`` itself when nothing is owed), or
-        ``None`` when a helper's piece cannot be bounded.
+        from the owed penalties (``cost`` itself when nothing is owed).
 
-        At P0 each helper's floor is one affine piece of the other columns,
-        or 0. Since the floor is their maximum, the helper is at least that
-        piece at every point: ``e >= e(P0) - sum(s_x * x)``, read off the
-        row, where a helper term is replaced by its own piece (which needs
-        its coefficient to be at least 0). As ``e^p_i >= 0``, the penalty
+        At P0 each owed ``e^p`` sits on one of its deadline rows, an affine
+        piece of the placements. Since its floor is the maximum of those
+        pieces, ``e^p >= e^p(P0) - sum(s_x * x)`` at every point, with the
+        slopes ``s_x`` read off that row. As ``e^p_i >= 0``, the penalty
         ``C0_i`` is cut by at most ``sum(min(C0_i, rate_i * s_x) * x)``."""
-        memo: dict[int, dict[int, float]] = {}
-
-        def slopes(col: int) -> dict[int, float] | None:
-            """Column -> how much 1 unit of it lowers helper ``col``."""
-            if col in memo:
-                return memo[col]
-            s = memo[col] = {}
-            piece = active[col]
-            if piece is None:
-                return s
-            cols, coefs, sign, _ = piece
-            for k, coef in zip(cols, coefs):
-                if k == col:
-                    continue
-                a = sign * coef  # the term's weight in the floor
-                if k in active:
-                    inner = slopes(k) if a >= 0.0 else None
-                    if inner is None:
-                        return None
-                    for j, v in inner.items():
-                        s[j] = s.get(j, 0.0) + a * v
-                else:
-                    s[k] = s.get(k, 0.0) - a
-            return s
-
         cost = self.problem.cost
         if not owed:
             return cost
         net = list(cost)
-        for ep, owed_i in owed:
-            s = slopes(ep)
-            if s is None:
-                return None
+        for ep, owed_i, (cols, coefs, sign, _) in owed:
             rate = cost[ep]
-            for k, v in s.items():
-                if v > 0.0:
-                    net[k] -= min(owed_i, rate * v)
+            for k, coef in zip(cols, coefs):
+                slope = -sign * coef  # how much 1 unit of column k lowers e^p
+                if k != ep and slope > 0.0:
+                    net[k] -= min(owed_i, rate * slope)
         return net
 
     def _least_use(self, net: list[float], threshold: float) -> bool:

@@ -35,9 +35,9 @@ class BlockTerm:
     """One AND/XOR block whose value depends on this round's assignments.
 
     ``rows`` holds, per branch, the branch's worst-case constant and the
-    coefficient of each schedulable head on it; the optimizer adds one
-    lower-bound row per branch on a dedicated block variable, which the
-    minimized penalty tightens to the branch maximum.
+    coefficient of each schedulable head on it. The block adds the larger
+    of 0 and its branches' remainders to e_i, so the optimizer gives each
+    deadline row one copy with the block at 0 and one per branch.
     """
 
     node_id: int
@@ -46,8 +46,9 @@ class BlockTerm:
 
 @dataclass
 class RemainingStructure:
-    """e_i as an affine function of this round's assignment variables:
-    constant minus per-step reductions, plus one variable per block term.
+    """e_i as a function of this round's assignment variables: constant
+    minus per-step reductions, plus per block term the larger of 0 and its
+    branch rows, each affine.
 
     ``step_deadline_ms`` holds each schedulable step's latest start: the
     instance deadline minus the step's own coefficient and the remainder

@@ -42,8 +42,12 @@ building a ``HighsLp`` and passed the problem's own arrays to one reused
 HiGHS instance per thread. The sipp digests alone were re-pinned, with the
 ffsipp and options digests and the counts of rounds without HiGHS held,
 when a VM locked to its type lost its type flags and a VM with two or more
-flags got ``sum(u) <= g`` for ``sum(u) <= 1``. Regenerate them (only for a deliberate change of
-the model or of the options) with
+flags got ``sum(u) <= g`` for ``sum(u) <= 1``. Both approaches' digests
+were re-pinned, with the options digest and the counts of rounds without
+HiGHS held, when each AND/XOR block's branch rows were folded into its
+instance's deadline rows and the block-remainder columns went.
+Regenerate them (only for a deliberate change of the model or of the
+options) with
 
     PYTHONPATH=src python -m tests.test_highs_model > tests/data/highs_model_digests.json
 

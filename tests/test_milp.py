@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import pathlib
 import sys
 import threading
 import types
@@ -11,7 +13,7 @@ import pytest
 from scipy import optimize
 from scipy.optimize._highspy import _core
 
-from ffsipp import baseline, landscape, milp, optimizer, sim
+from ffsipp import baseline, milp, optimizer, sim
 from ffsipp.milp import (
     BOOLEAN,
     CONTINUOUS,
@@ -22,8 +24,10 @@ from ffsipp.milp import (
     verify,
 )
 
-from .conftest import assert_highs_reads_back, preset_text, row_bounds, sparse_matrix
+from .conftest import assert_highs_reads_back, row_bounds, sparse_matrix
 from .oracle import enumerate_oracle
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def problem(variables, rows=()):
@@ -190,16 +194,16 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(prob)
 
-    def test_gap_limited_incumbent_is_not_optimal(self, monkeypatch):
+    def test_gap_limited_incumbent_is_not_optimal(self):
         # A scheduling round (constant_strict_intense, ffsipp, seed 1, round
         # 7) on which HiGHS stops at a 1e-3 gap with an incumbent above its
         # dual bound.
-        prob = simulated_round(monkeypatch, "constant_strict_intense", 7)
+        prob = committed_round("constant_strict_intense_round7")
         loose = solve(prob, gap_tol=1e-3)
         tight = solve(prob, gap_tol=1e-9)
         assert loose.objective_value - loose.bound > 1e-9 * abs(loose.objective_value)
         assert loose.status == milp.GAP_LIMIT
-        # the incumbent the simulation itself got in this round
+        # the incumbent the simulation got in this round when it was captured
         assert loose.objective_value == pytest.approx(22094.63933813243, abs=1e-6)
         assert verify(prob, loose.values) == []
         assert tight.status == milp.OPTIMAL
@@ -211,7 +215,7 @@ class TestSolve:
         # 448) whose first HiGHS answer holds a placement at 1 - 8.5e-7 with
         # CPU demand 147: rounded, it puts a capacity row beyond FEAS_TOL, so
         # solve asks HiGHS again with a tighter integrality tolerance.
-        prob = simulated_round(monkeypatch, "pyramid_strict_intense", 448)
+        prob = committed_round("pyramid_strict_intense_round448")
         original, answers = milp.run_highs, []
 
         def recording(problem, options):
@@ -349,28 +353,23 @@ def rounded(prob, values):
     return np.where(prob.integral(), np.round(values), values)
 
 
-def simulated_round(monkeypatch, preset, n):
-    """The problem of round ``n`` (from 1) of ffsipp's seed-1 simulation of
-    ``preset``; the simulation is stopped when it builds that round's
-    model. Rounds count model builds, whether or not HiGHS solves them."""
-    rounds = []
-
-    class Stop(Exception):
-        pass
-
-    def recording(state, config):
-        model = build(state, config)
-        rounds.append(model.problem)
-        if len(rounds) == n:
-            raise Stop
-        return model
-
-    build = optimizer.build
-    monkeypatch.setattr(optimizer, "build", recording)
-    scenario = landscape.parse_scenario(preset_text(preset))
-    with pytest.raises(Stop):
-        sim.run(scenario, sim.FFSIPP, 1)
-    return rounds[-1]
+def committed_round(name: str) -> MilpProblem:
+    """The scheduling round model committed as ``tests/data/<name>.json``:
+    every column's name, domain, bounds and cost, and the CSR matrix with
+    its row bounds, as ``MilpProblem`` holds them; ``null`` stands for an
+    infinite bound. Each file was written from the ``MilpProblem`` that
+    ``optimizer.build`` returned for round n (counting model builds from 1)
+    of ffsipp's seed-1 simulation of the preset in its name, with the
+    simulation stopped there, and JSON floats read back exactly. The files
+    hold those rounds fixed while the builder changes."""
+    doc = json.loads((DATA / f"{name}.json").read_text())
+    prob = MilpProblem()
+    for key in ("names", "domains", "lower", "cost", "indptr", "indices", "data"):
+        setattr(prob, key, doc[key])
+    prob.upper = [math.inf if v is None else v for v in doc["upper"]]
+    prob.row_lower = [-math.inf if v is None else v for v in doc["row_lower"]]
+    prob.row_upper = [math.inf if v is None else v for v in doc["row_upper"]]
+    return prob
 
 
 class TestAssembled:
@@ -486,6 +485,20 @@ class TestVerify:
     def test_integrality_violation(self):
         out = verify(knapsack(), [0.5, 0.6])
         assert any(v.kind == "integrality" for v in out)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point(self, bad):
+        # NaN fails every comparison, so no bound or row test would catch it
+        prob = problem(
+            [("a", BOOLEAN, 0, 1, 1.0), ("b", CONTINUOUS, 0, math.inf, 1.0),
+             ("c", CONTINUOUS, 0, math.inf, 1.0)],
+            [({"a": 1.0, "b": 1.0}, ">=", 1.0), ({"a": 1.0}, "<=", 1.0)],
+        )
+        out = verify(prob, [1.0, bad, bad])
+        assert [(v.constraint, v.variable, v.kind) for v in out] == [
+            (None, "b", "nonfinite"), (None, "c", "nonfinite"), (0, None, "nonfinite"),
+        ]
+        assert all(v.amount == math.inf for v in out)
 
 
 class TestOracle:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ffsipp
-from ffsipp import landscape, milp, optimizer, sim
+from ffsipp import landscape, milp, optimizer, sim, worstcase
 from ffsipp.baseline import build_baseline
 from ffsipp.landscape import RUNNING, Weights
 from ffsipp.optimizer import (
@@ -109,12 +109,32 @@ class TestDecodeGapLimited:
         )
         return model, exact, padded
 
-    @pytest.mark.parametrize("prefix", ["fC__", "fR__", "eblk__", "eblkn__", "ep__"])
+    @pytest.mark.parametrize("prefix", ["fC__", "fR__", "ep__"])
     def test_helper_repaired_to_its_floor(self, abc_services, prefix):
         model, exact, padded = self.padded(abc_services, prefix)
         plan = model.decode(padded)
         assert plan.milp_values == model.decode(exact).milp_values
         assert milp.verify(model.problem, plan.milp_values) == []
+
+    def test_penalty_floor_read_off_a_branch_row(self, abc_services):
+        # No step is in sequence, so e^p's block-free rows bound it by the
+        # deadline alone and allow no penalty; its repaired floor, 32 s, is
+        # read off a branch row, which also subtracts a branch's worst case
+        # of 132 s from the 100 s deadline.
+        model, _, padded = self.padded(abc_services, "ep__")
+        p = model.problem
+        ep = p.names.index("ep__1")
+        values = model.decode(padded).milp_values
+        floors = {}  # rhs -> the floor its rows allow e^p
+        for row in range(p.num_rows):
+            cols, coefs = p.row_terms(row)
+            if ep in cols:
+                relation, rhs = p.row_relation(row)
+                assert relation == "<="
+                floor = sum(c * values[k] for k, c in zip(cols, coefs) if k != ep) - rhs
+                floors[rhs] = max(floors.get(rhs, floor), floor)
+        assert values[ep] == 32_000.0 == max(floors.values()) == floors[100_000 - 132_000]
+        assert floors[100_000.0] < 0 and floors[98_000.0] < 0
 
     def test_repaired_objective_reported(self, abc_services):
         model, exact, padded = self.padded(abc_services)
@@ -130,11 +150,132 @@ class TestDecodeGapLimited:
         with pytest.raises(ValueError, match="exceeds solver objective"):
             model.decode(padded)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_integer_rejected(self, abc_services, bad):
+        model, exact, _ = self.padded(abc_services)
+        values = exact.values.copy()
+        y = model.problem.names.index("y__new_p1_0")
+        values[y] = bad
+        answer = milp.MilpSolution(milp.GAP_LIMIT, values, exact.objective_value, exact.bound)
+        with pytest.raises(ValueError, match="unroundable integrality residue on y__new_p1_0"):
+            model.decode(answer)
+
     def test_bound_above_repaired_rejected(self, abc_services):
         model, exact, padded = self.padded(abc_services)
         padded.bound = exact.objective_value + 1.0
         with pytest.raises(ValueError, match="below solver bound"):
             model.decode(padded)
+
+
+class TestFoldedDeadlineRows:
+    """Each AND/XOR block's branch rows are folded into e^p's deadline rows:
+    per family, one row with the block at 0 and one per branch, so e^p's
+    rows hold only placements."""
+
+    def test_and_block_has_no_block_columns(self, abc_services):
+        inst = instance("AND(s|s)", abc_services, ["A", "B"], deadline_ms=100_000)
+        vm = VmSnapshot(
+            id="vm1", type_id="p2", ready_in_ms=0, lease_remaining_ms=100_000,
+            cached_images=frozenset({"A", "B"}),
+        )
+        types = {"p2": vm_type("p2", cores=2)}
+        model = build(state([inst], abc_services, types, fleet=[vm]), config())
+        p = model.problem
+        assert not [n for n in p.names if n.startswith(("eblk__", "eblkn__"))]
+        ep = p.names.index("ep__1")
+        rows = [row for row in range(p.num_rows) if ep in p.row_terms(row)[0]]
+        # this round's block-free row and two branch rows, then the next round's
+        heads = []
+        for row in rows:
+            cols, coefs = p.row_terms(row)
+            assert p.row_relation(row)[0] == "<=" and coefs[cols.index(ep)] == -1.0
+            heads.append({p.names[k].split("__")[2] for k in cols if k != ep})
+        assert heads == [set(), {"0"}, {"1"}] * 2
+
+    @staticmethod
+    def two_level_penalty(model, inst, plan, schedulable=None) -> float:
+        """e^p as the deadline rows set it, evaluated with each block as the
+        larger of 0 and its branches' remainders at the plan's placements."""
+        cfg, tau = model.config, model.state.now_ms
+        rs = worstcase.remaining_structure(
+            inst, model.state.services, model.delta_ms,
+            schedulable or landscape.next_steps(inst),
+        )
+        occ = {a.step_index: a.occupancy_ms for a in plan.assignments if a.instance_id == inst.id}
+        late = 0.0
+        for eps in (0, cfg.epsilon_ms):
+            e_i = rs.constant_ms + sum(
+                occ[j] - red - eps for j, red in rs.step_reduction_ms.items() if j in occ
+            )
+            for block in rs.blocks:
+                e_i += max(0, max(
+                    const - sum(coef + eps - occ[j] for j, coef in heads.items() if j in occ)
+                    for const, heads in block.rows
+                ))
+            late = max(late, tau + eps + e_i - inst.deadline_ms)
+        return late
+
+    @pytest.mark.parametrize("baseline", [False, True], ids=["ffsipp", "sipp"])
+    @pytest.mark.parametrize("deadline_ms", [150_000, 260_000])
+    def test_matches_oracle(self, abc_services, baseline, deadline_ms):
+        # An AND block with two ready heads and a chosen XOR branch after a
+        # step in sequence; vm1 has A cached, so a head placed there runs
+        # well under its worst case.
+        both = instance("AND(s|s),s", abc_services, ["A", "B", "A"], iid=1,
+                        deadline_ms=deadline_ms)
+        one = instance("s,XOR(s|s)", abc_services, ["A", "A", "C"], iid=2,
+                       deadline_ms=deadline_ms - 20_000)
+        one.steps[0].status = landscape.DONE
+        (xor,) = landscape.pending_xor_choices(one)
+        landscape.apply_xor_choice(one, xor, 0)
+        vm = VmSnapshot(
+            id="vm1", type_id="p1", ready_in_ms=0, lease_remaining_ms=100_000,
+            cached_images=frozenset({"A"}), offered_service="A",
+        )
+        snapshot = state([both, one], abc_services, {"p1": vm_type("p1")}, fleet=[vm])
+        model = (build_baseline if baseline else build)(snapshot, config())
+        assert landscape.next_steps(one) == {1}
+        plan, solution = solve_plan(model)
+        oracle = enumerate_oracle(model.problem)
+        assert solution.objective_value == pytest.approx(oracle.objective_value, abs=1e-6)
+        assert milp.verify(model.problem, plan.milp_values) == []
+        for inst in (both, one):
+            assert plan.penalties_ms[inst.id] == pytest.approx(
+                self.two_level_penalty(model, inst, plan), abs=1e-6
+            )
+
+    def test_two_blocks_get_a_row_per_pair_of_choices(self, abc_services, monkeypatch):
+        # Only one top-level item has ready steps, so a round has at most one
+        # block per instance. With heads made ready in two blocks, each
+        # family gets 3 x 3 rows, and e^p stays exact.
+        inst = instance("AND(s|s),AND(s|s)", abc_services, ["A", "B", "A", "C"],
+                        deadline_ms=300_000)
+        heads = {0, 1, 2, 3}
+        monkeypatch.setattr(optimizer, "next_steps", lambda _: heads)
+        model = build(state([inst], abc_services, {"p1": vm_type("p1")}), config())
+        p = model.problem
+        ep = p.names.index("ep__1")
+        assert sum(ep in p.row_terms(row)[0] for row in range(p.num_rows)) == 2 * 9
+        plan, solution = solve_plan(model)
+        oracle = enumerate_oracle(p)
+        assert solution.objective_value == pytest.approx(oracle.objective_value, abs=1e-6)
+        assert plan.assignments and plan.penalties_ms[1] > 0
+        assert plan.penalties_ms[1] == pytest.approx(
+            self.two_level_penalty(model, inst, plan, heads), abs=1e-6
+        )
+
+    def test_block_free_row_bounds_the_penalty(self, abc_services):
+        # Both heads are placed on a fresh VM (132 s each, their worst case).
+        # One round later, 200 s on, each branch has run for longer than
+        # it lasts, so every branch row bounds e_i by less than the
+        # sequence alone: the block-free row sets e^p to 200 + 132 - 250 s.
+        inst = instance("AND(s|s),s", abc_services, ["A", "A", "A"], deadline_ms=250_000)
+        model = build(state([inst], abc_services, {"p1": vm_type("p1")}),
+                      config(epsilon_ms=200_000))
+        plan, _ = solve_plan(model)
+        assert sorted(a.step_index for a in plan.assignments) == [0, 1]
+        assert plan.penalties_ms == {1: 82_000.0}
+        assert plan.penalties_ms[1] == self.two_level_penalty(model, inst, plan)
 
 
 class TestPenalties:
