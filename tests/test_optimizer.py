@@ -109,32 +109,42 @@ class TestDecodeGapLimited:
         )
         return model, exact, padded
 
-    @pytest.mark.parametrize("prefix", ["fC__", "fR__", "ep__"])
+    @staticmethod
+    def family_floors(model, values, family):
+        """The floor each of e^p's rows in one deadline family (0: this round,
+        1: the next) allows it at values: the block-free row, then one row per
+        branch of the AND block."""
+        p = model.problem
+        ep = p.names.index("ep__1")
+        rows = [row for row in range(p.num_rows) if ep in p.row_terms(row)[0]]
+        floors = []
+        for row in rows[3 * family : 3 * family + 3]:
+            cols, coefs = p.row_terms(row)
+            relation, rhs = p.row_relation(row)
+            assert relation == "<=" and coefs[cols.index(ep)] == -1.0
+            floors.append(sum(c * values[k] for k, c in zip(cols, coefs) if k != ep) - rhs)
+        return floors
+
+    # The block remainders of this round (eblk__) and the next (eblkn__) are
+    # folded into e^p's deadline rows, so their cases pad e^p and read its
+    # repaired floor off that round's branch rows.
+    FOLDED_BLOCKS = {"eblk__": 0, "eblkn__": 1}
+
+    @pytest.mark.parametrize("prefix", ["fC__", "fR__", "eblk__", "eblkn__", "ep__"])
     def test_helper_repaired_to_its_floor(self, abc_services, prefix):
-        model, exact, padded = self.padded(abc_services, prefix)
+        family = self.FOLDED_BLOCKS.get(prefix)
+        model, exact, padded = self.padded(abc_services, "ep__" if family is not None else prefix)
         plan = model.decode(padded)
         assert plan.milp_values == model.decode(exact).milp_values
         assert milp.verify(model.problem, plan.milp_values) == []
-
-    def test_penalty_floor_read_off_a_branch_row(self, abc_services):
-        # No step is in sequence, so e^p's block-free rows bound it by the
-        # deadline alone and allow no penalty; its repaired floor, 32 s, is
-        # read off a branch row, which also subtracts a branch's worst case
-        # of 132 s from the 100 s deadline.
-        model, _, padded = self.padded(abc_services, "ep__")
-        p = model.problem
-        ep = p.names.index("ep__1")
-        values = model.decode(padded).milp_values
-        floors = {}  # rhs -> the floor its rows allow e^p
-        for row in range(p.num_rows):
-            cols, coefs = p.row_terms(row)
-            if ep in cols:
-                relation, rhs = p.row_relation(row)
-                assert relation == "<="
-                floor = sum(c * values[k] for k, c in zip(cols, coefs) if k != ep) - rhs
-                floors[rhs] = max(floors.get(rhs, floor), floor)
-        assert values[ep] == 32_000.0 == max(floors.values()) == floors[100_000 - 132_000]
-        assert floors[100_000.0] < 0 and floors[98_000.0] < 0
+        if family is not None:
+            # No step is in sequence, so the block-free row bounds e^p by the
+            # deadline alone and allows no penalty; the repaired 32 s is read
+            # off a branch row, which also subtracts a branch's worst case.
+            block_free, *branches = self.family_floors(model, plan.milp_values, family)
+            ep = model.problem.names.index("ep__1")
+            assert block_free < 0
+            assert max(branches) == plan.milp_values[ep] == 32_000.0
 
     def test_repaired_objective_reported(self, abc_services):
         model, exact, padded = self.padded(abc_services)
