@@ -27,7 +27,7 @@ def main() -> None:
         services=scenario.services,
         vm_types=scenario.vm_types,
     )
-    config = optimizer.OptimizerConfig.from_scenario(scenario)
+    config = scenario.config
     ffsipp_model = optimizer.build(state, config)
     solution = milp.solve(ffsipp_model.problem, gap_tol=config.gap_tol)
     plan = ffsipp_model.decode(solution)

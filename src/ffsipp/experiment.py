@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import io
 import math
+import os
 import statistics
 from importlib import resources
 from concurrent.futures import ProcessPoolExecutor
@@ -114,7 +115,10 @@ def run_experiment(config: ExperimentConfig) -> dict[tuple[str, int], sim.Metric
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(config, a, s) for a in config.approaches for s in config.seeds]
-    with ProcessPoolExecutor(max_workers=config.max_workers) as pool:
+    # Under fork the pool starts all its workers at the first submit, so it
+    # gets no more than there are runs.
+    workers = min(config.max_workers or os.cpu_count() or 1, len(jobs))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         reports = {(a, s): rep for a, s, rep in pool.map(_run_one, jobs)}
 
     stem = Path(config.scenario_path).stem

@@ -103,7 +103,7 @@ class StepState:
     ram_demand: float = 0.0
     expected_ms: int = 0
     # Only the benchmark's snapshot generator writes these four; nothing in
-    # ffsipp reads them (ROADMAP item 1 drops them).
+    # ffsipp reads them (ROADMAP item 17(b) drops them).
     assigned_vm: str | None = None
     remaining_ms: int | None = None
     scheduled_at: int | None = None
@@ -191,10 +191,6 @@ class PathDecomposition:
     every step occupies exactly one position."""
 
     items: list[tuple[int, str, list[list[int]], int]]
-
-    @functools.cached_property
-    def seq_steps(self) -> list[int]:
-        return [lists[0][0] for _, kind, lists, _ in self.items if kind == STEP]
 
     @functools.cached_property
     def blocks(self) -> list[tuple[int, list[list[int]]]]:
@@ -367,6 +363,8 @@ class OptimizerConfig:
 
     @classmethod
     def from_scenario(cls, sc: "Scenario") -> "OptimizerConfig":
+        """``sc.config``. Only ``perfbench/snapshots.py`` still calls this;
+        ROADMAP item 17(b) drops it once that caller reads ``sc.config``."""
         return sc.config
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
 from operator import mul
 
 import numpy as np
@@ -322,9 +321,7 @@ class FfsippModel:
         cfg, w = self.config, self.config.weights
         p = self.problem
         tau = self.state.now_ms
-        rs = worstcase.remaining_structure(
-            inst, self.state.services, self.delta_ms, set(schedulable)
-        )
+        rs = worstcase.remaining_structure(inst, self.state.services, self.delta_ms)
         self._remaining[inst.id] = rs
         deployment = self._terms["deployment"]
         remaining_lease = self._terms["remaining_lease"]
@@ -370,36 +367,32 @@ class FfsippModel:
             if cols:
                 p.add_row(cols, (1.0,) * len(cols), _NEG_INF, 1)
 
-        # Deadline / penalty coupling for this round and the next. Each
-        # AND/XOR block that depends on this round adds the larger of 0 and
-        # its branches' remainders to e_i, so each family gets one row per
-        # choice of none or one branch in every block, and e^p's rows hold
-        # only placements. A scheduled step, in sequence or a branch head,
-        # replaces its worst-case coefficient with the concrete occupancy of
-        # the chosen placement, so parallel heads are not serialised. The
-        # "next" family prices the instance as seen one round later: a step
-        # placed now has already run for epsilon by then, an unplaced one
-        # still costs its worst case.
+        # Deadline / penalty coupling for this round and the next: per
+        # family, one row per row of e_i's open item (for an AND/XOR block,
+        # one with the block at 0 and one per branch), so e^p's rows hold
+        # only placements. A scheduled step replaces its worst-case
+        # coefficient with the concrete occupancy of the chosen placement,
+        # so parallel heads are not serialised. The "next" family prices
+        # the instance as seen one round later: a step placed now has
+        # already run for epsilon by then, an unplaced one still costs its
+        # worst case.
         ep = p.add_var(f"ep__{inst.id}", milp.CONTINUOUS, 0, math.inf)
         self._ep[inst.id] = ep
         if inst.penalty_rate:
             self._terms["penalty"][0].append(ep)
             self._terms["penalty"][1].append(inst.penalty_rate)
-        choices = list(product(*([(0, {})] + block.rows for block in rs.blocks)))
         ex_run = self._ex_run.get(inst.id, 0)
         first = p.num_rows
         for eps, run in ((0, ex_run), (cfg.epsilon_ms, 0)):
             rhs = inst.deadline_ms - (tau + eps) - run - float(rs.constant_ms)
-            for choice in choices:
+            for row_ms, heads in rs.rows:
                 cols, coefs = [], []
-                for reductions in (rs.step_reduction_ms, *(heads for _, heads in choice)):
-                    for j, red in reductions.items():
-                        for col, occ in placed.get(j, ()):
-                            if occ - red - eps:
-                                cols.append(col)
-                                coefs.append(float(occ - red - eps))
-                branches_ms = sum(const for const, _ in choice)
-                p.add_row(cols + [ep], coefs + [-1.0], _NEG_INF, rhs - branches_ms)
+                for j, coef in heads.items():
+                    for col, occ in placed.get(j, ()):
+                        if occ - coef - eps:
+                            cols.append(col)
+                            coefs.append(float(occ - coef - eps))
+                p.add_row(cols + [ep], coefs + [-1.0], _NEG_INF, rhs - row_ms)
         self._helpers.append((ep, list(range(first, p.num_rows))))
 
     def _baseline_rows(self):

@@ -159,7 +159,7 @@ class Simulator:
         self.verified_plans = 0
         self.rounds_without_highs = 0
         self._wakeup_at: int | None = None
-        self.config = optimizer.OptimizerConfig.from_scenario(scenario)
+        self.config = scenario.config
         self._models = {m.id: m for m in scenario.models}
         self._cpu_cap = max(vt.cpu_supply for vt in scenario.vm_types.values())
 

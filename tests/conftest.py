@@ -81,7 +81,7 @@ def remaining_duration(inst, services, delta_ms, scheduled=None) -> int:
         total = coefficient_sum(pending(indices))
         return total - sum(scheduled.get(i, 0) for i in indices)
 
-    e_i = path_value(dec.seq_steps)
+    e_i = path_value([lists[0][0] for _, kind, lists, _ in dec.items if kind == landscape.STEP])
     for _, branches in dec.blocks:
         e_i += max(0, max(path_value(branch) for branch in branches))
     for node_id, body, reps in dec.loops:

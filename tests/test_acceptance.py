@@ -235,7 +235,7 @@ def test_worst_case_reference_values(abc_services):
     single_a = instance("s", abc_services, ["A"])
     assert remaining_duration(single_a, abc_services, 60_000) == 132_000
     deadlined = instance("s", abc_services, ["A"], deadline_ms=1_000_000)
-    rs = worstcase.remaining_structure(deadlined, abc_services, 60_000, {0})
+    rs = worstcase.remaining_structure(deadlined, abc_services, 60_000)
     assert rs.step_deadline_ms[0] == 868_000
 
 

@@ -68,6 +68,35 @@ class TestConfigValidation:
             ExperimentConfig(scenario_path="x.yaml", max_workers=workers)
 
 
+class TestWorkerPool:
+    @pytest.mark.parametrize("workers", [8, None])
+    def test_no_more_workers_than_runs(self, tmp_path, monkeypatch, workers):
+        # A fork pool starts all its workers at the first submit; this fake
+        # records the size asked for and runs the jobs here, starting none.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+        experiment.run_experiment(ExperimentConfig(
+            scenario_path="smoke", approaches=("ffsipp",), seeds=(1,),
+            out_dir=str(tmp_path), max_workers=workers,
+        ))
+        assert sizes == [1]
+        assert (tmp_path / "metrics.csv").exists()
+
+
 class TestLoadScenario:
     def test_directory_does_not_shadow_preset(self, tmp_path, monkeypatch):
         (tmp_path / "smoke").mkdir()

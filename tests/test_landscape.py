@@ -152,7 +152,6 @@ class TestDerivedQuantities:
         inst = instance("s,AND(s|s)", abc_services, ["A", "A", "C"])
         dec = enumerate_paths(inst.model)
         assert dec.items == [(1, STEP, [[0]], 1), (2, AND_BLOCK, [[1], [2]], 1)]
-        assert dec.seq_steps == [0]
         assert dec.blocks[0][1] == [[1], [2]]
         # AND and XOR blocks share one list, in sequence order.
         mixed = instance("XOR(s|s),AND(s|s)", abc_services, ["A", "B", "A", "C"]).model
@@ -180,12 +179,12 @@ class TestDerivedQuantities:
 
     def test_step_deadline_last_step(self, abc_services):
         inst = instance("s", abc_services, ["A"], deadline_ms=1_000_000)
-        rs = worstcase.remaining_structure(inst, abc_services, 60_000, {0})
+        rs = worstcase.remaining_structure(inst, abc_services, 60_000)
         assert rs.step_deadline_ms[0] == 868_000
 
     def test_step_deadline_can_be_past(self, abc_services):
         inst = instance("s,s,s", abc_services, ["C", "C", "C"], deadline_ms=100_000)
-        rs = worstcase.remaining_structure(inst, abc_services, 60_000, {0})
+        rs = worstcase.remaining_structure(inst, abc_services, 60_000)
         assert rs.step_deadline_ms[0] < 0
 
 

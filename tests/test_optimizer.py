@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ffsipp
-from ffsipp import landscape, milp, optimizer, sim, worstcase
+from ffsipp import controller, landscape, milp, optimizer, sim, worstcase
 from ffsipp.baseline import build_baseline
 from ffsipp.landscape import RUNNING, Weights
 from ffsipp.optimizer import (
@@ -203,25 +203,18 @@ class TestFoldedDeadlineRows:
         assert heads == [set(), {"0"}, {"1"}] * 2
 
     @staticmethod
-    def two_level_penalty(model, inst, plan, schedulable=None) -> float:
-        """e^p as the deadline rows set it, evaluated with each block as the
-        larger of 0 and its branches' remainders at the plan's placements."""
+    def two_level_penalty(model, inst, plan) -> float:
+        """e^p as the deadline rows set it: e_i is the constant plus the
+        largest of the open item's rows, evaluated at the plan's placements."""
         cfg, tau = model.config, model.state.now_ms
-        rs = worstcase.remaining_structure(
-            inst, model.state.services, model.delta_ms,
-            schedulable or landscape.next_steps(inst),
-        )
+        rs = worstcase.remaining_structure(inst, model.state.services, model.delta_ms)
         occ = {a.step_index: a.occupancy_ms for a in plan.assignments if a.instance_id == inst.id}
         late = 0.0
         for eps in (0, cfg.epsilon_ms):
-            e_i = rs.constant_ms + sum(
-                occ[j] - red - eps for j, red in rs.step_reduction_ms.items() if j in occ
+            e_i = rs.constant_ms + max(
+                const - sum(coef + eps - occ[j] for j, coef in heads.items() if j in occ)
+                for const, heads in rs.rows
             )
-            for block in rs.blocks:
-                e_i += max(0, max(
-                    const - sum(coef + eps - occ[j] for j, coef in heads.items() if j in occ)
-                    for const, heads in block.rows
-                ))
             late = max(late, tau + eps + e_i - inst.deadline_ms)
         return late
 
@@ -253,26 +246,6 @@ class TestFoldedDeadlineRows:
             assert plan.penalties_ms[inst.id] == pytest.approx(
                 self.two_level_penalty(model, inst, plan), abs=1e-6
             )
-
-    def test_two_blocks_get_a_row_per_pair_of_choices(self, abc_services, monkeypatch):
-        # Only one top-level item has ready steps, so a round has at most one
-        # block per instance. With heads made ready in two blocks, each
-        # family gets 3 x 3 rows, and e^p stays exact.
-        inst = instance("AND(s|s),AND(s|s)", abc_services, ["A", "B", "A", "C"],
-                        deadline_ms=300_000)
-        heads = {0, 1, 2, 3}
-        monkeypatch.setattr(optimizer, "next_steps", lambda _: heads)
-        model = build(state([inst], abc_services, {"p1": vm_type("p1")}), config())
-        p = model.problem
-        ep = p.names.index("ep__1")
-        assert sum(ep in p.row_terms(row)[0] for row in range(p.num_rows)) == 2 * 9
-        plan, solution = solve_plan(model)
-        oracle = enumerate_oracle(p)
-        assert solution.objective_value == pytest.approx(oracle.objective_value, abs=1e-6)
-        assert plan.assignments and plan.penalties_ms[1] > 0
-        assert plan.penalties_ms[1] == pytest.approx(
-            self.two_level_penalty(model, inst, plan, heads), abs=1e-6
-        )
 
     def test_block_free_row_bounds_the_penalty(self, abc_services):
         # Both heads are placed on a fresh VM (132 s each, their worst case).
@@ -550,6 +523,59 @@ class TestPostponedOnGeneratedRounds:
                         assert getattr(mine, name) == getattr(theirs, name), name
                     assert next_wakeup(mine, snapshot, cfg) == next_wakeup(theirs, snapshot, cfg)
         assert seen["owed"] and seen["placed"]
+
+
+class TestRoundChainOnGeneratedRounds:
+    """On seeded warm snapshots, under both builders, each round as the
+    simulator runs it: the decoded plan verifies, its containers, running
+    steps included, fit their VMs, and no action stops a container that
+    runs a step."""
+
+    @pytest.mark.parametrize(
+        "preset", ["constant_lenient_light", "constant_strict_intense", "pyramid_strict_light"]
+    )
+    def test_plan_verifies_and_actions_are_safe(self, preset):
+        sc = landscape.parse_scenario(preset_text(preset))
+        cfg = sc.config
+        rng = np.random.default_rng(np.random.SeedSequence(5))
+        placing = stops = 0
+        for _ in range(40):
+            snapshot = generated_round(sc, rng)
+            steps = {inst.id: inst.steps for inst in snapshot.instances}
+            busy = {
+                (vm.id, steps[iid][j].service)
+                for vm in snapshot.fleet for iid, j, _ in vm.running_steps
+            }
+            # A leased VM runs a container of its offered service, busy or not.
+            cloud = {
+                vm.id: controller.CloudVmView(
+                    0.0, 0.0, dict.fromkeys({vm.offered_service} - {None}, (0.0, 0.0))
+                )
+                for vm in snapshot.fleet
+            }
+            types = {vm.id: vm.type_id for vm in snapshot.fleet}
+            for builder in (build, build_baseline):
+                model = builder(snapshot, cfg)
+                solution = model.postponed() or milp.solve(
+                    model.problem, cfg.gap_tol, cfg.time_limit_ms
+                )
+                plan = model.decode(solution)
+                assert milp.verify(model.problem, plan.milp_values) == []
+                placing += bool(plan.assignments)
+                cplan = controller.transform(plan)
+                load: dict[str, list[float]] = {}
+                for c in cplan.containers:
+                    used = load.setdefault(c.vm_id, [0.0, 0.0])
+                    used[0] += c.cpu_size
+                    used[1] += c.ram_size
+                for vm_id, (cpu, ram) in load.items():
+                    vt = sc.vm_types[types.get(vm_id) or fresh_vm_type(vm_id)]
+                    assert cpu <= vt.cpu_supply + 1e-9 and ram <= vt.ram_supply + 1e-9
+                for action in controller.plan_actions(cplan, cloud):
+                    if action.kind == controller.STOP_CONTAINER:
+                        stops += 1
+                        assert (action.vm_id, action.service) not in busy
+        assert placing and stops
 
 
 class TestSharingAndCapacity:

@@ -51,3 +51,25 @@ def test_no_public_name_only_tests_use():
         and node.name not in used
     ]
     assert unused == []
+
+
+def test_no_unused_import():
+    # Every name an import in the package binds is read in that module;
+    # ``from __future__ import annotations`` binds nothing that is read.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [
+                    f"{path.relative_to(PACKAGE)}:{node.lineno} {name}"
+                    for alias in node.names
+                    if (name := alias.asname or alias.name.split(".")[0]) not in read
+                ]
+    assert found == []

@@ -1,9 +1,18 @@
 import copy
 
+import pytest
 from hypothesis import given, settings, strategies as hst
 
 from ffsipp import worstcase
-from ffsipp.landscape import DONE, PENDING, RUNNING, SKIPPED
+from ffsipp.landscape import (
+    DONE,
+    PENDING,
+    RUNNING,
+    SKIPPED,
+    apply_xor_choice,
+    next_steps,
+    pending_xor_choices,
+)
 
 from .conftest import instance, remaining_duration, service, structures, vm_type
 
@@ -58,32 +67,75 @@ class TestRemainingDuration:
 
     def test_remaining_after_done(self, abc_services):
         inst = instance("s,s", abc_services, ["A", "C"])
-        rs = worstcase.remaining_structure(inst, abc_services, DELTA, {0})
+        rs = worstcase.remaining_structure(inst, abc_services, DELTA)
         own = worstcase.step_coefficient_ms(inst.steps[0], abc_services, DELTA)
         assert inst.deadline_ms - own - rs.step_deadline_ms[0] == 212_000
         assert inst.steps[0].status == PENDING  # untouched
 
 
+# Worst-case coefficients of the A, B and C services at DELTA, and the
+# default deadline of ``instance``.
+A, B, C = 132_000, 172_000, 212_000
+DEADLINE = 10_000_000
+
+
 class TestRemainingStructure:
     def test_sequence_reductions(self, abc_services):
         inst = instance("s,s", abc_services, ["A", "A"])
-        rs = worstcase.remaining_structure(inst, abc_services, DELTA, {0})
-        assert rs.constant_ms == 264_000
-        assert rs.step_reduction_ms == {0: 132_000}
-        assert rs.blocks == []
+        rs = worstcase.remaining_structure(inst, abc_services, DELTA)
+        assert rs.constant_ms == A
+        assert rs.rows == [(A, {0: A})]
 
     def test_block_without_heads_is_constant(self, abc_services):
         inst = instance("s,AND(s|s)", abc_services, ["A", "A", "C"])
-        rs = worstcase.remaining_structure(inst, abc_services, DELTA, {0})
-        assert rs.constant_ms == 132_000 + 212_000
-        assert rs.blocks == []
+        rs = worstcase.remaining_structure(inst, abc_services, DELTA)
+        assert rs.constant_ms == C
+        assert rs.rows == [(A, {0: A})]
 
     def test_block_with_heads_gets_rows(self, abc_services):
         inst = instance("AND(s|s)", abc_services, ["A", "C"])
-        rs = worstcase.remaining_structure(inst, abc_services, DELTA, {0, 1})
+        rs = worstcase.remaining_structure(inst, abc_services, DELTA)
         assert rs.constant_ms == 0
-        (block,) = rs.blocks
-        assert block.rows == [(132_000, {0: 132_000}), (212_000, {1: 212_000})]
+        assert rs.rows == [(0, {}), (A, {0: A}), (C, {1: C})]
+
+    # One case per kind of open item: structure, services, step statuses,
+    # XOR branch chosen, then the expected constant, rows and step deadlines.
+    OPEN_ITEMS = {
+        "step in sequence": (
+            "s,s,AND(s|s)", "AAAC", {0: DONE}, None,
+            C, [(A, {1: A})], {1: DEADLINE - A - C},
+        ),
+        # Its worst case holds two future iterations of the body; its step
+        # deadline, taken in the last iteration, holds none.
+        "loop mid-iteration": (
+            "LOOP*3(s,s),s", "ABC", {0: DONE}, None,
+            C, [(B + 2 * (A + B), {1: B})], {1: DEADLINE - B - C},
+        ),
+        "AND block with one branch running": (
+            "AND(s|s,s)", "ABC", {0: RUNNING}, None,
+            0, [(0, {}), (0, {}), (B + C, {1: B})], {1: DEADLINE - B - C},
+        ),
+        "XOR block after its choice": (
+            "s,XOR(s|s)", "AAC", {0: DONE}, 1,
+            0, [(0, {}), (0, {}), (C, {2: C})], {2: DEADLINE - C},
+        ),
+        "only ready step running": (
+            "s,s", "AA", {0: RUNNING}, None,
+            A, [(0, {})], {},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", OPEN_ITEMS)
+    def test_open_item(self, abc_services, case):
+        structure, names, statuses, branch, constant, rows, deadlines = self.OPEN_ITEMS[case]
+        inst = instance(structure, abc_services, list(names))
+        for j, status in statuses.items():
+            inst.steps[j].status = status
+        if branch is not None:
+            (xor,) = pending_xor_choices(inst)
+            apply_xor_choice(inst, xor, branch)
+        rs = worstcase.remaining_structure(inst, abc_services, DELTA)
+        assert (rs.constant_ms, rs.rows, rs.step_deadline_ms) == (constant, rows, deadlines)
 
 
 # -- step deadlines against a from-scratch re-evaluation ---------------------
@@ -102,16 +154,20 @@ def _reference_deadline(inst, j, services) -> int:
 
 @hst.composite
 def _instances(draw, services):
+    """An instance with random step statuses and, where its open item is an
+    XOR block, a branch chosen, as a round sees it; and a subset of its
+    ready steps to place."""
     inst = instance(draw(structures()), services)
     for step in inst.steps:
         step.status = draw(hst.sampled_from((PENDING, PENDING, DONE, RUNNING, SKIPPED)))
         step.expected_ms = draw(hst.integers(1, 200)) * 1000
     for node_id, _, reps in inst.model.paths.loops:
         inst.loop_iters_done[node_id] = draw(hst.integers(0, reps - 1))
-    pending = [j for j, s in enumerate(inst.steps) if s.status == PENDING]
-    schedulable = set(draw(hst.lists(hst.sampled_from(pending), unique=True))) if pending else set()
-    placed = {j for j in sorted(schedulable) if draw(hst.booleans())}
-    return inst, schedulable, placed
+    for node_id in pending_xor_choices(inst):
+        branches = len(inst.model.nodes[node_id].children)
+        apply_xor_choice(inst, node_id, draw(hst.integers(0, branches - 1)))
+    placed = {j for j in sorted(next_steps(inst)) if draw(hst.booleans())}
+    return inst, placed
 
 
 class TestStepDeadlines:
@@ -124,16 +180,15 @@ class TestStepDeadlines:
     @settings(max_examples=300)
     @given(_instances(SERVICES))
     def test_deadline_matches_reevaluation(self, drawn):
-        inst, schedulable, placed = drawn
+        inst, placed = drawn
         before = copy.deepcopy(inst)
-        rs = worstcase.remaining_structure(inst, self.SERVICES, DELTA, schedulable)
+        rs = worstcase.remaining_structure(inst, self.SERVICES, DELTA)
         assert inst == before
-        assert set(rs.step_deadline_ms) == schedulable
-        # Each schedulable step is reduced in sequence or heads a block, never both.
-        heads = {j for b in rs.blocks for _, coefs in b.rows for j in coefs}
-        assert not set(rs.step_reduction_ms) & heads
-        assert set(rs.step_reduction_ms) | heads == schedulable
-        for j in schedulable:
+        ready = next_steps(inst)
+        assert set(rs.step_deadline_ms) == ready
+        # Each ready step sits on a row of the open item.
+        assert {j for _, coefs in rs.rows for j in coefs} == ready
+        for j in ready:
             assert rs.step_deadline_ms[j] == _reference_deadline(inst, j, self.SERVICES)
         # e_i once ``placed`` is placed, with every step still pending.
         scheduled = {
