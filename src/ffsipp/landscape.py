@@ -47,7 +47,6 @@ class ServiceType:
 @dataclass(frozen=True)
 class VmType:
     id: str
-    provider: str  # "private" | "public"
     cpu_supply: float  # cores * 100 percent
     ram_supply: float
     btu_ms: int
@@ -504,12 +503,11 @@ def parse_scenario(text: str) -> Scenario:
         raw,
         "vm_types",
         ("name", "cores", "cost_per_btu"),
-        ("provider", "ram", "startup_s", "pool_limit"),
+        ("ram", "startup_s", "pool_limit"),
     ):
         limit = entry.get("pool_limit")
         vt = VmType(
             id=str(entry["name"]),
-            provider=str(entry.get("provider", "public")),
             cpu_supply=_positive(f"{where}.cores", entry["cores"]) * 100.0,
             ram_supply=_number(f"{where}.ram", entry.get("ram", 1024), low=0),
             btu_ms=btu_ms,
@@ -517,12 +515,6 @@ def parse_scenario(text: str) -> Scenario:
             startup_ms=ms(_number(f"{where}.startup_s", entry.get("startup_s", 60), low=0)),
             pool_limit=None if limit is None else _number(f"{where}.pool_limit", limit, int, low=1),
         )
-        if vt.provider not in ("private", "public"):
-            raise ScenarioError(
-                f"{where}.provider must be 'private' or 'public', got {vt.provider!r}"
-            )
-        if vt.provider == "private" and vt.pool_limit is None:
-            raise ScenarioError(f"{where}.pool_limit must be set for a private pool")
         if vt.id in vm_types:
             raise ScenarioError(f"{where}.name: duplicate vm type {vt.id!r}")
         vm_types[vt.id] = vt

@@ -26,10 +26,9 @@ def service(name, cpu=45.0, duration_s=40, ram=0.0, pull_s=30, start_s=2):
     )
 
 
-def vm_type(name, cores=1, cost=10.0, provider="private", startup_s=60, pool_limit=None):
+def vm_type(name, cores=1, cost=10.0, startup_s=60, pool_limit=None):
     return landscape.VmType(
         id=name,
-        provider=provider,
         cpu_supply=cores * 100.0,
         ram_supply=1024.0,
         btu_ms=300_000,

@@ -184,7 +184,7 @@ def random_snapshot(rng: np.random.Generator):
     vm_types = {
         "p1": vm_type("p1", cores=1, cost=10.0, pool_limit=4),
         "p2": vm_type("p2", cores=2, cost=18.0, pool_limit=4),
-        "a4": vm_type("a4", cores=4, cost=35.0, provider="public"),
+        "a4": vm_type("a4", cores=4, cost=35.0),
     }
     instances = []
     for iid in range(1, int(rng.integers(1, 4)) + 1):

@@ -311,10 +311,8 @@ class TestParseScenario:
             (("vm_types", 0, "pool_limit"), 0, r"^vm_types\[0\]\.pool_limit must be >= 1, got 0$"),
             (("btu_seconds",), 0, r"^btu_seconds must be at least 1 ms, got 0$"),
             (("btu_seconds",), -300, r"^btu_seconds must be at least 1 ms, got -300$"),
-            (("vm_types", 0, "provider"), "pirate",
-             r"^vm_types\[0\]\.provider must be 'private' or 'public', got 'pirate'$"),
-            (("vm_types", 1, "provider"), "private",
-             r"^vm_types\[1\]\.pool_limit must be set for a private pool$"),
+            (("vm_types", 0, "provider"), "public",
+             r"^vm_types\[0\]: unknown key 'provider'$"),
             (("sla", "factor"), 1, r"^sla\.factor must be > 1, got 1$"),
             (("sla", "penalty_policy"), "x",
              r"^sla\.penalty_policy must be 'fraction' or 'per_10s', got 'x'$"),
@@ -337,7 +335,7 @@ class TestParseScenario:
              "bare_parenthesis", "no_demand", "zero_duration", "negative_duration",
              "negative_pull", "negative_start", "negative_f_cpu", "negative_f_ram", "zero_cores",
              "zero_price", "zero_pool_limit", "zero_btu", "negative_btu", "unknown_provider",
-             "private_without_limit", "sla_factor_one", "unknown_penalty_policy",
+             "sla_factor_one", "unknown_penalty_policy",
              "unknown_arrival_kind", "duplicate_service", "duplicate_vm_type",
              "duplicate_model_id", "unknown_step_service", "step_count",
              "unknown_batch_model"],

@@ -351,8 +351,8 @@ class TestSingleStepBilling:
             services:
               - {name: A, cpu: 45, ram: 0, duration_s: 40, pull_s: 30, start_s: 2}
             vm_types:
-              - {name: p1, provider: private, cores: 1, cost_per_btu: 10, startup_s: 60, pool_limit: 2}
-              - {name: a2, provider: public, cores: 2, cost_per_btu: 25, startup_s: 60}
+              - {name: p1, cores: 1, cost_per_btu: 10, startup_s: 60, pool_limit: 2}
+              - {name: a2, cores: 2, cost_per_btu: 25, startup_s: 60}
             models:
               - {id: 1, structure: "s"}
             arrival: {kind: constant, interval_s: 60, total_requests: 1}
