@@ -1,8 +1,10 @@
 """Rules on the package's source text."""
 import ast
+import dataclasses
 import pathlib
 
 import ffsipp
+from ffsipp import landscape
 
 PACKAGE = pathlib.Path(ffsipp.__file__).parent
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -73,3 +75,29 @@ def test_no_unused_import():
                     if (name := alias.asname or alias.name.split(".")[0]) not in read
                 ]
     assert found == []
+
+
+def test_every_setting_is_read():
+    # Every field of the scenario's settings is read, as an attribute,
+    # somewhere in the package outside ``parse_scenario``: a setting that
+    # nothing reads decides nothing, and is not kept.
+    settings = (
+        landscape.Scenario, landscape.ServiceType, landscape.VmType, landscape.ArrivalSpec,
+        landscape.SlaSpec, landscape.Weights, landscape.OptimizerConfig,
+    )
+    read = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            if path.name == "landscape.py" and getattr(top, "name", None) == "parse_scenario":
+                continue
+            read.update(
+                node.attr for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            )
+    unread = [
+        f"{cls.__name__}.{f.name}"
+        for cls in settings
+        for f in dataclasses.fields(cls)
+        if f.name not in read
+    ]
+    assert unread == []
