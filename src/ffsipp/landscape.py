@@ -9,6 +9,7 @@ import functools
 import re as _re
 import sys
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import yaml
 
@@ -357,8 +358,9 @@ class OptimizerConfig:
     weights: Weights
     epsilon_ms: int  # optimization period
     fresh_candidates: int  # fresh VMs offered per type
-    gap_tol: float  # HiGHS's mip_rel_gap
     time_limit_ms: int
+    # HiGHS's mip_rel_gap: every round is solved to a proven optimum
+    gap_tol: ClassVar[float] = 0.0
 
     @classmethod
     def from_scenario(cls, sc: "Scenario") -> "OptimizerConfig":
@@ -622,14 +624,13 @@ def parse_scenario(text: str) -> Scenario:
         z=_number("weights.z", w.get("z", 1.0)),
     )
 
-    s = _section(raw, "solver", ("gap", "time_limit_ms", "fresh_candidates"))
+    s = _section(raw, "solver", ("time_limit_ms", "fresh_candidates"))
     config = OptimizerConfig(
         weights=weights,
         epsilon_ms=epsilon_ms,
         fresh_candidates=_number(
             "solver.fresh_candidates", s.get("fresh_candidates", 3), int, low=1
         ),
-        gap_tol=_number("solver.gap", s.get("gap", 1e-6), low=0),
         time_limit_ms=_number("solver.time_limit_ms", s.get("time_limit_ms", 20000), int, low=1),
     )
 

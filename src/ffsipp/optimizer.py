@@ -530,8 +530,8 @@ class FfsippModel:
 
     def postponed(self) -> milp.MilpSolution | None:
         """The answer that places nothing and leases nothing, certified
-        without a solver as the only plan HiGHS can return at the config's
-        gap, or ``None`` when that cannot be shown.
+        without a solver as the only plan HiGHS can return, or ``None`` when
+        that cannot be shown.
 
         P0 has every integer column at 0 and every helper at its floor
         (decode's rule); it costs C0, the sum of rate_i * e^p_i. With every
@@ -540,22 +540,22 @@ class FfsippModel:
         uses (see ``_least_use``), with each placement priced at its cost
         less the most it can cut from its instance's penalty (see
         ``_net_costs``); a lease alone costs at least C0 plus its price.
-        Once the least of these, M, exceeds ``gap * C0 / (1 - gap)`` (with
-        margin), HiGHS can accept no incumbent that places or leases: its
-        dual bound is at most C0, so neither its relative gap nor its
-        absolute gap (1e-6) closes. Every answer it can return then has
-        x = y = 0, which decode floors to P0's helper values: the same plan
-        and wake-up. (A use flag or baseline type flag set alone changes no
-        placement, lease, e^p or e_i.) P0 is then optimal, so C0 is its
-        proven bound. With C0 = 0 this is the rule that every placement and
-        lease costs more than the gap's margin. ``decode`` takes the answer
-        as it is; its point, verified here, needs no second ``milp.verify``.
+        Once the least of these, M, exceeds ``_MARGIN``, HiGHS can accept no
+        incumbent that places or leases: its dual bound is at most C0 and
+        its relative gap is 0, so only its absolute gap (1e-6) could let it
+        stop above that bound, and M exceeds it. Every answer it can return
+        then has x = y = 0, which decode floors to P0's helper values: the
+        same plan and wake-up. (A use flag or baseline type flag set alone
+        changes no placement, lease, e^p or e_i.) P0 is then optimal, so C0
+        is its proven bound. With C0 = 0 this is the rule that every
+        placement and lease costs more than the margin. ``decode`` takes the
+        answer as it is; its point, verified here, needs no second
+        ``milp.verify``.
         """
         p = self.problem
         cost = p.cost
-        gap = self.config.gap_tol
         # sum(cost) is finite only if every cost is
-        if any(p.lower) or not math.isfinite(sum(cost)) or not gap < 1.0:
+        if any(p.lower) or not math.isfinite(sum(cost)):
             return None
         # A free-capacity helper stays at 0 in P0, where every use flag is 0;
         # milp.verify below confirms it. The e^p helpers come first.
@@ -565,9 +565,7 @@ class FfsippModel:
             floor, piece = self._floor(col, rows, values)
             if floor and cost[col]:
                 owed.append((col, cost[col] * floor, piece))
-        c0 = sum((c for _, c, _ in owed), 0.0)
-        threshold = 1.01 * gap * max(1.0, c0) / (1.0 - gap) + 1e-5
-        if not self._least_use(self._net_costs(owed), threshold):
+        if not self._least_use(self._net_costs(owed)):
             return None
         # Only a placement may cost less than 0; only placements sit on
         # e^p's rows, so only they can cut a penalty.
@@ -577,6 +575,7 @@ class FfsippModel:
                 return None
         if milp.verify(p, values):
             return None
+        c0 = sum((c for _, c, _ in owed), 0.0)
         self._certified = milp.MilpSolution(milp.OPTIMAL, np.array(values), c0, c0)
         return self._certified
 
@@ -601,9 +600,9 @@ class FfsippModel:
                     net[k] -= min(owed_i, rate * slope)
         return net
 
-    def _least_use(self, net: list[float], threshold: float) -> bool:
+    def _least_use(self, net: list[float]) -> bool:
         """Whether every VM's ``M_v`` and every lease's price exceed
-        ``threshold``, with each placement priced at its ``net`` cost.
+        ``_MARGIN``, with each placement priced at its ``net`` cost.
 
         A VM used by a nonempty set of its placements costs at least the
         BTUs one of them forces (at least 1 on a fresh VM) plus the
@@ -619,7 +618,7 @@ class FfsippModel:
         f_cpu, f_ram = w.f_cpu, w.f_ram
         for vm in self.candidates:
             y = self._y[vm.id]
-            if upper[y] and cost[y] <= threshold:
+            if upper[y] and cost[y] <= _MARGIN:
                 return False
             vt = self.state.vm_types[vm.type_id]
             running = self._running.get(vm.id, ())
@@ -656,7 +655,7 @@ class FfsippModel:
                 f_cpu * room_cpu + f_ram * room_ram
                 + (negative_free if negative_free < 0.0 else least_free),
             )
-            if m_v <= threshold:
+            if m_v <= _MARGIN:
                 return False
         return True
 
@@ -685,6 +684,9 @@ _NEG_INF = -math.inf
 # How far a placement may exceed its VM's free room and still be certified
 # out: 10 times HiGHS's (and verify's) feasibility tolerance.
 _FIT_TOL = 10 * milp.FEAS_TOL
+# How far above 0 the least cost of placing or leasing must lie for
+# ``postponed`` to certify a round: 10 times HiGHS's absolute gap.
+_MARGIN = 1e-5
 
 # One row as _floor reads it: its columns, coefficients, -a and a * bound.
 _Piece = tuple[list[int], list[float], float, float]

@@ -129,7 +129,7 @@ class MetricsReport:
     fallbacks: int
     verified_plans: int
     # decided by FfsippModel.postponed alone: placing nothing and leasing
-    # nothing was the only plan HiGHS could return at the scenario's gap
+    # nothing was the only plan HiGHS could return
     rounds_without_highs: int
 
 

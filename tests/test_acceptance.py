@@ -206,8 +206,7 @@ def random_snapshot(rng: np.random.Generator):
         vm_types=vm_types,
     )
     config = optimizer.OptimizerConfig(
-        weights=MONEY_ONLY, epsilon_ms=30_000, fresh_candidates=2, gap_tol=1e-9,
-        time_limit_ms=20_000,
+        weights=MONEY_ONLY, epsilon_ms=30_000, fresh_candidates=2, time_limit_ms=20_000,
     )
     return state, config
 

@@ -215,7 +215,7 @@ class TestParseScenario:
 
     def test_config_holds_the_yaml_values(self):
         config = OptimizerConfig.from_scenario(parse_scenario(preset_text("smoke")))
-        assert (config.gap_tol, config.time_limit_ms, config.fresh_candidates) == (0.001, 5000, 2)
+        assert (config.gap_tol, config.time_limit_ms, config.fresh_candidates) == (0.0, 5000, 2)
         assert config.epsilon_ms == 30000
 
     @pytest.mark.parametrize(
@@ -268,7 +268,7 @@ class TestParseScenario:
             (("weights", "z"), float("nan"), r"^weights\.z must be a finite number, got nan$"),
             (("solver", "time_limit_ms"), 0, r"^solver\.time_limit_ms must be >= 1, got 0$"),
             (("solver", "btu_max"), 1000, r"^solver: unknown key 'btu_max'$"),
-            (("solver", "gap"), -0.1, r"^solver\.gap must be >= 0, got -0\.1$"),
+            (("solver", "gap"), 0.001, r"^solver: unknown key 'gap'$"),
             (("vm_types", 1, "ram"), -5, r"^vm_types\[1\]\.ram must be >= 0, got -5$"),
             (("vm_types", 0, "startup_s"), -1, r"^vm_types\[0\]\.startup_s must be >= 0, got -1$"),
             (("arrival", "interval_s"), -60, r"^arrival\.interval_s must be >= 0, got -60$"),

@@ -14,6 +14,7 @@ from scipy import optimize
 from scipy.optimize._highspy import _core
 
 from ffsipp import baseline, milp, optimizer, sim
+from ffsipp.landscape import parse_scenario
 from ffsipp.milp import (
     BOOLEAN,
     CONTINUOUS,
@@ -24,7 +25,7 @@ from ffsipp.milp import (
     verify,
 )
 
-from .conftest import assert_highs_reads_back, row_bounds, sparse_matrix
+from .conftest import assert_highs_reads_back, preset_text, row_bounds, sparse_matrix
 from .oracle import enumerate_oracle
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -209,6 +210,11 @@ class TestSolve:
         assert tight.status == milp.OPTIMAL
         assert tight.objective_value - tight.bound <= 1e-9 * abs(tight.objective_value)
         assert loose.bound - 1e-6 <= tight.objective_value <= loose.objective_value + 1e-6
+        # the presets' own gap proves this round's optimum
+        gap = parse_scenario(preset_text("constant_strict_intense")).config.gap_tol
+        exact = solve(prob, gap_tol=gap)
+        assert exact.status == milp.OPTIMAL
+        assert exact.objective_value == pytest.approx(tight.objective_value, abs=1e-6)
 
     def test_answer_rounds_cleanly(self, monkeypatch):
         # A scheduling round (pyramid_strict_intense, ffsipp, seed 1, round

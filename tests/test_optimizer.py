@@ -28,7 +28,7 @@ WEIGHTS = Weights(dl_per_ms=1e-6, d_per_ms=1e-7, f_cpu=0.01, f_ram=0.0, z=1.0)
 
 def config(**kw):
     defaults = dict(
-        weights=WEIGHTS, epsilon_ms=2000, fresh_candidates=1, gap_tol=1e-9, time_limit_ms=20_000
+        weights=WEIGHTS, epsilon_ms=2000, fresh_candidates=1, time_limit_ms=20_000
     )
     defaults.update(kw)
     return OptimizerConfig(**defaults)
