@@ -358,9 +358,10 @@ class OptimizerConfig:
     weights: Weights
     epsilon_ms: int  # optimization period
     fresh_candidates: int  # fresh VMs offered per type
-    time_limit_ms: int
     # HiGHS's mip_rel_gap: every round is solved to a proven optimum
     gap_tol: ClassVar[float] = 0.0
+    # No wall-clock limit decides a plan; ROADMAP item 17(b) drops this.
+    time_limit_ms: ClassVar[None] = None
 
     @classmethod
     def from_scenario(cls, sc: "Scenario") -> "OptimizerConfig":
@@ -475,7 +476,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("malformed scenario file: expected a mapping")
     _known("scenario", raw, _SCENARIO_KEYS)
 
-    btu_ms = _duration_ms("btu_seconds", raw.get("btu_seconds", 300))
+    btu_ms = _ms("btu_seconds", raw.get("btu_seconds", 300), positive=True)
     epsilon_ms = _number("epsilon_ms", raw.get("epsilon_ms", 2000), int, low=1)
 
     services: dict[str, ServiceType] = {}
@@ -490,9 +491,9 @@ def parse_scenario(text: str) -> Scenario:
             id=str(entry["name"]),
             cpu_demand=cpu,
             ram_demand=ram,
-            duration_ms=_duration_ms(f"{where}.duration_s", entry["duration_s"]),
-            image_pull_ms=ms(_number(f"{where}.pull_s", entry.get("pull_s", 30), low=0)),
-            container_start_ms=ms(_number(f"{where}.start_s", entry.get("start_s", 2), low=0)),
+            duration_ms=_ms(f"{where}.duration_s", entry["duration_s"], positive=True),
+            image_pull_ms=_ms(f"{where}.pull_s", entry.get("pull_s", 30)),
+            container_start_ms=_ms(f"{where}.start_s", entry.get("start_s", 2)),
         )
         if svc.id in services:
             raise ScenarioError(f"{where}.name: duplicate service {svc.id!r}")
@@ -514,7 +515,7 @@ def parse_scenario(text: str) -> Scenario:
             ram_supply=_number(f"{where}.ram", entry.get("ram", 1024), low=0),
             btu_ms=btu_ms,
             cost_per_btu=_positive(f"{where}.cost_per_btu", entry["cost_per_btu"]),
-            startup_ms=ms(_number(f"{where}.startup_s", entry.get("startup_s", 60), low=0)),
+            startup_ms=_ms(f"{where}.startup_s", entry.get("startup_s", 60)),
             pool_limit=None if limit is None else _number(f"{where}.pool_limit", limit, int, low=1),
         )
         if vt.id in vm_types:
@@ -591,7 +592,7 @@ def parse_scenario(text: str) -> Scenario:
     requests = arr.get("total_requests", 50 if constant else 100)
     arrival = ArrivalSpec(
         kind=kind,
-        interval_ms=ms(_number("arrival.interval_s", interval_s, low=0)),
+        interval_ms=_ms("arrival.interval_s", interval_s),
         batch_models=batch,
         total_requests=_number("arrival.total_requests", requests, int, low=1),
     )
@@ -624,14 +625,13 @@ def parse_scenario(text: str) -> Scenario:
         z=_number("weights.z", w.get("z", 1.0)),
     )
 
-    s = _section(raw, "solver", ("time_limit_ms", "fresh_candidates"))
+    s = _section(raw, "solver", ("fresh_candidates",))
     config = OptimizerConfig(
         weights=weights,
         epsilon_ms=epsilon_ms,
         fresh_candidates=_number(
             "solver.fresh_candidates", s.get("fresh_candidates", 3), int, low=1
         ),
-        time_limit_ms=_number("solver.time_limit_ms", s.get("time_limit_ms", 20000), int, low=1),
     )
 
     return Scenario(
@@ -674,12 +674,14 @@ def _positive(name: str, value) -> float:
     return number
 
 
-def _duration_ms(name: str, seconds) -> int:
-    """``seconds`` in whole ms, refused if that is less than 1 ms."""
-    duration_ms = ms(_number(name, seconds))
-    if duration_ms <= 0:
+def _ms(name: str, seconds, positive: bool = False) -> int:
+    """``seconds`` in whole ms: finite, at least 0, and at least 1 if ``positive``."""
+    number = _number(name, seconds, low=None if positive else 0)
+    if not abs(number) * 1000 <= sys.float_info.max:
+        raise ScenarioError(f"{name} must be finite in ms, got {seconds!r}")
+    if positive and ms(number) <= 0:
         raise ScenarioError(f"{name} must be at least 1 ms, got {seconds:g}")
-    return duration_ms
+    return ms(number)
 
 
 def _known(where: str, mapping: dict, keys: tuple[str, ...]):

@@ -516,8 +516,7 @@ class FfsippModel:
             for row in rows:
                 relation, bound = p.row_relation(row)
                 a = 1.0 if relation == ">=" else -1.0
-                start, stop = p.indptr[row], p.indptr[row + 1]
-                bounds.append((p.indices[start:stop], p.data[start:stop], -a, a * bound))
+                bounds.append((*p.row_terms(row), -a, a * bound))
         values[col] = 0.0
         floor, active = 0.0, None
         for piece in bounds:

@@ -385,15 +385,13 @@ class Simulator:
         if certified:
             self.rounds_without_highs += 1
         else:
-            solution = milp.solve(
-                model.problem, gap_tol=self.config.gap_tol, time_limit_ms=self.config.time_limit_ms
-            )
+            solution = milp.solve(model.problem, gap_tol=self.config.gap_tol)
         if solution.status == milp.INFEASIBLE:
             # Postponing every step is feasible for any valid snapshot, so an
             # infeasible round is an input or model fault, not a reason to wait.
             raise InvariantError(f"round at {self.clock} ms ({self.approach}) is infeasible")
         if solution.values is None:
-            # No incumbent within the limit: postpone everything, lease nothing.
+            # No incumbent, which only a solve limit allows: postpone all, lease nothing.
             self.fallbacks += 1
             self.audit.append(f"{self.clock}\tfallback_postpone\t-\t")
             self._schedule_wakeup(self.clock + self.config.epsilon_ms)

@@ -56,7 +56,9 @@ which also prints, on stderr, the counts of rounds without HiGHS to pin in
 with every digest held, when ``postponed`` began to certify rounds that
 already owe a penalty. They rose again, with every model digest held and
 only the two options digests moved, when every round was solved at a
-relative gap of 0 and ``postponed``'s margin lost its gap term.
+relative gap of 0 and ``postponed``'s margin lost its gap term. The two
+options digests alone moved, with every model digest and both counts held,
+when the rounds stopped handing HiGHS a wall-clock ``time_limit``.
 """
 import dataclasses
 import hashlib

@@ -215,7 +215,7 @@ class TestParseScenario:
 
     def test_config_holds_the_yaml_values(self):
         config = OptimizerConfig.from_scenario(parse_scenario(preset_text("smoke")))
-        assert (config.gap_tol, config.time_limit_ms, config.fresh_candidates) == (0.0, 5000, 2)
+        assert (config.gap_tol, config.time_limit_ms, config.fresh_candidates) == (0.0, None, 2)
         assert config.epsilon_ms == 30000
 
     @pytest.mark.parametrize(
@@ -266,7 +266,7 @@ class TestParseScenario:
             (("vm_types", 0, "pool_limit"), True,
              r"^vm_types\[0\]\.pool_limit must be a number, got True$"),
             (("weights", "z"), float("nan"), r"^weights\.z must be a finite number, got nan$"),
-            (("solver", "time_limit_ms"), 0, r"^solver\.time_limit_ms must be >= 1, got 0$"),
+            (("solver", "time_limit_ms"), 5000, r"^solver: unknown key 'time_limit_ms'$"),
             (("solver", "btu_max"), 1000, r"^solver: unknown key 'btu_max'$"),
             (("solver", "gap"), 0.001, r"^solver: unknown key 'gap'$"),
             (("vm_types", 1, "ram"), -5, r"^vm_types\[1\]\.ram must be >= 0, got -5$"),
@@ -311,6 +311,7 @@ class TestParseScenario:
             (("vm_types", 0, "pool_limit"), 0, r"^vm_types\[0\]\.pool_limit must be >= 1, got 0$"),
             (("btu_seconds",), 0, r"^btu_seconds must be at least 1 ms, got 0$"),
             (("btu_seconds",), -300, r"^btu_seconds must be at least 1 ms, got -300$"),
+            (("btu_seconds",), 1.0e308, r"^btu_seconds must be finite in ms, got 1e\+308$"),
             (("vm_types", 0, "provider"), "public",
              r"^vm_types\[0\]: unknown key 'provider'$"),
             (("sla", "factor"), 1, r"^sla\.factor must be > 1, got 1$"),
@@ -334,7 +335,8 @@ class TestParseScenario:
              "negative_ram_demand", "empty_batch", "pyramid_batch", "undrawable_loop", "zero_loop",
              "bare_parenthesis", "no_demand", "zero_duration", "negative_duration",
              "negative_pull", "negative_start", "negative_f_cpu", "negative_f_ram", "zero_cores",
-             "zero_price", "zero_pool_limit", "zero_btu", "negative_btu", "unknown_provider",
+             "zero_price", "zero_pool_limit", "zero_btu", "negative_btu", "btu_overflows_ms",
+             "unknown_provider",
              "sla_factor_one", "unknown_penalty_policy",
              "unknown_arrival_kind", "duplicate_service", "duplicate_vm_type",
              "duplicate_model_id", "unknown_step_service", "step_count",

@@ -358,7 +358,7 @@ class TestSingleStepBilling:
             arrival: {kind: constant, interval_s: 60, total_requests: 1}
             sla: {factor: 2.5, penalty_policy: fraction, planning_rate_per_s: 100}
             weights: {dl: 0.001, d: 0.0001, f_cpu: 0.01, f_ram: 0, z: 1}
-            solver: {time_limit_ms: 10000, fresh_candidates: 1}
+            solver: {fresh_candidates: 1}
             """
         )
         rep = sim.run(parse_scenario(text), "ffsipp", 1)
