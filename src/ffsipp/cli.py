@@ -34,10 +34,10 @@ def main():
     "--seeds", default="1,2,3", show_default=True, callback=_seeds, help="Comma-separated seeds."
 )
 @click.option("--out", "out_dir", required=True, help="Output directory for reports.")
-@click.option("--dump-lp", "dump_lp_dir", default=None, help="Directory for LP model dumps.")
+@click.option("--dump-models", "dump_dir", default=None, help="Directory for round model JSON.")
 @click.option("--sla-factor", type=float, default=None, help="Override the SLA factor.")
 @click.option("--workers", type=int, default=None, help="Parallel worker processes.")
-def run_cmd(scenario, approach, seeds, out_dir, dump_lp_dir, sla_factor, workers):
+def run_cmd(scenario, approach, seeds, out_dir, dump_dir, sla_factor, workers):
     """Execute seeded runs and write metrics, usage, audit, and aggregate files."""
     try:
         config = experiment.ExperimentConfig(
@@ -46,7 +46,7 @@ def run_cmd(scenario, approach, seeds, out_dir, dump_lp_dir, sla_factor, workers
             seeds=seeds,
             out_dir=out_dir,
             sla_factor=sla_factor,
-            dump_lp_dir=dump_lp_dir,
+            dump_dir=dump_dir,
             max_workers=workers,
         )
         experiment.run_experiment(config)

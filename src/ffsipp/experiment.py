@@ -42,7 +42,7 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (1, 2, 3)
     out_dir: str = "out"
     sla_factor: float | None = None  # None = scenario's own factor
-    dump_lp_dir: str | None = None
+    dump_dir: str | None = None
     max_workers: int | None = None
 
     def __post_init__(self):
@@ -103,10 +103,7 @@ def sla_label(factor: float) -> str:
 def _run_one(args) -> tuple[str, int, sim.MetricsReport]:
     config, approach, seed = args
     scenario = load_scenario(config)
-    dump = None
-    if config.dump_lp_dir is not None:
-        dump = str(Path(config.dump_lp_dir) / f"{approach}_seed{seed}")
-    return approach, seed, sim.run(scenario, approach, seed, dump_lp_dir=dump)
+    return approach, seed, sim.run(scenario, approach, seed, dump_dir=config.dump_dir)
 
 
 def run_experiment(config: ExperimentConfig) -> dict[tuple[str, int], sim.MetricsReport]:

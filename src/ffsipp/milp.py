@@ -1,14 +1,13 @@
-"""Generic mixed-integer linear programs: model, solver, verifier, LP export.
+"""Generic mixed-integer linear programs: model, solver, verifier.
 
 A ``MilpProblem`` addresses columns and rows by integer index, in creation
 order. ``solve`` hands its arrays, through ``run_highs``, to HiGHS by
 scipy's bundled binding: NumPy arrays, the matrix row-wise, passed as they
 are to one HiGHS instance per thread.
-``export_lp`` writes a problem as LP text for external solvers; the format
-is write-only here (the tests read it back with HiGHS's own LP reader).
 """
 from __future__ import annotations
 
+import json
 import math
 import os
 import sys
@@ -74,9 +73,9 @@ class MilpProblem:
     are added one at a time by ``add_row``, which appends each straight
     into CSR arrays (``indptr``, ``indices``, ``data``) and its bounds into
     ``row_lower`` and ``row_upper``. Column names are metadata, read only
-    by the LP text format and error messages; rows are known by index
-    (``c<i>`` in LP text). All of it is append-only except the costs, which
-    callers set after adding a column.
+    by ``to_json`` and error messages; rows are known by index. All of it
+    is append-only except the costs, which callers set after adding a
+    column.
     """
 
     def __init__(self):
@@ -144,8 +143,9 @@ class MilpProblem:
         """Append the row ``lower <= sum(coefs[k] * x[cols[k]]) <= upper``,
         with ``-inf`` or ``inf`` for an open side, and return its index. A
         column appears at most once per row. Terms are kept as given, zero
-        coefficients too, for the LP text; ``assembled`` drops the zeros.
-        Nothing is appended if ``cols`` and ``coefs`` differ in length."""
+        coefficients too, and ``to_json`` writes them so; ``assembled``
+        drops the zeros. Nothing is appended if ``cols`` and ``coefs``
+        differ in length."""
         if len(cols) != len(coefs):
             raise ValueError(f"{len(cols)} columns and {len(coefs)} coefficients")
         self.indices += cols
@@ -214,6 +214,21 @@ class MilpProblem:
         """The row's columns and coefficients, in the order they were added."""
         start, stop = self.indptr[row], self.indptr[row + 1]
         return self.indices[start:stop], self.data[start:stop]
+
+    def to_json(self) -> str:
+        """The problem's lists as one compact JSON object, keyed ``names,
+        domains, lower, upper, cost, indptr, indices, data, row_lower,
+        row_upper`` in that order, with ``null`` for an infinite bound.
+        Values are written as the lists hold them, and JSON floats read back
+        exactly. A NaN, or an infinite cost or coefficient, raises
+        ``ValueError``."""
+        doc = {key: getattr(self, key) for key in (
+            "names", "domains", "lower", "upper", "cost",
+            "indptr", "indices", "data", "row_lower", "row_upper",
+        )}
+        for key in ("lower", "upper", "row_lower", "row_upper"):
+            doc[key] = [None if math.isinf(v) else v for v in doc[key]]
+        return json.dumps(doc, separators=(",", ":"), allow_nan=False)
 
 
 @dataclass
@@ -403,55 +418,3 @@ def verify(problem: MilpProblem, values) -> list[Violation]:
             else:
                 out.append(Violation(int(row), None, math.inf, "nonfinite"))
     return out
-
-
-# ---------------------------------------------------------------------------
-# LP text format
-
-
-def _num(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(float(x))
-
-
-def _format_terms(terms, names: list[str]) -> str:
-    """``terms`` as (column, coefficient) pairs, written in column order."""
-    parts = []
-    for col, coef in sorted(terms):
-        sign = "-" if coef < 0 else "+"
-        mag = _num(abs(coef))
-        if parts:
-            parts.append(f"{sign} {mag} {names[col]}")
-        else:
-            parts.append(f"{mag} {names[col]}" if coef >= 0 else f"- {mag} {names[col]}")
-    return " ".join(parts) if parts else "0 " + names[0] if names else "0"
-
-
-def export_lp(problem: MilpProblem) -> str:
-    """Serialize to the conventional LP text format, readable by external
-    solvers. Bounds lists every column, binaries included, in index order."""
-    names = problem.names
-    lines = ["Minimize"]
-    objective = [(col, c) for col, c in enumerate(problem.cost) if c]
-    lines.append(f" obj: {_format_terms(objective, names)}")
-    lines.append("Subject To")
-    for row in range(problem.num_rows):
-        relation, rhs = problem.row_relation(row)
-        terms = zip(*problem.row_terms(row))
-        lines.append(f" c{row}: {_format_terms(terms, names)} {relation} {_num(rhs)}")
-    lines.append("Bounds")
-    for name, lower, upper in zip(names, problem.lower, problem.upper):
-        lo = "-inf" if lower == -math.inf else _num(lower)
-        hi = "+inf" if upper == math.inf else _num(upper)
-        lines.append(f" {lo} <= {name} <= {hi}")
-    generals = [n for n, d in zip(names, problem.domains) if d == INTEGER]
-    binaries = [n for n, d in zip(names, problem.domains) if d == BOOLEAN]
-    if generals:
-        lines.append("Generals")
-        lines.extend(f" {name}" for name in generals)
-    if binaries:
-        lines.append("Binaries")
-        lines.extend(f" {name}" for name in binaries)
-    lines.append("End")
-    return "\n".join(lines) + "\n"

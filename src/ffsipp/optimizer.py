@@ -237,7 +237,7 @@ class FfsippModel:
             else:
                 g = self._g[vm.id] = p.add_var(f"g__{vm.id}", milp.BOOLEAN, 0, 1)
                 if vm.id in fresh:
-                    p.add_row((g, y), (1, -1), _NEG_INF, 0)
+                    p.add_row((g, y), (1.0, -1.0), _NEG_INF, 0)
 
         # Symmetry breaking among anonymous fresh candidates of one type.
         by_type: dict[str, list[VmSnapshot]] = {}
@@ -246,7 +246,7 @@ class FfsippModel:
                 by_type.setdefault(vm.type_id, []).append(vm)
         for group in by_type.values():
             for a, b in zip(group, group[1:]):
-                p.add_row((self._g[a.id], self._g[b.id]), (1, -1), 0, _INF)
+                p.add_row((self._g[a.id], self._g[b.id]), (1.0, -1.0), 0, _INF)
 
         # Placement variables and per-instance rows. A placement pays its
         # VM's remaining lease; one that outlasts a lease needs a coverage

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import pathlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,13 +135,13 @@ class MetricsReport:
 
 
 class Simulator:
-    def __init__(self, scenario: Scenario, approach: str, seed: int, dump_lp_dir=None):
+    def __init__(self, scenario: Scenario, approach: str, seed: int, dump_dir=None):
         if approach not in (FFSIPP, SIPP):
             raise ValueError(f"unknown approach {approach!r}")
         self.sc = scenario
         self.approach = approach
         self.seed = seed
-        self.dump_lp_dir = dump_lp_dir
+        self.dump_dir = dump_dir
         self._seedseq = np.random.SeedSequence(seed)
         self._shuffle_rng = np.random.default_rng(self._seedseq.spawn(1)[0])
         self.clock = 0
@@ -373,13 +374,11 @@ class Simulator:
             model = optimizer.build(state, self.config)
         else:
             model = baseline_mod.build_baseline(state, self.config)
-        if self.dump_lp_dir is not None:
-            import pathlib
-
-            path = pathlib.Path(self.dump_lp_dir)
+        if self.dump_dir is not None:
+            path = pathlib.Path(self.dump_dir)
             path.mkdir(parents=True, exist_ok=True)
-            name = f"{self.approach}_seed{self.seed}_round{self.rounds:04d}.lp"
-            (path / name).write_text(milp.export_lp(model.problem))
+            name = f"{self.approach}_seed{self.seed}_round{self.rounds:04d}.json"
+            (path / name).write_text(model.problem.to_json() + "\n")
         solution = model.postponed()
         certified = solution is not None  # its point has passed milp.verify
         if certified:
@@ -525,6 +524,6 @@ class Simulator:
         )
 
 
-def run(scenario: Scenario, approach: str, seed: int, dump_lp_dir=None) -> MetricsReport:
+def run(scenario: Scenario, approach: str, seed: int, dump_dir=None) -> MetricsReport:
     """Simulate one seeded run end to end."""
-    return Simulator(scenario, approach, seed, dump_lp_dir=dump_lp_dir).run()
+    return Simulator(scenario, approach, seed, dump_dir=dump_dir).run()

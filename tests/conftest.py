@@ -1,9 +1,7 @@
 import importlib.resources
+import json
 import math
-import pathlib
-import tempfile
 
-import numpy as np
 import pytest
 from hypothesis import settings, strategies as hst
 from scipy import sparse
@@ -168,43 +166,27 @@ def sparse_matrix(problem: milp.MilpProblem) -> sparse.csr_array:
     return sparse.csr_array((a.value, a.index, a.start), shape=(problem.num_rows, problem.num_vars))
 
 
-def assert_highs_reads_back(problem: milp.MilpProblem, text: str):
-    """HiGHS's own LP reader turns ``text`` into ``problem``: the same
-    columns (matched by name, since HiGHS numbers them by first appearance),
-    costs, bounds, integrality, row bounds and matrix, value for value."""
-    # scipy's private binding of HiGHS; only the tests that call this need it.
-    from scipy.optimize._highspy import _core
+PROBLEM_LISTS = (
+    "names", "domains", "lower", "upper", "cost",
+    "indptr", "indices", "data", "row_lower", "row_upper",
+)
 
-    highs = _core._Highs()
-    highs.setOptionValue("output_flag", False)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "model.lp"
-        path.write_text(text)
-        assert highs.readModel(str(path)) == _core.HighsStatus.kOk
-    lp = highs.getLp()
-    assert lp.sense_ == _core.ObjSense.kMinimize and lp.offset_ == 0.0
-    assert sorted(lp.col_names_) == sorted(problem.names)
-    index = {name: col for col, name in enumerate(problem.names)}
-    cols = np.array([index[name] for name in lp.col_names_], dtype=np.int64)
 
-    def column(values):
-        return np.array(values, dtype=np.float64)[cols]
+def problem_from_json(text: str) -> milp.MilpProblem:
+    """The ``MilpProblem`` whose ``to_json`` is ``text``: each list as
+    written, with ``null`` read back as an infinite bound."""
+    doc = json.loads(text)
+    for key, inf in (
+        ("lower", -math.inf), ("upper", math.inf), ("row_lower", -math.inf), ("row_upper", math.inf)
+    ):
+        doc[key] = [inf if v is None else v for v in doc[key]]
+    prob = milp.MilpProblem()
+    for key in PROBLEM_LISTS:
+        setattr(prob, key, doc[key])
+    return prob
 
-    assert np.array_equal(np.array(lp.col_cost_), column(problem.cost))
-    assert np.array_equal(np.array(lp.col_lower_), column(problem.lower))
-    assert np.array_equal(np.array(lp.col_upper_), column(problem.upper))
-    # An empty integrality list means every column is continuous.
-    integral = [kind != _core.HighsVarType.kContinuous for kind in lp.integrality_]
-    assert np.array_equal(
-        np.array(integral or [False] * lp.num_col_, dtype=bool), problem.integral()[cols]
-    )
-    assert lp.row_lower_ == problem.row_lower
-    assert lp.row_upper_ == problem.row_upper
-    a = lp.a_matrix_
-    assert a.format_ == _core.MatrixFormat.kColwise
-    read = sparse.csc_array(
-        (np.array(a.value_), np.array(a.index_), np.array(a.start_)),
-        shape=(lp.num_row_, lp.num_col_),
-    )
-    expected = sparse_matrix(problem).tocsc()[:, cols]
-    assert read.nnz == expected.nnz and (read != expected).nnz == 0
+
+def assert_same_problem(expected: milp.MilpProblem, actual: milp.MilpProblem):
+    """``actual`` holds ``expected``'s lists, list for list and value for value."""
+    for key in PROBLEM_LISTS:
+        assert getattr(actual, key) == getattr(expected, key), key

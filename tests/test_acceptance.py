@@ -18,9 +18,10 @@ from ffsipp.landscape import Weights
 from ffsipp.milp import BOOLEAN, CONTINUOUS, INTEGER, MilpProblem
 
 from .conftest import (
-    assert_highs_reads_back,
+    assert_same_problem,
     instance,
     preset_text,
+    problem_from_json,
     remaining_duration,
     row_bounds,
     vm_type,
@@ -106,11 +107,14 @@ def test_solver_matches_oracle_on_random_problems():
     assert time.monotonic() - started < 60.0
 
 
-def test_lp_export_read_by_highs_on_random_problems():
+def test_json_dump_round_trips_random_problems():
     rng = np.random.default_rng(20240824)
     for _ in range(200):
         problem = random_problem(rng)
-        assert_highs_reads_back(problem, milp.export_lp(problem))
+        text = problem.to_json()
+        loaded = problem_from_json(text)
+        assert_same_problem(problem, loaded)
+        assert loaded.to_json() == text
 
 
 # -- 2. plan feasibility ----------------------------------------------------

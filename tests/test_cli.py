@@ -3,7 +3,7 @@ from click.testing import CliRunner
 from ffsipp import cli
 from ffsipp.experiment import METRICS_HEADER
 
-from .conftest import preset_text
+from .conftest import preset_text, problem_from_json
 
 
 def run_cli(*args):
@@ -56,17 +56,20 @@ class TestRunCommand:
         )
         assert not (tmp_path / "out").exists()
 
-    def test_dump_lp_writes_models(self, tmp_path):
-        out = tmp_path / "out"
-        lp = tmp_path / "lp"
-        result = run_cli(
-            "run", "--scenario", "smoke", "--approach", "ffsipp",
-            "--seeds", "1", "--out", str(out), "--dump-lp", str(lp),
-        )
+    def test_dump_models_writes_round_json(self, tmp_path):
+        models = tmp_path / "models"
+        args = ("run", "--scenario", "smoke", "--approach", "ffsipp",
+                "--seeds", "1", "--out", str(tmp_path / "out"))
+        refused = run_cli(*args, "--dump-lp", str(models))
+        assert refused.exit_code == 2
+        assert "No such option '--dump-lp'" in refused.output
+        result = run_cli(*args, "--dump-models", str(models))
         assert result.exit_code == 0, result.output
-        dumps = list(lp.rglob("*.lp"))
-        assert dumps
-        assert "Minimize" in dumps[0].read_text()
+        dumps = sorted(models.iterdir())
+        assert dumps[0].name == "ffsipp_seed1_round0001.json"
+        for path in dumps:
+            assert path.suffix == ".json"
+            assert problem_from_json(path.read_text()).num_vars > 0
 
 
 class TestReportCommand:

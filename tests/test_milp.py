@@ -20,12 +20,18 @@ from ffsipp.milp import (
     CONTINUOUS,
     INTEGER,
     MilpProblem,
-    export_lp,
     solve,
     verify,
 )
 
-from .conftest import assert_highs_reads_back, preset_text, row_bounds, sparse_matrix
+from .conftest import (
+    PROBLEM_LISTS,
+    assert_same_problem,
+    preset_text,
+    problem_from_json,
+    row_bounds,
+    sparse_matrix,
+)
 from .oracle import enumerate_oracle
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -361,22 +367,15 @@ def rounded(prob, values):
 
 
 def committed_round(name: str) -> MilpProblem:
-    """The scheduling round model committed as ``tests/data/<name>.json``:
-    every column's name, domain, bounds and cost, and the CSR matrix with
-    its row bounds, as ``MilpProblem`` holds them; ``null`` stands for an
-    infinite bound. Each file was written from the ``MilpProblem`` that
+    """The scheduling round model committed as ``tests/data/<name>.json``,
+    in ``MilpProblem.to_json``'s form. Each file holds the model that
     ``optimizer.build`` returned for round n (counting model builds from 1)
-    of ffsipp's seed-1 simulation of the preset in its name, with the
-    simulation stopped there, and JSON floats read back exactly. The files
-    hold those rounds fixed while the builder changes."""
-    doc = json.loads((DATA / f"{name}.json").read_text())
-    prob = MilpProblem()
-    for key in ("names", "domains", "lower", "cost", "indptr", "indices", "data"):
-        setattr(prob, key, doc[key])
-    prob.upper = [math.inf if v is None else v for v in doc["upper"]]
-    prob.row_lower = [-math.inf if v is None else v for v in doc["row_lower"]]
-    prob.row_upper = [math.inf if v is None else v for v in doc["row_upper"]]
-    return prob
+    of ffsipp's seed-1 simulation of the preset in its name. Today's
+    builder's model for that round is recaptured by ``ffsipp run --scenario
+    <preset> --approach ffsipp --seeds 1 --out OUT --dump-models DIR``, as
+    ``DIR/ffsipp_seed1_round<nnnn>.json``. The files hold those rounds fixed
+    while the builder changes."""
+    return problem_from_json((DATA / f"{name}.json").read_text())
 
 
 class TestAssembled:
@@ -440,12 +439,12 @@ class TestAssembled:
     @pytest.mark.parametrize("lower, upper", [(1.0, 3.0), (-math.inf, math.inf)])
     def test_ranged_or_free_row_has_no_relation(self, lower, upper):
         # Neither row reads "relation rhs": "= lower" would misstate the
-        # ranged row that HiGHS solves, and "<= inf" is no LP text.
+        # ranged row that HiGHS solves, and "<= inf" bounds nothing.
         prob = problem([("x", CONTINUOUS, 0, 10, -1.0)])
         prob.add_row([0], [1.0], lower, upper)
         assert solve(prob).values.tolist() == [min(upper, 10.0)]
         with pytest.raises(ValueError, match="row 0 has bounds"):
-            export_lp(prob)
+            prob.row_relation(0)
 
     def test_bulk_columns_match_single_columns(self):
         single, bulk = MilpProblem(), MilpProblem()
@@ -528,30 +527,45 @@ class TestOracle:
         assert sol.values[0] == pytest.approx(4.0)
 
 
-class TestLpFormat:
+class TestJsonDump:
     def test_round_trip(self):
         prob = problem(
             [
-                ("x", CONTINUOUS, 0, 4.5, 1.5),
+                ("x", CONTINUOUS, 0, 4.5, 0.1 + 0.2),
                 ("n", INTEGER, 0, 7, -2.0),
                 ("b", BOOLEAN, 0, 1, 3.0),
+                ("f", CONTINUOUS, -math.inf, math.inf, 1 / 3),
             ],
             [
-                ({"x": 1.0, "n": 1.0}, "<=", 6.0),
-                ({"x": -2.5, "b": 1.0}, ">=", -3.0),
+                ({"x": 1.0, "n": 1.0, "f": 1 / 3}, "<=", 6.0),
+                ({"x": -2.5, "b": 0.0}, ">=", 0.1 + 0.2),
                 ({"n": 1.0, "b": -4.0}, "=", 0.0),
             ],
         )
-        assert_highs_reads_back(prob, export_lp(prob))
+        text = prob.to_json()
+        assert tuple(json.loads(text)) == PROBLEM_LISTS
+        loaded = problem_from_json(text)
+        assert_same_problem(prob, loaded)
+        assert loaded.to_json() == text
 
-    def test_sections_present(self):
-        text = export_lp(knapsack())
-        for section in ("Minimize", "Subject To", "Bounds", "Binaries", "End"):
-            assert section in text
+    @pytest.mark.parametrize(
+        "name", ["constant_strict_intense_round7", "pyramid_strict_intense_round448"]
+    )
+    def test_committed_rounds_are_dumps(self, name):
+        text = (DATA / f"{name}.json").read_text()
+        assert problem_from_json(text).to_json() + "\n" == text
 
-    def test_dumped_round_replays_the_simulated_solve(self, smoke_scenario, tmp_path, monkeypatch):
-        # Each dump, read by HiGHS, is the problem its round built, whether
-        # HiGHS solved that round or not.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_cost_is_not_written(self, bad):
+        # NaN and Infinity are not JSON
+        prob = knapsack()
+        prob.cost[1] = bad
+        with pytest.raises(ValueError, match="Out of range float values"):
+            prob.to_json()
+
+    def test_dumped_round_is_the_round_built(self, smoke_scenario, tmp_path, monkeypatch):
+        # Each dump, loaded, is the problem its round built, whether HiGHS
+        # solved that round or not.
         built = []
         for module, name in ((optimizer, "build"), (baseline, "build_baseline")):
             def recording(state, config, original=getattr(module, name)):
@@ -561,12 +575,14 @@ class TestLpFormat:
 
             monkeypatch.setattr(module, name, recording)
         reports = [
-            sim.run(smoke_scenario, approach, 1, dump_lp_dir=tmp_path / approach)
+            sim.run(smoke_scenario, approach, 1, dump_dir=tmp_path)
             for approach in (sim.FFSIPP, sim.SIPP)
         ]
-        dumps = sorted((tmp_path / sim.FFSIPP).glob("*.lp")) + sorted(
-            (tmp_path / sim.SIPP).glob("*.lp")
+        dumps = sorted(tmp_path.glob(f"{sim.FFSIPP}_*.json")) + sorted(
+            tmp_path.glob(f"{sim.SIPP}_*.json")
         )
         assert len(dumps) == len(built) == sum(r.rounds for r in reports) > 0
         for path, in_sim in zip(dumps, built):
-            assert_highs_reads_back(in_sim, path.read_text())
+            text = path.read_text()
+            assert_same_problem(in_sim, problem_from_json(text))
+            assert all(type(v) is float for v in json.loads(text)["data"]), path.name
