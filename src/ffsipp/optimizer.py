@@ -150,10 +150,11 @@ class FfsippModel:
     # -- construction -----------------------------------------------------
 
     def _candidate_vms(self) -> list[VmSnapshot]:
-        """The fleet, then fresh copies of each type. With the symmetry rows,
-        a fresh VM beyond the ready steps that fit its type stays empty in
-        every optimum (an empty fresh VM only adds cost), so the copies are
-        capped at that count as well as at the pool's room."""
+        """The fleet, then fresh copies of each type. Copies of one type are
+        interchangeable, and switching an empty one off never raises the
+        cost, so some optimum uses no more of them than the ready steps that
+        fit the type: the copies are capped at that count as well as at the
+        pool's room."""
         cands = list(self.state.fleet)
         live_per_type: dict[str, int] = {}
         for vm in self.state.fleet:
@@ -238,15 +239,6 @@ class FfsippModel:
                 g = self._g[vm.id] = p.add_var(f"g__{vm.id}", milp.BOOLEAN, 0, 1)
                 if vm.id in fresh:
                     p.add_row((g, y), (1.0, -1.0), _NEG_INF, 0)
-
-        # Symmetry breaking among anonymous fresh candidates of one type.
-        by_type: dict[str, list[VmSnapshot]] = {}
-        for vm in self.candidates:
-            if vm.id in fresh:
-                by_type.setdefault(vm.type_id, []).append(vm)
-        for group in by_type.values():
-            for a, b in zip(group, group[1:]):
-                p.add_row((self._g[a.id], self._g[b.id]), (1.0, -1.0), 0, _INF)
 
         # Placement variables and per-instance rows. A placement pays its
         # VM's remaining lease; one that outlasts a lease needs a coverage

@@ -45,7 +45,10 @@ when a VM locked to its type lost its type flags and a VM with two or more
 flags got ``sum(u) <= g`` for ``sum(u) <= 1``. Both approaches' digests
 were re-pinned, with the options digest and the counts of rounds without
 HiGHS held, when each AND/XOR block's branch rows were folded into its
-instance's deadline rows and the block-remainder columns went.
+instance's deadline rows and the block-remainder columns went. They were
+re-pinned again, with the options digests and the counts of rounds without
+HiGHS held, when the rows that ordered each type's fresh candidates by
+their use flags went.
 Regenerate them (only for a deliberate change of the model or of the
 options) with
 

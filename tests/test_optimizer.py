@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import pathlib
 import subprocess
@@ -20,7 +21,7 @@ from ffsipp.optimizer import (
     next_wakeup,
 )
 
-from .conftest import instance, preset_text, service, vm_type
+from .conftest import instance, preset_text, problem_from_json, service, vm_type
 from .oracle import enumerate_oracle
 
 WEIGHTS = Weights(dl_per_ms=1e-6, d_per_ms=1e-7, f_cpu=0.01, f_ram=0.0, z=1.0)
@@ -570,6 +571,46 @@ class TestRoundChainOnGeneratedRounds:
                         stops += 1
                         assert (action.vm_id, action.service) not in busy
         assert placing and stops
+
+
+def with_fresh_order_rows(problem: milp.MilpProblem) -> tuple[milp.MilpProblem, int]:
+    """A copy of ``problem`` with ``g_a - g_b >= 0`` for each pair of
+    consecutive fresh candidates of one type (``g`` is a candidate's use
+    flag, its ``y`` when it has no ``g`` column), and the most fresh
+    candidates of any one type."""
+    copy = problem_from_json(problem.to_json())
+    col = {name: k for k, name in enumerate(problem.names)}
+    flags: dict[str, list[int]] = {}
+    for name in problem.names:
+        if name.startswith(f"y__{optimizer.FRESH_PREFIX}"):
+            vm_id = name[len("y__"):]
+            flags.setdefault(fresh_vm_type(vm_id), []).append(col.get(f"g__{vm_id}", col[name]))
+    for group in flags.values():
+        for a, b in zip(group, group[1:]):
+            copy.add_row([a, b], [1.0, -1.0], 0.0, math.inf)
+    return copy, max(map(len, flags.values()), default=0)
+
+
+def test_fresh_candidate_order_rows_keep_the_optimum_on_generated_rounds():
+    """Ordering the anonymous fresh candidates of each type by their use
+    flags cuts no optimum: with or without those rows, the round's MILP has
+    the same optimal objective, under both builders."""
+    widest = 0
+    for preset in ("constant_strict_intense", "constant_lenient_light"):
+        sc = landscape.parse_scenario(preset_text(preset))
+        rng = np.random.default_rng(np.random.SeedSequence(32))
+        for _ in range(30):
+            snapshot = generated_round(sc, rng)
+            if not snapshot.instances:
+                continue
+            for builder in (build, build_baseline):
+                problem = builder(snapshot, sc.config).problem
+                ordered, copies = with_fresh_order_rows(problem)
+                optimum = milp.solve(problem, sc.config.gap_tol).objective_value
+                ordered_optimum = milp.solve(ordered, sc.config.gap_tol).objective_value
+                assert optimum == pytest.approx(ordered_optimum, rel=1e-6)
+                widest = max(widest, copies)
+    assert widest >= 2
 
 
 class TestSharingAndCapacity:
