@@ -35,9 +35,8 @@ def main():
 )
 @click.option("--out", "out_dir", required=True, help="Output directory for reports.")
 @click.option("--dump-models", "dump_dir", default=None, help="Directory for round model JSON.")
-@click.option("--sla-factor", type=float, default=None, help="Override the SLA factor.")
 @click.option("--workers", type=int, default=None, help="Parallel worker processes.")
-def run_cmd(scenario, approach, seeds, out_dir, dump_dir, sla_factor, workers):
+def run_cmd(scenario, approach, seeds, out_dir, dump_dir, workers):
     """Execute seeded runs and write metrics, usage, audit, and aggregate files."""
     try:
         config = experiment.ExperimentConfig(
@@ -45,7 +44,6 @@ def run_cmd(scenario, approach, seeds, out_dir, dump_dir, sla_factor, workers):
             approaches=tuple(a.strip() for a in approach.split(",") if a.strip()),
             seeds=seeds,
             out_dir=out_dir,
-            sla_factor=sla_factor,
             dump_dir=dump_dir,
             max_workers=workers,
         )

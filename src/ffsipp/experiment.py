@@ -9,9 +9,7 @@ deviation per metric per approach). All outputs are byte-reproducible.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
-import math
 import os
 import statistics
 from importlib import resources
@@ -41,7 +39,6 @@ class ExperimentConfig:
     approaches: tuple[str, ...] = (sim.FFSIPP, sim.SIPP)
     seeds: tuple[int, ...] = (1, 2, 3)
     out_dir: str = "out"
-    sla_factor: float | None = None  # None = scenario's own factor
     dump_dir: str | None = None
     max_workers: int | None = None
 
@@ -57,11 +54,6 @@ class ExperimentConfig:
         unknown = set(self.approaches) - {sim.FFSIPP, sim.SIPP}
         if unknown:
             raise ValueError(f"unknown approaches: {sorted(unknown)}")
-        if self.sla_factor is not None:
-            if not math.isfinite(self.sla_factor):
-                raise ValueError(f"sla_factor must be a finite number, got {self.sla_factor}")
-            if self.sla_factor <= 1:
-                raise ValueError("sla_factor must exceed 1")
         negative = [s for s in self.seeds if s < 0]
         if negative:
             raise ValueError(f"seeds must be >= 0, got {negative}")
@@ -86,10 +78,7 @@ def load_scenario(config: ExperimentConfig) -> Scenario:
                 f"(presets: {', '.join(names)})"
             )
         text = preset.read_text()
-    scenario = parse_scenario(text)
-    if config.sla_factor is not None:
-        scenario.sla = dataclasses.replace(scenario.sla, factor=config.sla_factor)
-    return scenario
+    return parse_scenario(text)
 
 
 def sla_label(factor: float) -> str:

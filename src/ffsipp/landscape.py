@@ -65,14 +65,6 @@ class WorkflowNode:
     node_id: int = -1  # assigned by ProcessModel
     step_index: int = -1  # steps only, assigned by ProcessModel
 
-    def __post_init__(self):
-        if self.kind == STEP and self.children:
-            raise ScenarioError("a step has no children")
-        if self.kind != STEP and not self.children:
-            raise ScenarioError(f"{self.kind} needs at least one child")
-        if self.kind == REPEAT_LOOP and (self.repetitions is None or self.repetitions < 1):
-            raise ScenarioError("repeat loop needs positive repetitions")
-
 
 @dataclass
 class ProcessModel:
@@ -204,26 +196,13 @@ class PathDecomposition:
 
 
 def enumerate_paths(model: ProcessModel) -> PathDecomposition:
-    """The model's decomposition; refuses a block or loop below the top level
-    and a loop the simulator cannot draw iterations for."""
-
-    def steps_of(node: WorkflowNode) -> list[int]:
-        inner = node.children if node.kind == SEQUENCE else [node]
-        for n in inner:
-            if n.kind != STEP:
-                what = "loop" if n.kind == REPEAT_LOOP else "block"
-                raise ScenarioError(
-                    f"model {model.id}: a {what} inside a block or loop is not supported"
-                )
-        return [n.step_index for n in inner]
-
+    """The model's decomposition, read off the tree ``parse_structure`` builds:
+    a top-level step is its own one list, and each branch or loop body is one
+    step or a sequence of steps."""
     items = []
-    for node in model.root.children if model.root.kind == SEQUENCE else [model.root]:
-        lists = [[node.step_index]] if node.kind == STEP else [steps_of(c) for c in node.children]
-        reps = node.repetitions or 1
-        if reps >= 2**63:  # the simulator draws iterations from [1, reps] as an int64
-            raise ScenarioError(f"model {model.id}: loop repetitions must be < 2**63, got {reps}")
-        items.append((node.node_id, node.kind, lists, reps))
+    for node in model.root.children:
+        lists = [[n.step_index for n in b.children or [b]] for b in node.children or [node]]
+        items.append((node.node_id, node.kind, lists, node.repetitions or 1))
     return PathDecomposition(items)
 
 
@@ -380,90 +359,74 @@ class Scenario:
     config: OptimizerConfig
 
 
-_STRUCTURE_TOKEN = _re.compile(r"\s*(AND|XOR|LOOP(?:\*\d+)?|s|\(|\)|,|\|)", _re.IGNORECASE)
-
-
-def _tokenize_structure(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _STRUCTURE_TOKEN.match(text, pos)
-        if not m:
-            raise ScenarioError(f"bad workflow structure near {text[pos:pos+12]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
+_STRUCTURE_TOKEN = _re.compile(r"\s*((?i:AND|XOR|LOOP(?:\*\d+)?)|s|[(),|]|\Z)")
+_BLOCK_KINDS = {"AND": AND_BLOCK, "XOR": XOR_BLOCK, "LOOP": REPEAT_LOOP}
 
 
 def parse_structure(text: str) -> WorkflowNode:
-    """Parse the compact workflow grammar.
+    """Parse the compact workflow grammar into the model's top-level sequence.
 
-    ``s`` is a step placeholder; ``,`` sequences; ``AND(a|b)``/``XOR(a|b)``
-    are split/merge blocks with ``|``-separated branches; ``LOOP*n(body)``
-    repeats its body at most n times (default 3).
+    The sequence is items joined by ``,``. An item is a step ``s``, an
+    ``AND(...)`` or ``XOR(...)`` split/merge block with ``|``-separated
+    branches, or ``LOOP*n(...)``, whose body runs at most n times (default
+    3). Every branch and loop body is steps joined by ``,``: a block or loop
+    there is refused at its token. Whitespace may sit between any tokens and
+    at either end.
     """
-    tokens = _tokenize_structure(text)
-    pos = [0]
+    pos = 0
 
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
-
-    def take(expected=None):
-        tok = peek()
-        if tok is None or (expected and tok != expected):
-            raise ScenarioError(f"bad workflow structure: expected {expected!r}, got {tok!r}")
-        pos[0] += 1
+    def take(*expected: str) -> str:
+        """The next token, ``''`` at the end; refused unless it is one of ``expected``."""
+        nonlocal pos
+        m = _STRUCTURE_TOKEN.match(text, pos)
+        if not m:
+            raise ScenarioError(f"bad workflow structure near {text[pos:pos + 12]!r}")
+        tok = m.group(1)
+        if expected and tok not in expected:
+            raise refused(tok)
+        pos = m.end()
         return tok
 
-    def parse_seq(stop: tuple[str, ...]) -> WorkflowNode:
-        items = [parse_item()]
-        while peek() == ",":
-            take(",")
-            items.append(parse_item())
-        if peek() not in stop:
-            raise ScenarioError(f"bad workflow structure at token {peek()!r}")
-        if len(items) == 1:
-            return items[0]
-        return WorkflowNode(SEQUENCE, children=items)
+    def refused(tok: str) -> ScenarioError:
+        if not tok:
+            return ScenarioError("bad workflow structure: unexpected end")
+        return ScenarioError(f"bad workflow structure at token {tok!r}")
 
-    def parse_branches() -> list[WorkflowNode]:
-        take("(")
-        branches = [parse_seq((")", "|"))]
-        while peek() == "|":
-            take("|")
-            branches.append(parse_seq((")", "|")))
-        take(")")
-        return branches
+    def sequence(nested: bool, *end: str) -> tuple[list[WorkflowNode], str]:
+        """Items joined by ``,`` (steps only if ``nested``) and the token after them."""
+        nodes = [item(nested)]
+        while (tok := take(",", *end)) == ",":
+            nodes.append(item(nested))
+        return nodes, tok
 
-    def parse_item() -> WorkflowNode:
-        tok = peek()
-        if tok is None:
-            raise ScenarioError("bad workflow structure: unexpected end")
-        upper = tok.upper()
+    def item(nested: bool) -> WorkflowNode:
+        """A step or, unless ``nested``, a block or loop."""
+        tok = take()
         if tok == "s":
-            take()
             return WorkflowNode(STEP)
-        if upper == "AND":
-            take()
-            return WorkflowNode(AND_BLOCK, children=parse_branches())
-        if upper == "XOR":
-            take()
-            return WorkflowNode(XOR_BLOCK, children=parse_branches())
-        if upper.startswith("LOOP"):
-            take()
-            reps = DEFAULT_LOOP_REPETITIONS
-            if "*" in tok:
-                reps = int(tok.split("*")[1])
-            take("(")
-            body = parse_seq((")",))
-            take(")")
-            return WorkflowNode(REPEAT_LOOP, children=[body], repetitions=reps)
-        raise ScenarioError(f"bad workflow structure at token {tok!r}")
+        kind = _BLOCK_KINDS.get(tok[:4].upper())
+        if kind is None:
+            raise refused(tok)
+        if nested:
+            what = "loop" if kind == REPEAT_LOOP else "block"
+            raise ScenarioError(f"a {what} inside a block or loop is not supported")
+        reps = None
+        if kind == REPEAT_LOOP:
+            digits = tok[5:] or str(DEFAULT_LOOP_REPETITIONS)
+            # The simulator draws iterations from [1, reps] as an int64, and
+            # int() refuses a string of over 4300 digits with a bare ValueError.
+            reps = int(digits) if len(digits) < 20 else 2**63
+            if not 1 <= reps < 2**63:
+                raise ScenarioError(f"loop repetitions must be >= 1 and < 2**63, got {digits}")
+        take("(")
+        end = (")",) if kind == REPEAT_LOOP else (")", "|")
+        branches, tok = [], "|"
+        while tok == "|":
+            steps, tok = sequence(True, *end)
+            branches.append(steps[0] if len(steps) == 1 else WorkflowNode(SEQUENCE, steps))
+        return WorkflowNode(kind, branches, repetitions=reps)
 
-    root = parse_seq((None,))
-    if root.kind == STEP:
-        root = WorkflowNode(SEQUENCE, children=[root])
-    return root
+    return WorkflowNode(SEQUENCE, sequence(False, "")[0])
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -551,7 +514,6 @@ def parse_scenario(text: str) -> Scenario:
         except ScenarioError as exc:
             raise ScenarioError(f"{where}.structure: {exc}") from None
         model = ProcessModel(id=mid, root=root)
-        model.paths  # refuses a block or loop below the top level
         explicit = entry.get("steps")
         if explicit is not None:
             if not isinstance(explicit, list):

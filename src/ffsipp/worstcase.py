@@ -3,7 +3,7 @@
 Every pending step is assumed to pay the full deployment overhead on a
 freshly started VM of the slowest-starting type; blocks contribute their
 longest branch and loops their maximum repetitions. Blocks and loops sit in
-the top-level sequence and hold only steps (``landscape.enumerate_paths``
+the top-level sequence and hold only steps (``landscape.parse_structure``
 refuses anything deeper), so this worst case is exact. Only the first
 unfinished top-level item can hold ready steps (``landscape.next_steps``),
 so each round derives one ``RemainingStructure`` per instance: e_i, the

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 from click.testing import CliRunner
 
 from ffsipp import cli
@@ -8,6 +11,20 @@ from .conftest import preset_text, problem_from_json
 
 def run_cli(*args):
     return CliRunner().invoke(cli.main, list(args))
+
+
+def test_every_option_is_documented():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    options = {
+        opt
+        for command in cli.main.commands.values()
+        for param in command.params
+        for opt in param.opts
+        if opt.startswith("--")
+    }
+    assert options
+    documented = {opt for opt in options if re.search(rf"{re.escape(opt)}(?![\w-])", readme)}
+    assert sorted(options - documented) == []
 
 
 class TestRunCommand:

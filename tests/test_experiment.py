@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from ffsipp import experiment
@@ -39,16 +37,6 @@ class TestConfigValidation:
     def test_requires_known_approach(self):
         with pytest.raises(ValueError):
             ExperimentConfig(scenario_path="x.yaml", approaches=("greedy",))
-
-    def test_sla_factor_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(scenario_path="x.yaml", sla_factor=0.9)
-
-    @pytest.mark.parametrize("factor", [math.nan, math.inf])
-    def test_non_finite_sla_factor_rejected(self, factor):
-        message = rf"^sla_factor must be a finite number, got {factor}$"
-        with pytest.raises(ValueError, match=message):
-            ExperimentConfig(scenario_path="x.yaml", sla_factor=factor)
 
     def test_repeated_seeds_rejected(self):
         with pytest.raises(ValueError, match=r"repeated seeds: \[1\]"):

@@ -1,6 +1,6 @@
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as hst
+from hypothesis import assume, given, settings, strategies as hst
 
 from ffsipp import landscape, worstcase
 from ffsipp.landscape import (
@@ -41,13 +41,6 @@ class TestParseStructure:
         assert kinds == [STEP, AND_BLOCK, REPEAT_LOOP]
         assert root.children[2].repetitions == 3
 
-    def test_nested(self):
-        root = parse_structure("s,AND(s,s|XOR(s|s)),s")
-        block = root.children[1]
-        assert block.kind == AND_BLOCK
-        assert len(block.children) == 2
-        assert block.children[1].kind == XOR_BLOCK
-
     def test_step_counts_match_preset_models(self):
         counts = {
             "s,s,s": 3,
@@ -68,6 +61,25 @@ class TestParseStructure:
         with pytest.raises(ScenarioError):
             parse_structure("s,AND(s|")
 
+    @settings(max_examples=200)
+    @given(structures(), hst.data())
+    def test_block_or_loop_in_place_of_an_inner_step_rejected(self, structure, data):
+        # Swap one step of a branch or loop body for a block or loop.
+        depth, inner = 0, []
+        for pos, char in enumerate(structure):
+            depth += {"(": 1, ")": -1}.get(char, 0)
+            if char == "s" and depth:
+                inner.append(pos)
+        assume(inner)
+        pos = data.draw(hst.sampled_from(inner))
+        nested, what = data.draw(
+            hst.sampled_from([("AND(s|s)", "block"), ("XOR(s|s)", "block"), ("LOOP*2(s)", "loop")])
+        )
+        with pytest.raises(
+            ScenarioError, match=rf"^a {what} inside a block or loop is not supported$"
+        ):
+            parse_structure(structure[:pos] + nested + structure[pos + 1:])
+
 
 class TestWorkflowSemantics:
     def test_sequence_progression(self, abc_services):
@@ -84,8 +96,8 @@ class TestWorkflowSemantics:
     def test_xor_waits_for_choice(self, abc_services):
         inst = instance("XOR(s|s)", abc_services, ["A", "B"])
         assert next_steps(inst) == set()
-        assert pending_xor_choices(inst) == [0]
-        apply_xor_choice(inst, 0, 1)
+        assert pending_xor_choices(inst) == [1]
+        apply_xor_choice(inst, 1, 1)
         assert next_steps(inst) == {1}
         assert inst.steps[0].status == SKIPPED
 
@@ -290,9 +302,12 @@ class TestParseScenario:
             (("arrival", "kind"), "pyramid",
              r"^arrival\.batch_models needs kind 'constant', got 'pyramid'$"),
             (("models", 0, "structure"), "s,LOOP*99999999999999999999(s)",
-             r"^model 1: loop repetitions must be < 2\*\*63, got 99999999999999999999$"),
+             r"^models\[0\]\.structure: loop repetitions must be >= 1 and < 2\*\*63, "
+             r"got 99999999999999999999$"),
             (("models", 1, "structure"), "s,LOOP*0(s)",
-             r"^models\[1\]\.structure: repeat loop needs positive repetitions$"),
+             r"^models\[1\]\.structure: loop repetitions must be >= 1 and < 2\*\*63, got 0$"),
+            (("models", 1, "structure"), f"LOOP*{'9' * 5000}(s)",
+             r"^models\[1\]\.structure: loop repetitions must be >= 1 and < 2\*\*63, got 9{5000}$"),
             (("models", 1, "structure"), "s,(s)",
              r"^models\[1\]\.structure: bad workflow structure at token '\('$"),
             (("services", 0, "cpu"), 0,
@@ -333,6 +348,7 @@ class TestParseScenario:
              "unknown_entry_key", "unknown_top_key", "big_m", "no_requests",
              "negative_planning_rate", "ram_fits_no_vm", "cpu_fits_no_vm", "negative_cpu_demand",
              "negative_ram_demand", "empty_batch", "pyramid_batch", "undrawable_loop", "zero_loop",
+             "loop_count_beyond_int_digits",
              "bare_parenthesis", "no_demand", "zero_duration", "negative_duration",
              "negative_pull", "negative_start", "negative_f_cpu", "negative_f_ram", "zero_cores",
              "zero_price", "zero_pool_limit", "zero_btu", "negative_btu", "btu_overflows_ms",
@@ -366,7 +382,9 @@ class TestParseScenario:
     def test_loop_below_top_level_rejected(self):
         # The worst case counts such a loop's steps once, not per repetition.
         text = preset_text("smoke").replace('"s,AND(s|s)"', '"s,AND(LOOP*3(s)|s)"')
-        with pytest.raises(ScenarioError, match=r"^model 2: a loop inside a block or loop"):
+        with pytest.raises(
+            ScenarioError, match=r"^models\[1\]\.structure: a loop inside a block or loop"
+        ):
             parse_scenario(text)
 
     @pytest.mark.parametrize(
@@ -384,9 +402,20 @@ class TestParseScenario:
         # The worst case would count a nested block's branches in series.
         text = preset_text("smoke").replace('"s,AND(s|s)"', f'"{structure}"')
         with pytest.raises(
-            ScenarioError, match=rf"^model 2: a {what} inside a block or loop is not supported$"
+            ScenarioError,
+            match=rf"^models\[1\]\.structure: a {what} inside a block or loop is not supported$",
         ):
             parse_scenario(text)
+
+    def test_folded_structure_parses(self):
+        # A folded YAML scalar ends in a newline.
+        folded = preset_text("smoke").replace(
+            '  - {id: 2, structure: "s,AND(s|s)"}\n',
+            "  - id: 2\n    structure: >\n      s, AND(s | s)\n",
+        )
+        assert yaml.safe_load(folded)["models"][1]["structure"] == "s, AND(s | s)\n"
+        model = parse_scenario(folded).models[1]
+        assert model.paths.items == parse_scenario(preset_text("smoke")).models[1].paths.items
 
     def test_dangling_service_rejected(self):
         text = preset_text("smoke").replace(
