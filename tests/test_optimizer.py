@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import pathlib
@@ -571,6 +572,48 @@ class TestRoundChainOnGeneratedRounds:
                         stops += 1
                         assert (action.vm_id, action.service) not in busy
         assert placing and stops
+
+
+class TestRoundModelOnGeneratedRounds:
+    """The round model is pinned on seeded warm snapshots, under both
+    builders: one sha256 of the models' JSON dumps per preset and builder.
+    The snapshots hold running steps that outlast their VM's lease, booting
+    VMs and cached images, which a short simulation reaches only in part;
+    being drawn, not simulated, they do not shift when a plan changes. A
+    change that only speeds up or restructures the builder must reproduce
+    every digest."""
+
+    DIGESTS = {
+        "constant_lenient_light": (
+            "ea7e349e9428f3e587f19cc2431c2ff597be4a573a8df5c4fd9d9bb257f8c93a",
+            "050a4762c58cacd08729fb992c803b3cad79e9ec14eb4b28abb4236afcf1f633",
+        ),
+        "constant_strict_intense": (
+            "e8ae2ae5b721a0dd870420fd16227f243ed774d3e5e682498c2c5b4017305adf",
+            "2dd63a168016e2fc730abe849260e0e84f53d3d974be5231dc3215743e1726f4",
+        ),
+        "pyramid_strict_light": (
+            "74a6a9629a53e5ac254cedefa3fe7e1173336a150186c07768cc5b34766137a3",
+            "74c5d99306aa50178c31918952dc00c045323c6238fe1c25a20162312f79ee2a",
+        ),
+    }
+
+    @pytest.mark.parametrize("preset", sorted(DIGESTS))
+    def test_models_match_their_digests(self, preset):
+        sc = landscape.parse_scenario(preset_text(preset))
+        rng = np.random.default_rng(np.random.SeedSequence(30))
+        snapshots = [generated_round(sc, rng) for _ in range(40)]
+        fleet = [vm for snapshot in snapshots for vm in snapshot.fleet]
+        assert any(rem > vm.lease_remaining_ms for vm in fleet for _, _, rem in vm.running_steps)
+        assert any(vm.ready_in_ms for vm in fleet)
+        assert any(vm.cached_images for vm in fleet)
+        digests = []
+        for builder in (build, build_baseline):
+            h = hashlib.sha256()
+            for snapshot in snapshots:
+                h.update(builder(snapshot, sc.config).problem.to_json().encode())
+            digests.append(h.hexdigest())
+        assert tuple(digests) == self.DIGESTS[preset]
 
 
 def with_fresh_order_rows(problem: milp.MilpProblem) -> tuple[milp.MilpProblem, int]:
