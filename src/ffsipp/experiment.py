@@ -90,17 +90,16 @@ def sla_label(factor: float) -> str:
 
 
 def _run_one(args) -> tuple[str, int, sim.MetricsReport]:
-    config, approach, seed = args
-    scenario = load_scenario(config)
-    return approach, seed, sim.run(scenario, approach, seed, dump_dir=config.dump_dir)
+    scenario, approach, seed, dump_dir = args
+    return approach, seed, sim.run(scenario, approach, seed, dump_dir=dump_dir)
 
 
 def run_experiment(config: ExperimentConfig) -> dict[tuple[str, int], sim.MetricsReport]:
     """Execute all runs; write metrics.csv, usage/audit files, and ``report``'s aggregate.csv."""
-    scenario = load_scenario(config)  # validate before spawning workers
+    scenario = load_scenario(config)  # parsed once: every run sees the same scenario
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(config, a, s) for a in config.approaches for s in config.seeds]
+    jobs = [(scenario, a, s, config.dump_dir) for a in config.approaches for s in config.seeds]
     # Under fork the pool starts all its workers at the first submit, so it
     # gets no more than there are runs.
     workers = min(config.max_workers or os.cpu_count() or 1, len(jobs))

@@ -395,7 +395,8 @@ def verify(problem: MilpProblem, values) -> list[Violation]:
     lower, upper = a.lower, a.upper
     finite = np.isfinite(x)
     bad_bound = (x < lower - FEAS_TOL) | (x > upper + FEAS_TOL)
-    residue = np.abs(x - np.round(x))
+    fx = np.where(finite, x, 0.0)  # a non-finite value is reported as such
+    residue = np.abs(fx - np.round(fx))
     bad_int = a.integral & (residue > FEAS_TOL)
     out: list[Violation] = []
     for i in np.flatnonzero(bad_bound | bad_int | ~finite):
@@ -410,8 +411,9 @@ def verify(problem: MilpProblem, values) -> list[Violation]:
             out.append(Violation(None, name, float(residue[i]), "integrality"))
     if problem.num_rows:
         lhs = problem.activity(x)
-        slack = np.maximum(lhs - a.row_upper, a.row_lower - lhs)
         finite_lhs = np.isfinite(lhs)
+        lhs = np.where(finite_lhs, lhs, 0.0)  # a non-finite activity is reported as such
+        slack = np.maximum(lhs - a.row_upper, a.row_lower - lhs)
         for row in np.flatnonzero((slack > FEAS_TOL) | ~finite_lhs):
             if finite_lhs[row]:
                 out.append(Violation(int(row), None, float(slack[row]), "constraint"))

@@ -81,6 +81,25 @@ class SchedulingPlan:
 TERM_NAMES = ("leasing", "penalty", "deployment", "remaining_lease", "free_capacity", "importance")
 
 
+@dataclass(eq=False)
+class _Candidate:
+    """One candidate VM as the round model sees it."""
+
+    vm: VmSnapshot
+    vt: VmType
+    fresh: bool
+    running: list[Assignment]  # its running steps, occupancy = remainder
+    run_cpu: float
+    run_ram: float
+    max_run: int  # longest running remainder, 0 when none
+    horizon: int  # longest running step or placement on it, from now
+    # placements in creation order, each as (column, step, occupancy,
+    # instance id, step index); decode makes the Assignment
+    placements: list[tuple[int, StepState, int, int, int]] = field(default_factory=list)
+    y: int = -1  # its BTUs to lease
+    g: int = -1  # its use flag; a one-BTU fresh VM's is its y
+
+
 class FfsippModel:
     """The round MILP plus enough metadata to decode its solutions.
 
@@ -104,20 +123,12 @@ class FfsippModel:
                     t for t, vt in state.vm_types.items()
                     if _within(step.cpu_demand, step.ram_demand, vt)
                 )
-        self.candidates = self._candidate_vms()
         self.problem = milp.MilpProblem()
         self._instances = {inst.id: inst for inst in state.instances}
         # objective term -> its columns and coefficients, in the order added
         self._terms: dict[str, tuple[list[int], list[float]]] = {
             n: ([], []) for n in TERM_NAMES
         }
-        # VM -> its placements in creation order, each as (column, step,
-        # occupancy, instance id, step index); decode makes the Assignment
-        self._vm_x: dict[str, list[tuple[int, StepState, int, int, int]]] = {
-            vm.id: [] for vm in self.candidates
-        }
-        self._y: dict[str, int] = {}
-        self._g: dict[str, int] = {}  # a one-BTU fresh VM's use flag is its y
         self._ep: dict[int, int] = {}
         self._remaining: dict[int, worstcase.RemainingStructure] = {}
         # Continuous helpers and the rows that bound each from below, in
@@ -129,18 +140,8 @@ class FfsippModel:
         # The answer postponed certified: its helpers are at their floors and
         # its point passed milp.verify, so decode takes it as it is.
         self._certified: milp.MilpSolution | None = None
-        # Leased VM -> its running steps (occupancy = remainder), in fleet
-        # order; instance -> its longest running remainder.
-        self._running: dict[str, list[Assignment]] = {}
-        self._ex_run: dict[int, int] = {}
-        for vm in state.fleet:
-            running = self._running[vm.id] = []
-            for iid, j, rem in vm.running_steps:
-                step = self._instances[iid].steps[j]
-                running.append(
-                    Assignment(iid, j, vm.id, step.service, step.cpu_demand, step.ram_demand, rem)
-                )
-                self._ex_run[iid] = max(self._ex_run.get(iid, rem), rem)
+        self._ex_run: dict[int, int] = {}  # instance -> its longest running remainder
+        self._vms = [self._candidate(vm) for vm in self._candidate_vms()]
         self._build()
         cost = self.problem.cost
         for cols, coefs in self._terms.values():
@@ -154,7 +155,7 @@ class FfsippModel:
         interchangeable, and switching an empty one off never raises the
         cost, so some optimum uses no more of them than the ready steps that
         fit the type: the copies are capped at that count as well as at the
-        pool's room."""
+        pool's room. No rows order them: HiGHS's symmetry detection does."""
         cands = list(self.state.fleet)
         live_per_type: dict[str, int] = {}
         for vm in self.state.fleet:
@@ -171,28 +172,45 @@ class FfsippModel:
                 cands.append(VmSnapshot(f"{FRESH_PREFIX}{vt.id}_{i}", vt.id, vt.startup_ms, 0))
         return cands
 
+    def _candidate(self, vm: VmSnapshot) -> _Candidate:
+        """``vm``'s record, with its running steps' load summed; a load
+        beyond its type's supply is refused here. Each running step also
+        counts toward its instance's longest running remainder."""
+        vt = self.state.vm_types[vm.type_id]
+        running = []
+        for iid, j, rem in vm.running_steps:
+            step = self._instances[iid].steps[j]
+            running.append(
+                Assignment(iid, j, vm.id, step.service, step.cpu_demand, step.ram_demand, rem)
+            )
+            self._ex_run[iid] = max(self._ex_run.get(iid, rem), rem)
+        run_cpu = sum((a.cpu_demand for a in running), 0.0)
+        run_ram = sum((a.ram_demand for a in running), 0.0)
+        if not _within(run_cpu, run_ram, vt):
+            raise ModelError(
+                f"{vm.id} already runs {run_cpu}% CPU and {run_ram} MB RAM, "
+                f"over its supply of {vt.cpu_supply}% and {vt.ram_supply} MB"
+            )
+        max_run = max((a.occupancy_ms for a in running), default=0)
+        return _Candidate(vm, vt, is_fresh_vm(vm.id), running, run_cpu, run_ram, max_run, max_run)
+
     def _build(self):
         state, w = self.state, self.config.weights
         p = self.problem
-        vm_types = state.vm_types
         baseline = self.baseline
 
         # Placements first: each VM's longest placement or running step
         # fixes the BTUs it can need beyond its lease. A step's occupancy
         # on a VM is its expected duration plus the VM's boot remainder and
         # the step's deployment there.
-        schedulable: dict[int, dict[int, list[tuple[VmSnapshot, int]]]] = {}
-        horizon = dict.fromkeys(self._vm_x, 0)
-        for vm_id, running in self._running.items():
-            if running:
-                horizon[vm_id] = max(a.occupancy_ms for a in running)
-        fitting: dict[frozenset[str], list[VmSnapshot]] = {}  # VM types -> their candidates
+        schedulable: dict[int, dict[int, list[tuple[_Candidate, int]]]] = {}
+        fitting: dict[frozenset[str], list[_Candidate]] = {}  # VM types -> their candidates
         for inst in state.instances:
             steps = schedulable[inst.id] = {}
             for j, types in self._ready[inst.id].items():
                 step = inst.steps[j]
                 if types not in fitting:
-                    fitting[types] = [vm for vm in self.candidates if vm.type_id in types]
+                    fitting[types] = [c for c in self._vms if c.vm.type_id in types]
                 if not fitting[types]:
                     raise ModelError(
                         f"step {inst.id}/{j} ({step.service}, {step.cpu_demand}%) "
@@ -202,7 +220,8 @@ class FfsippModel:
                 svc = state.services[service]
                 deploy_ms = svc.container_start_ms + svc.image_pull_ms
                 cands = steps[j] = []
-                for vm in fitting[types]:
+                for c in fitting[types]:
+                    vm = c.vm
                     occ = expected_ms + vm.ready_in_ms
                     if baseline:
                         # A VM keeps its single offered type for its whole
@@ -214,45 +233,35 @@ class FfsippModel:
                             continue
                     elif service not in vm.cached_images:
                         occ += deploy_ms
-                    cands.append((vm, occ))
-                    if occ > horizon[vm.id]:
-                        horizon[vm.id] = occ
+                    cands.append((c, occ))
+                    if occ > c.horizon:
+                        c.horizon = occ
 
         # Per-VM lease / usage variables. y is capped at that need: more
         # BTUs only add cost. A fresh VM that one BTU covers would get
         # g <= y <= 1*g, so its y is its own use flag; any other fresh VM
         # gets g <= y here and y <= need*g below. A leased VM's g - y <= 1
         # holds by the bounds.
-        need: dict[str, int] = {}
-        fresh = {vm.id for vm in self.candidates if is_fresh_vm(vm.id)}
         leasing = self._terms["leasing"]
-        for vm in self.candidates:
-            vt = vm_types[vm.type_id]
-            need[vm.id] = math.ceil(max(0, horizon[vm.id] - vm.lease_remaining_ms) / vt.btu_ms)
-            y = self._y[vm.id] = p.add_var(f"y__{vm.id}", milp.INTEGER, 0, need[vm.id])
+        for c in self._vms:
+            vm, vt = c.vm, c.vt
+            need = math.ceil(max(0, c.horizon - vm.lease_remaining_ms) / vt.btu_ms)
+            c.y = p.add_var(f"y__{vm.id}", milp.INTEGER, 0, need)
             if vt.cost_per_btu:
-                leasing[0].append(y)
+                leasing[0].append(c.y)
                 leasing[1].append(vt.cost_per_btu)
-            if vm.id in fresh and need[vm.id] <= 1:
-                self._g[vm.id] = y
+            if c.fresh and need <= 1:
+                c.g = c.y
             else:
-                g = self._g[vm.id] = p.add_var(f"g__{vm.id}", milp.BOOLEAN, 0, 1)
-                if vm.id in fresh:
-                    p.add_row((g, y), (1.0, -1.0), _NEG_INF, 0)
+                c.g = p.add_var(f"g__{vm.id}", milp.BOOLEAN, 0, 1)
+                if c.fresh:
+                    p.add_row((c.g, c.y), (1.0, -1.0), _NEG_INF, 0)
 
         # Placement variables and per-instance rows. A placement pays its
         # VM's remaining lease; one that outlasts a lease needs a coverage
         # row, unless its VM's y is its use flag.
-        lease_price = {
-            vm.id: price for vm in self.candidates
-            if (price := w.d_per_ms * vm.lease_remaining_ms)
-        }
-        covered = {  # VM -> its y and BTU length
-            vm.id: (self._y[vm.id], vm_types[vm.type_id].btu_ms) for vm in self.candidates
-            if self._g[vm.id] != self._y[vm.id]
-        }
         for inst in state.instances:
-            self._instance_rows(inst, schedulable[inst.id], lease_price, covered)
+            self._instance_rows(inst, schedulable[inst.id])
 
         # Baseline type exclusivity.
         if self.baseline:
@@ -261,42 +270,28 @@ class FfsippModel:
         # Capacity, free capacity, usage link per VM. A capacity row with no
         # placement term only restates that the running steps fit, which
         # is checked here instead.
-        for vm in self.candidates:
-            vt = vm_types[vm.type_id]
-            y, g = self._y[vm.id], self._g[vm.id]
-            running = self._running.get(vm.id)
-            run_cpu = run_ram = 0.0
-            max_run = 0
-            if running:
-                run_cpu = sum((a.cpu_demand for a in running), 0.0)
-                run_ram = sum((a.ram_demand for a in running), 0.0)
-                max_run = max(a.occupancy_ms for a in running)
-            if not _within(run_cpu, run_ram, vt):
-                raise ModelError(
-                    f"{vm.id} already runs {run_cpu}% CPU and {run_ram} MB RAM, "
-                    f"over its supply of {vt.cpu_supply}% and {vt.ram_supply} MB"
-                )
-            vm_x = self._vm_x[vm.id]
-            cols = [x[0] for x in vm_x]
-            cols_cpu = [x[0] for x in vm_x if x[1].cpu_demand]
-            cpu = [x[1].cpu_demand for x in vm_x if x[1].cpu_demand]
-            cols_ram = [x[0] for x in vm_x if x[1].ram_demand]
-            ram = [x[1].ram_demand for x in vm_x if x[1].ram_demand]
+        for c in self._vms:
+            vm, vt, y, g = c.vm, c.vt, c.y, c.g
+            cols = [x[0] for x in c.placements]
+            cols_cpu = [x[0] for x in c.placements if x[1].cpu_demand]
+            cpu = [x[1].cpu_demand for x in c.placements if x[1].cpu_demand]
+            cols_ram = [x[0] for x in c.placements if x[1].ram_demand]
+            ram = [x[1].ram_demand for x in c.placements if x[1].ram_demand]
             if cols_cpu:
-                p.add_row(cols_cpu, cpu, _NEG_INF, vt.cpu_supply - run_cpu)
+                p.add_row(cols_cpu, cpu, _NEG_INF, vt.cpu_supply - c.run_cpu)
             if cols_ram:
-                p.add_row(cols_ram, ram, _NEG_INF, vt.ram_supply - run_ram)
+                p.add_row(cols_ram, ram, _NEG_INF, vt.ram_supply - c.run_ram)
             for col in cols:
                 p.add_row((col, g), (1.0, -1.0), _NEG_INF, 0)  # a placement uses its VM
             if w.f_cpu:
-                self._free_row(f"fC__{vm.id}", cols_cpu, cpu, g, vt.cpu_supply, run_cpu, w.f_cpu)
+                self._free_row(f"fC__{vm.id}", cols_cpu, cpu, g, vt.cpu_supply, c.run_cpu, w.f_cpu)
             if w.f_ram:
-                self._free_row(f"fR__{vm.id}", cols_ram, ram, g, vt.ram_supply, run_ram, w.f_ram)
+                self._free_row(f"fR__{vm.id}", cols_ram, ram, g, vt.ram_supply, c.run_ram, w.f_ram)
             # Lease coverage for running steps.
-            if max_run > vm.lease_remaining_ms:
-                p.add_row((y,), (float(vt.btu_ms),), max_run - vm.lease_remaining_ms, _INF)
-            if g != y and vm.id in fresh:
-                p.add_row((y, g), (1.0, -float(need[vm.id])), _NEG_INF, 0)
+            if c.max_run > vm.lease_remaining_ms:
+                p.add_row((y,), (float(vt.btu_ms),), c.max_run - vm.lease_remaining_ms, _INF)
+            if g != y and c.fresh:  # y <= need*g, need being y's upper bound
+                p.add_row((y, g), (1.0, -float(p.upper[y])), _NEG_INF, 0)
 
     def _free_row(self, name: str, cols, coefs, g: int, supply: float, run: float, weight: float):
         """f >= supply*g - used  <=>  f + used - supply*g >= -running_load,
@@ -309,7 +304,7 @@ class FfsippModel:
             cols, coefs = cols + [g], coefs + [-supply]
         self._helpers.append((f, [self.problem.add_row(cols + [f], coefs + [1.0], -run, _INF)]))
 
-    def _instance_rows(self, inst: ProcessInstance, schedulable, lease_price, covered):
+    def _instance_rows(self, inst: ProcessInstance, schedulable):
         cfg, w = self.config, self.config.weights
         p = self.problem
         tau = self.state.now_ms
@@ -323,34 +318,32 @@ class FfsippModel:
         # order. Baseline deployments are priced per type variable instead
         # (see _baseline_rows); there is no image cache there.
         deploy = w.z if not self.baseline else 0.0
-        vm_x = self._vm_x
         placed: dict[int, list[tuple[int, int]]] = {}  # step -> (column, occupancy)
         for j, cands in schedulable.items():
             step = inst.steps[j]
             name = f"x__{inst.id}__{j}__"
-            first = p.add_vars([name + vm.id for vm, _ in cands], milp.BOOLEAN, 0, 1)
+            first = p.add_vars([name + c.vm.id for c, _ in cands], milp.BOOLEAN, 0, 1)
             cols = range(first, first + len(cands))
             placed[j] = list(zip(cols, [occ for _, occ in cands]))
-            for col, (vm, occ) in zip(cols, cands):
-                vm_x[vm.id].append((col, step, occ, inst.id, j))
+            for col, (c, occ) in zip(cols, cands):
+                c.placements.append((col, step, occ, inst.id, j))
                 # Lease coverage for a placement that outlasts the lease. On
                 # a VM whose y is its use flag, occ <= btu_ms, so x <= y
                 # already covers it.
-                if occ > vm.lease_remaining_ms and vm.id in covered:
-                    y, btu_ms = covered[vm.id]
-                    p.add_row((col, y), (float(occ), -float(btu_ms)), _NEG_INF,
-                              vm.lease_remaining_ms)
+                lease_ms = c.vm.lease_remaining_ms
+                if occ > lease_ms and c.g != c.y:
+                    p.add_row((col, c.y), (float(occ), -float(c.vt.btu_ms)), _NEG_INF, lease_ms)
             if deploy:
                 uncached = [
-                    col for col, (vm, _) in zip(cols, cands)
-                    if step.service not in vm.cached_images
+                    col for col, (c, _) in zip(cols, cands)
+                    if step.service not in c.vm.cached_images
                 ]
                 deployment[0].extend(uncached)
                 deployment[1].extend([deploy] * len(uncached))
-            for col, (vm, _) in zip(cols, cands):
-                if vm.id in lease_price:
+            for col, (c, _) in zip(cols, cands):
+                if price := w.d_per_ms * c.vm.lease_remaining_ms:
                     remaining_lease[0].append(col)
-                    remaining_lease[1].append(lease_price[vm.id])
+                    remaining_lease[1].append(price)
             urgency = w.dl_per_ms * (rs.step_deadline_ms[j] - tau)
             if urgency:
                 importance[0].extend(cols)
@@ -403,15 +396,15 @@ class FfsippModel:
         price = self.config.weights.z * BASELINE_DEPLOY_MS / 1000.0
         p = self.problem
         deployment = self._terms["deployment"]
-        for vm in self.candidates:
-            if vm.offered_service is not None:
+        for c in self._vms:
+            if c.vm.offered_service is not None:
                 continue
             per_service: dict[str, list[int]] = {}
-            for col, step, *_ in self._vm_x[vm.id]:
+            for col, step, *_ in c.placements:
                 per_service.setdefault(step.service, []).append(col)
             u_cols = []
             for svc, x_cols in per_service.items():
-                u = p.add_var(f"u__{svc}__{vm.id}", milp.BOOLEAN, 0, 1)
+                u = p.add_var(f"u__{svc}__{c.vm.id}", milp.BOOLEAN, 0, 1)
                 u_cols.append(u)
                 for x in x_cols:
                     p.add_row((x, u), (1.0, -1.0), _NEG_INF, 0)
@@ -419,7 +412,7 @@ class FfsippModel:
                     deployment[0].append(u)
                     deployment[1].append(price)
             if len(u_cols) > 1:
-                p.add_row(u_cols + [self._g[vm.id]], [1.0] * len(u_cols) + [-1.0], _NEG_INF, 0)
+                p.add_row(u_cols + [c.g], [1.0] * len(u_cols) + [-1.0], _NEG_INF, 0)
 
     # -- decoding ----------------------------------------------------------
 
@@ -445,8 +438,9 @@ class FfsippModel:
         else:
             integral = self.problem.integral()
             rounded = np.round(x)
-            # NaN and an infinity fail <=, so they count as unroundable
-            unroundable = integral & ~(np.abs(x - rounded) <= milp.FEAS_TOL)
+            # a NaN or an infinity keeps an infinite residue: it is unroundable
+            residue = np.subtract(x, rounded, out=np.full_like(x, math.inf), where=np.isfinite(x))
+            unroundable = integral & (np.abs(residue) > milp.FEAS_TOL)
             if unroundable.any():
                 col = int(np.argmax(unroundable))
                 raise ValueError(
@@ -458,12 +452,12 @@ class FfsippModel:
                 self._floor(col, rows, values)
 
         assignments = [
-            Assignment(iid, j, vm_id, step.service, step.cpu_demand, step.ram_demand, occ)
-            for vm_id, vm_x in self._vm_x.items()
-            for col, step, occ, iid, j in vm_x
+            Assignment(iid, j, c.vm.id, step.service, step.cpu_demand, step.ram_demand, occ)
+            for c in self._vms
+            for col, step, occ, iid, j in c.placements
             if values[col] > 0.5
         ]
-        leases = {vm_id: btus for vm_id, y in self._y.items() if (btus := int(values[y]))}
+        leases = {c.vm.id: btus for c in self._vms if (btus := int(values[c.y]))}
         penalties = {iid: values[col] for iid, col in self._ep.items()}
         placed: dict[int, list[int]] = {iid: [] for iid in self._remaining}
         for a in assignments:
@@ -477,7 +471,7 @@ class FfsippModel:
         self._check_objective(total, solution)
         return SchedulingPlan(
             assignments=assignments,
-            running=[a for on_vm in self._running.values() for a in on_vm],
+            running=[a for c in self._vms for a in c.running],
             lease_extensions=leases,
             penalties_ms=penalties,
             remaining_ms=remaining,
@@ -561,7 +555,7 @@ class FfsippModel:
         # Only a placement may cost less than 0; only placements sit on
         # e^p's rows, so only they can cut a penalty.
         if min(cost) < 0.0:
-            placements = {x[0] for vm_x in self._vm_x.values() for x in vm_x}
+            placements = {x[0] for cand in self._vms for x in cand.placements}
             if any(c < 0.0 and col not in placements for col, c in enumerate(cost)):
                 return None
         if milp.verify(p, values):
@@ -607,14 +601,12 @@ class FfsippModel:
         cost, upper = self.problem.cost, self.problem.upper
         w = self.config.weights
         f_cpu, f_ram = w.f_cpu, w.f_ram
-        for vm in self.candidates:
-            y = self._y[vm.id]
+        for cand in self._vms:
+            y, vt = cand.y, cand.vt
             if upper[y] and cost[y] <= _MARGIN:
                 return False
-            vt = self.state.vm_types[vm.type_id]
-            running = self._running.get(vm.id, ())
-            room_cpu = vt.cpu_supply - sum(a.cpu_demand for a in running)
-            room_ram = vt.ram_supply - sum(a.ram_demand for a in running)
+            room_cpu = vt.cpu_supply - cand.run_cpu
+            room_ram = vt.ram_supply - cand.run_ram
             fit_cpu, fit_ram = room_cpu + _FIT_TOL, room_ram + _FIT_TOL
             # Over the placements that fit: the least occupancy, and of the
             # net costs c, and of c less f * demand, the negative sum and
@@ -622,7 +614,7 @@ class FfsippModel:
             least_occ = math.inf
             negative = negative_free = 0.0
             least = least_free = math.inf
-            for col, step, occ, _, _ in self._vm_x[vm.id]:
+            for col, step, occ, _, _ in cand.placements:
                 cpu, ram = step.cpu_demand, step.ram_demand
                 if cpu > fit_cpu or ram > fit_ram:
                     continue
@@ -640,7 +632,7 @@ class FfsippModel:
                     negative_free += c_free
             if least_occ == math.inf:
                 continue
-            btus = max(int(is_fresh_vm(vm.id)), -((vm.lease_remaining_ms - least_occ) // vt.btu_ms))
+            btus = max(int(cand.fresh), -((cand.vm.lease_remaining_ms - least_occ) // vt.btu_ms))
             m_v = btus * cost[y] + max(
                 negative if negative < 0.0 else least,
                 f_cpu * room_cpu + f_ram * room_ram
@@ -703,9 +695,10 @@ def fresh_vm_type(vm_id: str) -> str:
     return vm_id[len(FRESH_PREFIX) :].rsplit("_", 1)[0]
 
 
-def build(state: SchedulingState, config: OptimizerConfig) -> FfsippModel:
-    """Build the round model; ``model.problem`` is the MILP."""
-    return FfsippModel(state, config, baseline=False)
+def build(state: SchedulingState, config: OptimizerConfig, baseline: bool = False) -> FfsippModel:
+    """Build the round model, the VM-only baseline's with ``baseline``;
+    ``model.problem`` is the MILP."""
+    return FfsippModel(state, config, baseline)
 
 
 def next_wakeup(plan: SchedulingPlan, state: SchedulingState, config: OptimizerConfig) -> int:

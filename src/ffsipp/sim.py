@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import baseline as baseline_mod
 from . import controller, landscape, milp, optimizer, worstcase
 from .landscape import (
     DONE,
@@ -370,10 +369,7 @@ class Simulator:
     def _round(self):
         self.rounds += 1
         state = self._snapshot()
-        if self.approach == FFSIPP:
-            model = optimizer.build(state, self.config)
-        else:
-            model = baseline_mod.build_baseline(state, self.config)
+        model = optimizer.build(state, self.config, baseline=self.approach == SIPP)
         if self.dump_dir is not None:
             path = pathlib.Path(self.dump_dir)
             path.mkdir(parents=True, exist_ok=True)

@@ -57,8 +57,8 @@ class TestConfigValidation:
 
 
 class TestWorkerPool:
-    @pytest.mark.parametrize("workers", [8, None])
-    def test_no_more_workers_than_runs(self, tmp_path, monkeypatch, workers):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
         # A fork pool starts all its workers at the first submit; this fake
         # records the size asked for and runs the jobs here, starting none.
         sizes = []
@@ -77,12 +77,30 @@ class TestWorkerPool:
                 return map(fn, jobs)
 
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+        return sizes
+
+    @pytest.mark.parametrize("workers", [8, None])
+    def test_no_more_workers_than_runs(self, tmp_path, pool_sizes, workers):
         experiment.run_experiment(ExperimentConfig(
             scenario_path="smoke", approaches=("ffsipp",), seeds=(1,),
             out_dir=str(tmp_path), max_workers=workers,
         ))
-        assert sizes == [1]
+        assert pool_sizes == [1]
         assert (tmp_path / "metrics.csv").exists()
+
+    def test_scenario_parsed_once_for_all_runs(self, tmp_path, monkeypatch, pool_sizes):
+        parsed = []
+
+        def counting(text):
+            parsed.append(text)
+            return parse_scenario(text)
+
+        monkeypatch.setattr(experiment, "parse_scenario", counting)
+        reports = experiment.run_experiment(ExperimentConfig(
+            scenario_path="smoke", seeds=(1, 2), out_dir=str(tmp_path),
+        ))
+        assert len(reports) == 4
+        assert len(parsed) == 1
 
 
 class TestLoadScenario:

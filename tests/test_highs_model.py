@@ -16,52 +16,14 @@ Two simulations are pinned: ``constant_lenient_light`` cut to 10 requests,
 under the top-level keys, and smoke with service A demanding 512 MB of RAM
 and free RAM priced (``weights.f_ram``), under ``"ram"``; no bundled preset
 has RAM demand, so only the second run builds RAM capacity rows and ``fR__``
-helpers. The second run was generated from a builder that added each row
-by its own call. A builder that gathered each section's rows into one bulk
-call reproduced both runs, and so does the builder that again adds each row
-by ``MilpProblem.add_row(cols, coefs, lower, upper)``.
-
-The model digests were re-pinned when the builder stopped emitting rows and
-columns that cannot change a round's answer: unweighted free-capacity
-helpers, capacity rows without a placement, the per-type BTU totals,
-``g - y <= 1`` for leased VMs, lease-coverage rows of placements that end
-within the lease, and fresh VMs beyond the ready steps that fit their type.
-The options digest moved in the same change, since ``milp.solve`` stopped
-passing ``presolve``, which is HiGHS's default. The model digests were
-re-pinned again, with the options digest unchanged, when a fresh VM that one
-BTU covers lost its use flag ``g``: its lease count ``y`` serves as the flag,
-so its ``g <= y`` and ``y <= need*g`` rows and its placements'
-lease-coverage rows went, and its link, free-capacity and symmetry rows read
-``y``. The options digest alone moved when ``milp.solve`` stopped calling
-``scipy.optimize.milp`` for scipy's HiGHS binding, since ``output_flag=False``
-joined the options; every model digest held. Until HiGHS was skipped in
-rounds that need no solver, the digests were taken from the models passed
-to HiGHS, which then were every round's; hashed from the built models, the
-file held byte for byte. It held again when ``milp.run_highs`` stopped
-building a ``HighsLp`` and passed the problem's own arrays to one reused
-HiGHS instance per thread. The sipp digests alone were re-pinned, with the
-ffsipp and options digests and the counts of rounds without HiGHS held,
-when a VM locked to its type lost its type flags and a VM with two or more
-flags got ``sum(u) <= g`` for ``sum(u) <= 1``. Both approaches' digests
-were re-pinned, with the options digest and the counts of rounds without
-HiGHS held, when each AND/XOR block's branch rows were folded into its
-instance's deadline rows and the block-remainder columns went. They were
-re-pinned again, with the options digests and the counts of rounds without
-HiGHS held, when the rows that ordered each type's fresh candidates by
-their use flags went.
+helpers. Why and when the digests were re-pinned is told in ``CHANGES.md``.
 Regenerate them (only for a deliberate change of the model or of the
 options) with
 
     PYTHONPATH=src python -m tests.test_highs_model > tests/data/highs_model_digests.json
 
 which also prints, on stderr, the counts of rounds without HiGHS to pin in
-``ROUNDS_WITHOUT_HIGHS`` and ``RAM_ROUNDS_WITHOUT_HIGHS``. Those counts rose,
-with every digest held, when ``postponed`` began to certify rounds that
-already owe a penalty. They rose again, with every model digest held and
-only the two options digests moved, when every round was solved at a
-relative gap of 0 and ``postponed``'s margin lost its gap term. The two
-options digests alone moved, with every model digest and both counts held,
-when the rounds stopped handing HiGHS a wall-clock ``time_limit``.
+``ROUNDS_WITHOUT_HIGHS`` and ``RAM_ROUNDS_WITHOUT_HIGHS``.
 """
 import dataclasses
 import hashlib
@@ -74,7 +36,7 @@ import yaml
 from scipy import optimize, sparse
 from scipy.optimize._highspy import _core
 
-from ffsipp import baseline, landscape, milp, optimizer, sim
+from ffsipp import landscape, milp, optimizer, sim
 
 from .conftest import preset_text, sparse_matrix
 
@@ -180,8 +142,8 @@ def round_digests(scenario: landscape.Scenario) -> tuple[dict, dict]:
     passed = []  # (approach, round index, digest) of every model HiGHS received
 
     def recording(build):
-        def built(state, config):
-            model = build(state, config)
+        def built(state, config, baseline=False):
+            model = build(state, config, baseline)
             problem = model.problem
             constraints = []
             if problem.num_rows:
@@ -200,18 +162,14 @@ def round_digests(scenario: landscape.Scenario) -> tuple[dict, dict]:
 
         return built
 
-    builders = [(optimizer, "build"), (baseline, "build_baseline")]
-    saved = [getattr(module, name) for module, name in builders]
-    original, capture = milp._highs, Capture()
+    build, original, capture = optimizer.build, milp._highs, Capture()
     milp._highs = lambda: capture
-    for (module, name), build in zip(builders, saved):
-        setattr(module, name, recording(build))
+    optimizer.build = recording(build)
     try:
         skipped = {a: sim.run(scenario, a, SEED).rounds_without_highs for a in out}
     finally:
         milp._highs = original
-        for (module, name), build in zip(builders, saved):
-            setattr(module, name, build)
+        optimizer.build = build
     if len(options_seen) != 1:
         raise ValueError(f"HiGHS calls received {len(options_seen)} different option sets")
     for approach, k, digest in passed:

@@ -13,7 +13,7 @@ import pytest
 from scipy import optimize
 from scipy.optimize._highspy import _core
 
-from ffsipp import baseline, milp, optimizer, sim
+from ffsipp import milp, optimizer, sim
 from ffsipp.landscape import parse_scenario
 from ffsipp.milp import (
     BOOLEAN,
@@ -567,13 +567,13 @@ class TestJsonDump:
         # Each dump, loaded, is the problem its round built, whether HiGHS
         # solved that round or not.
         built = []
-        for module, name in ((optimizer, "build"), (baseline, "build_baseline")):
-            def recording(state, config, original=getattr(module, name)):
-                model = original(state, config)
-                built.append(model.problem)
-                return model
 
-            monkeypatch.setattr(module, name, recording)
+        def recording(state, config, baseline=False, original=optimizer.build):
+            model = original(state, config, baseline)
+            built.append(model.problem)
+            return model
+
+        monkeypatch.setattr(optimizer, "build", recording)
         reports = [
             sim.run(smoke_scenario, approach, 1, dump_dir=tmp_path)
             for approach in (sim.FFSIPP, sim.SIPP)

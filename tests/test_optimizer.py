@@ -726,15 +726,17 @@ class TestLiveModel:
         assert helpers and all(p.cost[col] for col in helpers)
         # p1 fits one ready step, p2 has room for one more VM in its pool,
         # p4 is held at fresh_candidates.
+        y_cols = {name[len("y__"):]: col for col, name in enumerate(p.names)
+                  if name.startswith("y__")}  # one per candidate VM
         fresh = {}
-        for vm in model.candidates:
-            if optimizer.is_fresh_vm(vm.id):
-                fresh[vm.type_id] = fresh.get(vm.type_id, 0) + 1
+        for vm_id in y_cols:
+            if optimizer.is_fresh_vm(vm_id):
+                fresh[fresh_vm_type(vm_id)] = fresh.get(fresh_vm_type(vm_id), 0) + 1
         assert fresh == {"p1": 1, "p2": 1, "p4": 2}
         plan, _ = solve_plan(model)
         assert milp.verify(p, plan.milp_values) == []
         assert plan.assignments
-        y = {vm.id: plan.milp_values[p.names.index(f"y__{vm.id}")] for vm in model.candidates}
+        y = {vm_id: plan.milp_values[col] for vm_id, col in y_cols.items()}
         assert plan.lease_extensions == {vm_id: btus for vm_id, btus in y.items() if btus}
         assert plan.lease_extensions
 
