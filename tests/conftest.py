@@ -3,6 +3,7 @@ import json
 import math
 
 import pytest
+import yaml
 from hypothesis import settings, strategies as hst
 from scipy import sparse
 
@@ -153,6 +154,15 @@ def preset_text(name):
 @pytest.fixture
 def smoke_scenario():
     return landscape.parse_scenario(preset_text("smoke"))
+
+
+def ram_scenario() -> landscape.Scenario:
+    """Smoke with service A at 512 MB of RAM and free RAM priced: no bundled
+    preset has RAM demand."""
+    raw = yaml.safe_load(preset_text("smoke"))
+    raw["services"][0]["ram"] = 512
+    raw["weights"]["f_ram"] = 0.001
+    return landscape.parse_scenario(yaml.safe_dump(raw))
 
 
 def row_bounds(relation: str, rhs: float) -> tuple[float, float]:

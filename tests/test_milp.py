@@ -13,7 +13,7 @@ import pytest
 from scipy import optimize
 from scipy.optimize._highspy import _core
 
-from ffsipp import milp, optimizer, sim
+from ffsipp import milp, sim
 from ffsipp.landscape import parse_scenario
 from ffsipp.milp import (
     BOOLEAN,
@@ -562,27 +562,3 @@ class TestJsonDump:
         prob.cost[1] = bad
         with pytest.raises(ValueError, match="Out of range float values"):
             prob.to_json()
-
-    def test_dumped_round_is_the_round_built(self, smoke_scenario, tmp_path, monkeypatch):
-        # Each dump, loaded, is the problem its round built, whether HiGHS
-        # solved that round or not.
-        built = []
-
-        def recording(state, config, baseline=False, original=optimizer.build):
-            model = original(state, config, baseline)
-            built.append(model.problem)
-            return model
-
-        monkeypatch.setattr(optimizer, "build", recording)
-        reports = [
-            sim.run(smoke_scenario, approach, 1, dump_dir=tmp_path)
-            for approach in (sim.FFSIPP, sim.SIPP)
-        ]
-        dumps = sorted(tmp_path.glob(f"{sim.FFSIPP}_*.json")) + sorted(
-            tmp_path.glob(f"{sim.SIPP}_*.json")
-        )
-        assert len(dumps) == len(built) == sum(r.rounds for r in reports) > 0
-        for path, in_sim in zip(dumps, built):
-            text = path.read_text()
-            assert_same_problem(in_sim, problem_from_json(text))
-            assert all(type(v) is float for v in json.loads(text)["data"]), path.name

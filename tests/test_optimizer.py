@@ -22,7 +22,7 @@ from ffsipp.optimizer import (
     next_wakeup,
 )
 
-from .conftest import instance, preset_text, problem_from_json, service, vm_type
+from .conftest import instance, preset_text, problem_from_json, ram_scenario, service, vm_type
 from .oracle import enumerate_oracle
 
 WEIGHTS = Weights(dl_per_ms=1e-6, d_per_ms=1e-7, f_cpu=0.01, f_ram=0.0, z=1.0)
@@ -576,7 +576,8 @@ class TestRoundChainOnGeneratedRounds:
 
 class TestRoundModelOnGeneratedRounds:
     """The round model is pinned on seeded warm snapshots, under both
-    builders: one sha256 of the models' JSON dumps per preset and builder.
+    builders: one sha256 of the models' JSON dumps per preset and builder,
+    and per builder on ``ram_scenario``, the one input with RAM rows.
     The snapshots hold running steps that outlast their VM's lease, booting
     VMs and cached images, which a short simulation reaches only in part;
     being drawn, not simulated, they do not shift when a plan changes. A
@@ -596,11 +597,15 @@ class TestRoundModelOnGeneratedRounds:
             "74a6a9629a53e5ac254cedefa3fe7e1173336a150186c07768cc5b34766137a3",
             "74c5d99306aa50178c31918952dc00c045323c6238fe1c25a20162312f79ee2a",
         ),
+        "ram": (
+            "e1ec9056f487651edfd7e09401944bc559c8824240c851fd9ca98cbc81b6079d",
+            "96d775953b246f53ee92e29847f091ed041a20cc7ae19e315d16a07a53b29314",
+        ),
     }
 
     @pytest.mark.parametrize("preset", sorted(DIGESTS))
     def test_models_match_their_digests(self, preset):
-        sc = landscape.parse_scenario(preset_text(preset))
+        sc = ram_scenario() if preset == "ram" else landscape.parse_scenario(preset_text(preset))
         rng = np.random.default_rng(np.random.SeedSequence(30))
         snapshots = [generated_round(sc, rng) for _ in range(40)]
         fleet = [vm for snapshot in snapshots for vm in snapshot.fleet]
