@@ -318,7 +318,7 @@ class ArrivalSpec:
 class SlaSpec:
     factor: float
     penalty_policy: str  # "fraction" (per 10% of SLA window) | "per_10s"
-    planning_rate_per_s: float | None  # overrides policy-derived planning rate
+    planning_rate_per_s: float  # the round model's price of one second of lateness
 
 
 @dataclass(frozen=True)
@@ -560,13 +560,12 @@ def parse_scenario(text: str) -> Scenario:
     )
 
     sla_raw = _section(raw, "sla", ("factor", "penalty_policy", "planning_rate_per_s"))
-    rate = sla_raw.get("planning_rate_per_s")
     factor = sla_raw.get("factor", 1.5)
     sla = SlaSpec(
         factor=_number("sla.factor", factor),
         penalty_policy=str(sla_raw.get("penalty_policy", "fraction")),
-        planning_rate_per_s=(
-            None if rate is None else _number("sla.planning_rate_per_s", rate, low=0)
+        planning_rate_per_s=_number(
+            "sla.planning_rate_per_s", sla_raw.get("planning_rate_per_s", 100), low=0
         ),
     )
     if sla.factor <= 1:

@@ -198,12 +198,6 @@ class Simulator:
                 self._push(n * arr.interval_ms, ARRIVAL, (batch,))
                 issued += take
 
-    def _planning_rate_per_ms(self, window_ms: int) -> float:
-        sla = self.sc.sla
-        if sla.planning_rate_per_s is not None:
-            return sla.planning_rate_per_s / 1000.0
-        return 1.0 / penalty_unit_ms(sla.penalty_policy, window_ms)
-
     def _create_instance(self, model_id: int):
         model = self._models[model_id]
         iid = len(self.instances) + 1
@@ -232,7 +226,7 @@ class Simulator:
             iid,
             arrival_ms=self.clock,
             deadline_ms=self.clock + window,
-            penalty_rate=self._planning_rate_per_ms(window),
+            penalty_rate=self.sc.sla.planning_rate_per_s / 1000.0,
             step_cpu=cpus,
             step_durations_ms=durations,
             loop_iterations=loop_iters,

@@ -431,7 +431,7 @@ def generated_round(sc: landscape.Scenario, rng: np.random.Generator) -> Schedul
         arrival = now - int(rng.uniform(0.1, 1.5) * window)
         # The simulator's planning rate, or the SLA policy's own rate
         rate = 1.0 / sim.penalty_unit_ms(sc.sla.penalty_policy, window)
-        if sc.sla.planning_rate_per_s is not None and rng.random() < 0.5:
+        if rng.random() < 0.5:
             rate = sc.sla.planning_rate_per_s / 1000.0
         inst = landscape.make_instance(
             model, sc.services, iid, arrival_ms=arrival, deadline_ms=arrival + window,

@@ -119,6 +119,13 @@ class TestEndToEnd:
         b = sim.run(smoke_scenario, "ffsipp", 2)
         assert a.audit_log != b.audit_log
 
+    @pytest.mark.parametrize("approach", [sim.FFSIPP, sim.SIPP])
+    def test_planning_rate_defaults_to_100_per_s(self, smoke_scenario, approach):
+        text = preset_text("smoke").replace(", planning_rate_per_s: 100", "")
+        assert "planning_rate" not in text
+        a, b = (sim.run(sc, approach, 1) for sc in (smoke_scenario, landscape.parse_scenario(text)))
+        assert (b.audit_log, b.usage_series, b.total_cost) == (a.audit_log, a.usage_series, a.total_cost)
+
     def test_unknown_approach_rejected(self, smoke_scenario):
         with pytest.raises(ValueError):
             Simulator(smoke_scenario, "greedy", 1)
