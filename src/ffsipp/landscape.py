@@ -474,7 +474,7 @@ def parse_scenario(text: str) -> Scenario:
         limit = entry.get("pool_limit")
         vt = VmType(
             id=str(entry["name"]),
-            cpu_supply=_positive(f"{where}.cores", entry["cores"]) * 100.0,
+            cpu_supply=_number(f"{where}.cores", entry["cores"], int, low=1) * 100.0,
             ram_supply=_number(f"{where}.ram", entry.get("ram", 1024), low=0),
             btu_ms=btu_ms,
             cost_per_btu=_positive(f"{where}.cost_per_btu", entry["cost_per_btu"]),

@@ -320,7 +320,9 @@ class TestParseScenario:
             (("services", 1, "start_s"), -2, r"^services\[1\]\.start_s must be >= 0, got -2$"),
             (("weights", "f_cpu"), -0.01, r"^weights\.f_cpu must be >= 0, got -0\.01$"),
             (("weights", "f_ram"), -0.01, r"^weights\.f_ram must be >= 0, got -0\.01$"),
-            (("vm_types", 0, "cores"), 0, r"^vm_types\[0\]\.cores must be > 0, got 0$"),
+            (("vm_types", 0, "cores"), 0, r"^vm_types\[0\]\.cores must be >= 1, got 0$"),
+            (("vm_types", 0, "cores"), 0.5,
+             r"^vm_types\[0\]\.cores must be a whole number, got 0\.5$"),
             (("vm_types", 0, "cost_per_btu"), 0,
              r"^vm_types\[0\]\.cost_per_btu must be > 0, got 0$"),
             (("vm_types", 0, "pool_limit"), 0, r"^vm_types\[0\]\.pool_limit must be >= 1, got 0$"),
@@ -351,8 +353,8 @@ class TestParseScenario:
              "loop_count_beyond_int_digits",
              "bare_parenthesis", "no_demand", "zero_duration", "negative_duration",
              "negative_pull", "negative_start", "negative_f_cpu", "negative_f_ram", "zero_cores",
-             "zero_price", "zero_pool_limit", "zero_btu", "negative_btu", "btu_overflows_ms",
-             "unknown_provider",
+             "fractional_cores", "zero_price", "zero_pool_limit", "zero_btu", "negative_btu",
+             "btu_overflows_ms", "unknown_provider",
              "sla_factor_one", "unknown_penalty_policy",
              "unknown_arrival_kind", "duplicate_service", "duplicate_vm_type",
              "duplicate_model_id", "unknown_step_service", "step_count",
