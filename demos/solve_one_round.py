@@ -27,9 +27,8 @@ def main() -> None:
         services=scenario.services,
         vm_types=scenario.vm_types,
     )
-    config = scenario.config
-    ffsipp_model = optimizer.build(state, config)
-    solution = milp.solve(ffsipp_model.problem, gap_tol=config.gap_tol)
+    ffsipp_model = optimizer.build(state, scenario.config)
+    solution = milp.solve(ffsipp_model.problem)
     plan = ffsipp_model.decode(solution)
 
     print("objective:", round(solution.objective_value, 4))

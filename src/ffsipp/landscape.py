@@ -337,7 +337,9 @@ class OptimizerConfig:
     weights: Weights
     epsilon_ms: int  # optimization period
     fresh_candidates: int  # fresh VMs offered per type
-    # HiGHS's mip_rel_gap: every round is solved to a proven optimum
+    # HiGHS's mip_rel_gap, milp.solve's default: every round is solved to a
+    # proven optimum. Only perfbench/ still passes it; ROADMAP item 17(b)
+    # drops it.
     gap_tol: ClassVar[float] = 0.0
     # No wall-clock limit decides a plan; ROADMAP item 17(b) drops this.
     time_limit_ms: ClassVar[None] = None

@@ -320,7 +320,7 @@ def run_highs(
 
 
 def solve(
-    problem: MilpProblem, gap_tol: float = 1e-9, time_limit_ms: int | None = None
+    problem: MilpProblem, gap_tol: float = 0.0, time_limit_ms: int | None = None
 ) -> MilpSolution:
     """Solve to within ``gap_tol`` of optimality. Deterministic for fixed
     inputs, unless the wall-clock ``time_limit_ms`` stops the solve.

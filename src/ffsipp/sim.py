@@ -374,7 +374,7 @@ class Simulator:
         if certified:
             self.rounds_without_highs += 1
         else:
-            solution = milp.solve(model.problem, gap_tol=self.config.gap_tol)
+            solution = milp.solve(model.problem)
         if solution.status == milp.INFEASIBLE:
             # Postponing every step is feasible for any valid snapshot, so an
             # infeasible round is an input or model fault, not a reason to wait.

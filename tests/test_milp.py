@@ -14,7 +14,6 @@ from scipy import optimize
 from scipy.optimize._highspy import _core
 
 from ffsipp import milp, sim
-from ffsipp.landscape import parse_scenario
 from ffsipp.milp import (
     BOOLEAN,
     CONTINUOUS,
@@ -27,7 +26,6 @@ from ffsipp.milp import (
 from .conftest import (
     PROBLEM_LISTS,
     assert_same_problem,
-    preset_text,
     problem_from_json,
     row_bounds,
     sparse_matrix,
@@ -216,9 +214,8 @@ class TestSolve:
         assert tight.status == milp.OPTIMAL
         assert tight.objective_value - tight.bound <= 1e-9 * abs(tight.objective_value)
         assert loose.bound - 1e-6 <= tight.objective_value <= loose.objective_value + 1e-6
-        # the presets' own gap proves this round's optimum
-        gap = parse_scenario(preset_text("constant_strict_intense")).config.gap_tol
-        exact = solve(prob, gap_tol=gap)
+        # the rounds' own gap, solve's default, proves this round's optimum
+        exact = solve(prob)
         assert exact.status == milp.OPTIMAL
         assert exact.objective_value == pytest.approx(tight.objective_value, abs=1e-6)
 
@@ -267,7 +264,7 @@ def test_binding_matches_scipy_milp(smoke_scenario, monkeypatch):
     # scipy.optimize.milp returns with the same options. No round hands
     # HiGHS a wall-clock limit: each asks for a proven optimum and no more.
     for problem, options in smoke_rounds(smoke_scenario, monkeypatch):
-        assert options == {"gap_tol": 0.0}
+        assert options == {}
         integral = problem.integral()
         with warnings.catch_warnings():
             # scipy passes options it does not know to HiGHS, with a warning
@@ -280,7 +277,7 @@ def test_binding_matches_scipy_milp(smoke_scenario, monkeypatch):
                     sparse_matrix(problem), problem.row_lower, problem.row_upper
                 ),
                 options={
-                    "mip_rel_gap": options["gap_tol"],
+                    "mip_rel_gap": 0.0,
                     "mip_heuristic_run_feasibility_jump": False,
                 },
             )

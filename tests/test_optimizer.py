@@ -390,7 +390,7 @@ class TestPostponed:
             if solution is not None:
                 cfg = model.config
                 c0 = solution.objective_value
-                highs = milp.solve(model.problem, cfg.gap_tol)
+                highs = milp.solve(model.problem)
                 assert highs.status in (milp.OPTIMAL, milp.GAP_LIMIT)
                 assert abs(highs.objective_value - c0) <= 1e-6
                 mine, theirs = model.decode(solution), model.decode(highs)
@@ -509,7 +509,7 @@ class TestPostponedOnGeneratedRounds:
             for builder in (build, build_baseline):
                 model = builder(snapshot, cfg)
                 certified = model.postponed()
-                exact = model.decode(milp.solve(model.problem, cfg.gap_tol))
+                exact = model.decode(milp.solve(model.problem))
                 if exact.assignments or exact.lease_extensions:
                     seen["placed"] += 1
                     assert certified is None
@@ -554,7 +554,7 @@ class TestRoundChainOnGeneratedRounds:
             types = {vm.id: vm.type_id for vm in snapshot.fleet}
             for builder in (build, build_baseline):
                 model = builder(snapshot, cfg)
-                solution = model.postponed() or milp.solve(model.problem, cfg.gap_tol)
+                solution = model.postponed() or milp.solve(model.problem)
                 plan = model.decode(solution)
                 assert milp.verify(model.problem, plan.milp_values) == []
                 placing += bool(plan.assignments)
@@ -654,8 +654,8 @@ def test_fresh_candidate_order_rows_keep_the_optimum_on_generated_rounds():
             for builder in (build, build_baseline):
                 problem = builder(snapshot, sc.config).problem
                 ordered, copies = with_fresh_order_rows(problem)
-                optimum = milp.solve(problem, sc.config.gap_tol).objective_value
-                ordered_optimum = milp.solve(ordered, sc.config.gap_tol).objective_value
+                optimum = milp.solve(problem).objective_value
+                ordered_optimum = milp.solve(ordered).objective_value
                 assert optimum == pytest.approx(ordered_optimum, rel=1e-6)
                 widest = max(widest, copies)
     assert widest >= 2
