@@ -1,9 +1,10 @@
+import importlib.resources
 import re
 from pathlib import Path
 
 from click.testing import CliRunner
 
-from ffsipp import cli
+from ffsipp import cli, landscape
 from ffsipp.experiment import METRICS_HEADER
 
 from .conftest import preset_text, problem_from_json
@@ -25,6 +26,24 @@ def test_every_option_is_documented():
     assert options
     documented = {opt for opt in options if re.search(rf"{re.escape(opt)}(?![\w-])", readme)}
     assert sorted(options - documented) == []
+
+
+def test_every_scenario_key_is_documented(monkeypatch):
+    # each key that landscape._known lets through, qualified by its place
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    known, keys = landscape._known, set()
+
+    def recording(where, mapping, names):
+        place = re.sub(r"\[\d+\]$", "[]", where)
+        keys.update(k if where == "scenario" else f"{place}.{k}" for k in names)
+        return known(where, mapping, names)
+
+    monkeypatch.setattr(landscape, "_known", recording)
+    for preset in importlib.resources.files("ffsipp.presets").iterdir():
+        if preset.name.endswith(".yaml"):
+            landscape.parse_scenario(preset.read_text())
+    assert len(keys) == 37
+    assert sorted(k for k in keys if f"`{k}`" not in readme) == []
 
 
 class TestRunCommand:
