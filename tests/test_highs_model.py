@@ -79,7 +79,9 @@ def assert_hands_over(model: tuple, dump: milp.MilpProblem):
                      ("row_lower", row_lower), ("row_upper", row_upper)):
         assert np.array_equal(got, getattr(dump, key)), key
     integer, continuous = int(_core.HighsVarType.kInteger), int(_core.HighsVarType.kContinuous)
-    assert list(integrality) == [continuous if d == milp.CONTINUOUS else integer for d in dump.domains]
+    assert list(integrality) == [
+        continuous if d == milp.CONTINUOUS else integer for d in dump.domains
+    ]
     shape = (num_row, num_col)
     got = sparse.csr_array((value, index, start), shape=shape)
     dumped = sparse.csr_array((dump.data, dump.indices, dump.indptr), shape=shape)

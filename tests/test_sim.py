@@ -124,7 +124,8 @@ class TestEndToEnd:
         text = preset_text("smoke").replace(", planning_rate_per_s: 100", "")
         assert "planning_rate" not in text
         a, b = (sim.run(sc, approach, 1) for sc in (smoke_scenario, landscape.parse_scenario(text)))
-        assert (b.audit_log, b.usage_series, b.total_cost) == (a.audit_log, a.usage_series, a.total_cost)
+        for field in ("audit_log", "usage_series", "total_cost"):
+            assert getattr(b, field) == getattr(a, field), field
 
     def test_unknown_approach_rejected(self, smoke_scenario):
         with pytest.raises(ValueError):
